@@ -1,5 +1,5 @@
 """Benchmarks for the extension solvers (refinement, SVD routes, QDWH,
-LOBPCG, compact-WY SBR, blocked bulge chase).
+LOBPCG, compact-WY SBR, bulge chase at b=16).
 
 Library-performance tracking, with the key quality assertions inline:
 refinement reaches float64 from a Tensor-Core start, the SVD routes match
@@ -81,14 +81,13 @@ def test_sbr_wy_compact(benchmark, rng):
     assert res.bandwidth == 16
 
 
-def test_blocked_bulge_chase(benchmark, rng):
+def test_bulge_chase_b16(benchmark, rng):
     from repro.eig import bulge_chase
     from repro.la import extract_band
 
     ab = extract_band(random_symmetric(256, rng), 16)
     d, e, _ = benchmark.pedantic(
-        bulge_chase, args=(ab, 16),
-        kwargs={"want_q": False, "variant": "blocked"},
+        bulge_chase, args=(ab, 16), kwargs={"want_q": False},
         iterations=1, rounds=3,
     )
     assert d.shape == (256,)

@@ -67,7 +67,6 @@ from ..sbr.panel import PanelStrategy
 from ..sbr.types import SbrResult, pack_wy_blocks, unpack_wy_blocks
 from ..sbr.wy import sbr_wy
 from ..sbr.zy import sbr_zy
-from ..errors import ValidationError
 from ..validation import as_symmetric_matrix, check_blocksizes, check_finite_matrix
 from .bulge import bulge_chase
 from .dc import tridiag_eig_dc
@@ -76,19 +75,6 @@ from .sturm import eigvals_bisect
 from .tridiag_direct import householder_tridiagonalize
 
 __all__ = ["EvdResult", "syevd_2stage", "syevd_1stage", "syevd_selected"]
-
-#: Stage-2 band-to-tridiagonal schemes selectable on the drivers.
-BULGE_VARIANTS = ("givens", "blocked", "wavefront")
-
-
-def _check_bulge_variant(bulge_variant: str) -> None:
-    if bulge_variant not in BULGE_VARIANTS:
-        raise ValidationError(
-            "bulge_variant must be one of 'givens', 'blocked', 'wavefront'; "
-            f"got {bulge_variant!r}",
-            field="bulge_variant",
-        )
-
 
 @dataclass
 class EvdResult:
@@ -269,9 +255,7 @@ def _resumed_result(ck, result_ck, b, eng, sbr_eng, ctx) -> "EvdResult":
     )
 
 
-def _resilient_bulge(
-    ctx, band64, b, want_q, variant="givens", record_trace=False, workspace=None,
-):
+def _resilient_bulge(ctx, band64, b, want_q, record_trace=False, workspace=None):
     """Bulge chasing as a retryable unit.
 
     Stage 2 is float64 work, so there is no precision to escalate —
@@ -280,21 +264,18 @@ def _resilient_bulge(
     exhausts the budget and propagates/degrades per the context mode.
     The fault-injection site ``"bulge"`` corrupts the band copy handed to
     the chase; the pre-chase detectors (non-finite, magnitude, symmetry)
-    catch it before the rotations run.
+    catch it before the chase runs.
 
-    The wavefront variant launches its tile updates through a float64
-    engine; with resilience active that engine is wrapped like the
-    stage-1 stream, so the detectors, ABFT checksums, and fault sites
-    cover the stage-2 GEMMs too.
+    The chase launches its tile updates through a float64 engine; with
+    resilience active that engine is wrapped like the stage-1 stream, so
+    the detectors, ABFT checksums, and fault sites cover the stage-2
+    GEMMs too.
     """
-    kwargs = {}
-    if variant == "wavefront":
-        bulge_eng = make_engine(Precision.FP64, record=record_trace)
-        if ctx is not None:
-            bulge_eng = ctx.wrap_engine(bulge_eng)
-        kwargs = {"engine": bulge_eng, "workspace": workspace}
+    bulge_eng = make_engine(Precision.FP64, record=record_trace)
     if ctx is None:
-        return bulge_chase(band64, b, want_q=want_q, variant=variant, **kwargs)
+        return bulge_chase(band64, b, want_q=want_q, engine=bulge_eng,
+                           workspace=workspace)
+    bulge_eng = ctx.wrap_engine(bulge_eng)
     attempt = 0
     while True:
         try:
@@ -306,9 +287,8 @@ def _resilient_bulge(
                 band_in = ctx.guard_copy("bulge", band_in, band64)
                 ctx.check_array(band_in, site="bulge_band")
                 ctx.check_symmetry(band_in, precision=Precision.FP64)
-                d, e, q2 = bulge_chase(
-                    band_in, b, want_q=want_q, variant=variant, **kwargs
-                )
+                d, e, q2 = bulge_chase(band_in, b, want_q=want_q,
+                                       engine=bulge_eng, workspace=workspace)
                 ctx.check_array(d, site="bulge_d")
                 if e.size:
                     ctx.check_array(e, site="bulge_e")
@@ -361,7 +341,6 @@ def syevd_2stage(
     panel: "str | PanelStrategy | None" = None,
     want_vectors: bool = True,
     tridiag_solver: str = "dc",
-    bulge_variant: str = "givens",
     record_trace: bool = False,
     workspace=None,
     lookahead: bool = False,
@@ -402,14 +381,11 @@ def syevd_2stage(
         Whether to form eigenvectors (adds the two back-transformations).
     tridiag_solver : {"dc", "ql", "bisect"}
         Tridiagonal eigensolver.
-    bulge_variant : {"givens", "blocked", "wavefront"}
-        Stage-2 band-to-tridiagonal scheme (see
-        :func:`repro.eig.bulge.bulge_chase`).  ``"wavefront"`` routes the
-        stage-2 tile updates through a float64 GEMM engine (sharing this
-        run's workspace arena), so they appear in the telemetry stream
-        and under the resilience/ABFT guards like stage 1.
     record_trace : bool
-        Record the stage-1 GEMM stream on the engine.
+        Record the stage-1 GEMM stream on the engine (and the stage-2
+        stream on the float64 engine :func:`repro.eig.bulge.bulge_chase`
+        launches its tile updates through, which shares this run's
+        workspace arena and resilience/ABFT guards).
     workspace : repro.perf.Workspace, bool, or None
         Stage-1 scratch arena (see :func:`repro.sbr.wy.sbr_wy`).
         ``None``/``True`` create one, ``False`` disables buffer reuse; the
@@ -501,8 +477,6 @@ def syevd_2stage(
     check_blocksizes(n, b, nb if method == "wy" else None)
     if method not in ("wy", "zy"):
         raise ConfigurationError(f"method must be 'wy' or 'zy', got {method!r}")
-    _check_bulge_variant(bulge_variant)
-
     ctx = _make_context(on_breakdown, resilience, ladder, detectors, faults, abft)
     eng = engine if engine is not None else make_engine(precision, record=record_trace)
     sbr_eng = ctx.wrap_engine(eng) if ctx is not None else eng
@@ -521,7 +495,6 @@ def syevd_2stage(
             "method": method, "precision": eng.precision.value,
             "panel": panel if isinstance(panel, str) else None,
             "want_vectors": want_vectors, "tridiag_solver": tridiag_solver,
-            "bulge_variant": bulge_variant,
             "on_breakdown": on_breakdown,
         })
         if tctx is None:
@@ -548,17 +521,14 @@ def syevd_2stage(
     if live is not None and live is not False:
         live_sess = resolve_live(live, plan=phase_plan(
             n, b, nb, method=method, want_vectors=want_vectors,
-            tridiag_solver=tridiag_solver, bulge_variant=bulge_variant,
+            tridiag_solver=tridiag_solver,
         ))
         metrics_reg = None
     else:
         live_sess = resolve_live(None)
         metrics_reg = metrics
 
-    root_meta = dict(
-        n=n, b=b, nb=nb, method=method, solver=tridiag_solver,
-        bulge=bulge_variant,
-    )
+    root_meta = dict(n=n, b=b, nb=nb, method=method, solver=tridiag_solver)
     if tctx is not None:
         root_meta.update(tctx.span_meta())
     with live_sess, use_registry(metrics_reg), obs.span("syevd", **root_meta):
@@ -601,7 +571,7 @@ def syevd_2stage(
             else:
                 band64 = np.asarray(sbr.band, dtype=np.float64)
                 d, e, q2 = _resilient_bulge(
-                    ctx, band64, b, want_vectors, bulge_variant,
+                    ctx, band64, b, want_vectors,
                     record_trace=record_trace, workspace=ws,
                 )
                 if ck is not None:
@@ -705,7 +675,6 @@ def syevd_selected(
     method: str = "wy",
     precision: "Precision | str" = Precision.FP32,
     want_vectors: bool = True,
-    bulge_variant: str = "givens",
     on_breakdown: "str | None" = "escalate",
     faults: "FaultInjector | None" = None,
     abft: "str | None" = None,
@@ -748,8 +717,6 @@ def syevd_selected(
     check_blocksizes(n, b, nb if method == "wy" else None)
     if method not in ("wy", "zy"):
         raise ConfigurationError(f"method must be 'wy' or 'zy', got {method!r}")
-    _check_bulge_variant(bulge_variant)
-
     ctx = _make_context(on_breakdown, None, None, None, faults, abft)
     eng = make_engine(precision)
     sbr_eng = ctx.wrap_engine(eng) if ctx is not None else eng
@@ -768,7 +735,7 @@ def syevd_selected(
 
         with obs.span("bulge"):
             band64 = np.asarray(sbr.band, dtype=np.float64)
-            d, e, q2 = _resilient_bulge(ctx, band64, b, want_vectors, bulge_variant)
+            d, e, q2 = _resilient_bulge(ctx, band64, b, want_vectors)
         with obs.span("bisect"):
             lam = eigvals_bisect(d, e, select=select, interval=interval)
 

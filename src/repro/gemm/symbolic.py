@@ -62,16 +62,16 @@ ALGORITHM_TAGS = frozenset(
 
 
 #: Tags of the stage-2 wavefront bulge chase's engine-routed tile updates
-#: (:mod:`repro.eig.bulge_wavefront`).  The chase's panel-internal work —
+#: (:func:`repro.eig.bulge.bulge_chase`).  The chase's panel-internal work —
 #: the batched bulge-block QR and the WY build — stays outside the engine,
 #: exactly like stage 1's ``panel_*`` work, so these four tags are the
 #: complete algorithm-level stream of stage 2.
 BULGE_WAVEFRONT_TAGS = frozenset(
     {
-        "bulge.wavefront.strip",
+        "bulge.wavefront.left",
         "bulge.wavefront.tile",
+        "bulge.wavefront.update",
         "bulge.wavefront.syr2k",
-        "bulge.wavefront.q",
     }
 )
 
@@ -269,7 +269,7 @@ def trace_form_q(
 # Stage-2 wavefront bulge chasing: schedule geometry + symbolic trace.
 #
 # The schedule below is *shared* with the numeric executor
-# (:mod:`repro.eig.bulge_wavefront`) — the numeric code iterates the same
+# (:func:`repro.eig.bulge.bulge_chase`) — the numeric code iterates the same
 # rounds/groups, so the fidelity contract between this trace and the
 # engine-recorded stream holds by construction (the SBR
 # ``full_update_col_blocks`` idiom).  The trace assumes a *generic* band
@@ -362,13 +362,14 @@ def wavefront_groups(wave: "list[tuple]") -> "list[tuple[tuple, list]]":
 
 
 def trace_bulge_wavefront(n: int, b: int, *, want_q: bool = True) -> GemmTrace:
-    """Shape stream of :func:`repro.eig.bulge_wavefront.bulge_chase_wavefront`.
+    """Shape stream of :func:`repro.eig.bulge.bulge_chase`.
 
     Emits exactly the engine-routed launches of the numeric executor on a
-    generic band matrix (no dead sweeps): per batch group, two
-    ``gemm_batched`` strip launches (when the strip is non-empty), three
-    ``gemm_batched`` tile launches plus one fused ``syr2k`` per step, and
-    two ``gemm_batched`` Q-accumulation launches (when ``want_q``).
+    generic band matrix (no dead sweeps): per batch group, three
+    ``gemm_batched`` launches over the group's row blocks ``[tile |
+    strip | Q^T rows]`` (the left product ``W^T C``, the tile's
+    ``W^T D W``, and the update ``Y [..]``) plus one fused ``syr2k`` per
+    step.  The Q^T rows (``n`` columns) ride along only when ``want_q``.
     """
     trace = GemmTrace()
     if n <= 2 or b < 1:
@@ -377,23 +378,14 @@ def trace_bulge_wavefront(n: int, b: int, *, want_q: bool = True) -> GemmTrace:
         for (kind, L, w, c2), steps in wavefront_groups(wave):
             g = len(steps)
             kk = min(L, w)
-            if c2 > 0:
-                trace.add(GemmRecord(kk, c2, L, tag="bulge.wavefront.strip",
-                                     op="gemm_batched", batch=g))
-                trace.add(GemmRecord(L, c2, kk, tag="bulge.wavefront.strip",
-                                     op="gemm_batched", batch=g))
-            trace.add(GemmRecord(L, kk, L, tag="bulge.wavefront.tile",
+            m = L + c2 + (n if want_q else 0)
+            trace.add(GemmRecord(kk, m, L, tag="bulge.wavefront.left",
                                  op="gemm_batched", batch=g))
             trace.add(GemmRecord(kk, kk, L, tag="bulge.wavefront.tile",
                                  op="gemm_batched", batch=g))
-            trace.add(GemmRecord(L, kk, kk, tag="bulge.wavefront.tile",
+            trace.add(GemmRecord(L, m - L + kk, kk, tag="bulge.wavefront.update",
                                  op="gemm_batched", batch=g))
             for _ in steps:
                 trace.add(GemmRecord(L, L, kk, tag="bulge.wavefront.syr2k",
                                      op="syr2k"))
-            if want_q:
-                trace.add(GemmRecord(n, kk, L, tag="bulge.wavefront.q",
-                                     op="gemm_batched", batch=g))
-                trace.add(GemmRecord(n, L, kk, tag="bulge.wavefront.q",
-                                     op="gemm_batched", batch=g))
     return trace

@@ -11,7 +11,7 @@
 from .accuracy import backward_error, orthogonality_error, eigenvalue_error
 from .bounds import sbr_backward_error_bound, sbr_orthogonality_bound
 from .flops import (
-    bulge_flops,
+    bulge_wavefront_flops,
     sbr_zy_flops,
     sbr_wy_flops,
     formw_flops,
@@ -28,5 +28,5 @@ __all__ = [
     "sbr_wy_flops",
     "formw_flops",
     "gemm_flops",
-    "bulge_flops",
+    "bulge_wavefront_flops",
 ]

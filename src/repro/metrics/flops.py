@@ -29,10 +29,7 @@ __all__ = [
     "sbr_zy_flops",
     "sbr_wy_flops",
     "formw_flops",
-    "bulge_givens_flops",
-    "bulge_blocked_flops",
     "bulge_wavefront_flops",
-    "bulge_flops",
 ]
 
 
@@ -130,55 +127,8 @@ def formw_flops(n: int, blocks: "list[tuple[int, int]]", *, method: str = "tree"
     return trace_form_q(n, blocks, method=method).total_flops
 
 
-def bulge_givens_flops(n: int, b: int, *, want_q: bool = True) -> int:
-    """Stage-2 operations of the Givens (Schwarz) bulge chase.
-
-    Summed over the scheme's actual loop structure — one peeled diagonal
-    per bandwidth ``cur``, one chase per column, one rotation per ``cur``
-    rows — at 6 operations per rotated element pair over the interior
-    rotation window of ``2 cur + 2`` columns (row + column application;
-    boundary-window clipping is a lower-order correction), plus ``6 n``
-    per rotation for the Q accumulation.  Θ(n² b) without vectors,
-    Θ(n³ / b · b) = Θ(n³) with — the Python-loop scheme the wavefront
-    variant replaces.
-    """
-    total = 0
-    q_cost = 6 * n if want_q else 0
-    for cur in range(min(b, n - 1), 1, -1):
-        for j in range(n - cur):
-            if j + cur >= n:
-                continue
-            nrot = (n - 1 - (j + cur)) // cur + 1
-            total += nrot * (12 * (2 * cur + 2) + q_cost)
-    return total
-
-
-def bulge_blocked_flops(n: int, b: int, *, want_q: bool = True) -> int:
-    """Stage-2 operations of the blocked Householder bulge chase.
-
-    Iterates the exact hop geometry every sweep performs
-    (:func:`repro.gemm.symbolic.bulge_sweep_geometry` — shared with the
-    numeric executors) and charges each hop its QR factorization, WY
-    build, two-sided WY application over the hop's footprint, and Q
-    accumulation.
-    """
-    total = 0
-    for j in range(max(n - 2, 0)):
-        for kind, a0, a1, b0, b1, hi in bulge_sweep_geometry(n, b, j):
-            L = b1 - b0
-            w = a1 - a0 if kind == "qr" else 1
-            kk = min(L, w)
-            total += panel_qr_flops(L, kk) + panel_wy_build_flops(L, kk)
-            # Two-sided application: tile (L×L) plus strip (L×(hi-b1)),
-            # each Y (W^T S) left + mirrored right.
-            total += 8 * L * kk * (hi - a1)
-            if want_q:
-                total += 4 * n * L * kk
-    return total
-
-
 def bulge_wavefront_flops(n: int, b: int, *, want_q: bool = True) -> int:
-    """Stage-2 operations of the wavefront bulge chase.
+    """Stage-2 operations of the bulge chase (:func:`repro.eig.bulge_chase`).
 
     Engine-visible work comes from the symbolic launch schedule
     (:func:`repro.gemm.symbolic.trace_bulge_wavefront` — pinned by tests
@@ -194,11 +144,3 @@ def bulge_wavefront_flops(n: int, b: int, *, want_q: bool = True) -> int:
             total += panel_qr_flops(L, kk) + panel_wy_build_flops(L, kk)
     return total
 
-
-def bulge_flops(n: int, b: int, *, variant: str = "givens", want_q: bool = True) -> int:
-    """Stage-2 operation count for the named bulge-chase variant."""
-    if variant == "blocked":
-        return bulge_blocked_flops(n, b, want_q=want_q)
-    if variant == "wavefront":
-        return bulge_wavefront_flops(n, b, want_q=want_q)
-    return bulge_givens_flops(n, b, want_q=want_q)

@@ -55,13 +55,11 @@ class BenchScenario:
     pure-Python bulge chase would dwarf the GEMM stream being measured),
     and ``"svd_banded"`` runs the two-stage banded SVD on an
     upper-banded slice of the scenario matrix.
-    ``workspace`` (``"on"``/``"off"``), ``lookahead``, ``abft``, and
-    ``bulge_variant`` are layered knobs forwarded to the target driver
-    *only when its signature supports them*, so a session recorded on an
-    older tree stays comparable.  ``abft="detect"`` prices the
-    online-ABFT verification overhead on the GEMM stream;
-    ``bulge_variant="wavefront"`` routes stage 2 through the batched
-    WY/GEMM chase instead of the scalar Givens loop.
+    ``workspace`` (``"on"``/``"off"``), ``lookahead``, and ``abft`` are
+    layered knobs forwarded to the target driver *only when its
+    signature supports them*, so a session recorded on an older tree
+    stays comparable.  ``abft="detect"`` prices the online-ABFT
+    verification overhead on the GEMM stream.
     """
 
     key: str
@@ -77,7 +75,6 @@ class BenchScenario:
     workspace: str = "on"
     lookahead: bool = False
     abft: str = "off"
-    bulge_variant: str = "givens"
 
 
 #: Pinned suites.  ``smoke`` is the CI gate: small sizes, seconds per
@@ -122,14 +119,9 @@ SUITES: dict[str, tuple[BenchScenario, ...]] = {
         BenchScenario(
             "wy-fp32-n256-abft", n=256, b=16, nb=64, abft="detect",
         ),
-        # Stage-2 wavefront row (PR 10): the paper's target shape with the
-        # batched WY bulge chase in place of the scalar Givens loop —
-        # ``syevd/bulge`` here vs ``wy-fp32-n512``'s is the stage-2 win
-        # the regression gate protects.
-        BenchScenario(
-            "bulge-wavefront-n1024", n=1024, b=32, nb=128,
-            bulge_variant="wavefront",
-        ),
+        # Full EVD at the paper's target bandwidth: ``syevd/bulge`` is the
+        # stage-2 chase the regression gate protects.
+        BenchScenario("wy-fp32-n1024", n=1024, b=32, nb=128),
         # Two-stage banded SVD (PR 10): band→bidiagonal bulge chasing +
         # Golub–Kahan on an upper-banded n=512 matrix.
         BenchScenario("svd-banded-n512", n=512, b=16, stage="svd_banded"),
@@ -188,8 +180,6 @@ def _perf_kwargs(sc: BenchScenario, fn) -> dict:
         kwargs["lookahead"] = True
     if sc.abft != "off" and "abft" in params:
         kwargs["abft"] = sc.abft
-    if sc.bulge_variant != "givens" and "bulge_variant" in params:
-        kwargs["bulge_variant"] = sc.bulge_variant
     return kwargs
 
 

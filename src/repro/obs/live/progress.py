@@ -28,13 +28,12 @@ __all__ = ["ProgressEstimator", "phase_plan"]
 
 def phase_plan(n: int, b: int = 16, nb: "int | None" = None,
                method: str = "wy", want_vectors: bool = True,
-               tridiag_solver: str = "dc",
-               bulge_variant: str = "givens") -> dict:
+               tridiag_solver: str = "dc") -> dict:
     """Predicted work units (flops) per driver phase for one EVD run.
 
     SBR and stage-2 bulge chasing use the analytic counts from
     :mod:`repro.metrics.flops`, summed over each algorithm's actual loop
-    structure per the selected ``bulge_variant``; the later phases use
+    structure; the later phases use
     standard operation counts (divide-and-conquer with vectors is
     ``O(n^3)``-dominated by its back-substitution GEMMs; the explicit
     back-transform is two dense ``n^3`` products).  Rough weights are
@@ -50,8 +49,7 @@ def phase_plan(n: int, b: int = 16, nb: "int | None" = None,
         sbr = _flops.sbr_wy_flops(n, b, nb_eff, want_q=want_vectors)
     plan = {"sbr": float(max(sbr, 1.0))}
     plan["bulge"] = float(max(
-        _flops.bulge_flops(n, b, variant=bulge_variant, want_q=want_vectors),
-        1.0,
+        _flops.bulge_wavefront_flops(n, b, want_q=want_vectors), 1.0
     ))
     if tridiag_solver == "dc" and want_vectors:
         tridiag = (4.0 / 3.0) * n ** 3

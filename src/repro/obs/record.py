@@ -88,7 +88,6 @@ def record_syevd(
     precision: str = "fp32",
     want_vectors: bool = True,
     tridiag_solver: str = "dc",
-    bulge_variant: str = "givens",
     distribution: str = "geo",
     cond: float = 1e3,
     seed: int = 0,
@@ -155,7 +154,6 @@ def record_syevd(
         result = syevd_2stage(
             a, b=b, nb=nb, method=method, precision=precision,
             want_vectors=want_vectors, tridiag_solver=tridiag_solver,
-            bulge_variant=bulge_variant,
             record_trace=True, on_breakdown=on_breakdown, faults=faults,
             abft=abft, checkpoint=checkpoint, live=live, trace=trace,
         )
@@ -174,7 +172,6 @@ def record_syevd(
         config={
             "b": b, "nb": nb, "method": method,
             "want_vectors": want_vectors, "tridiag_solver": tridiag_solver,
-            "bulge_variant": bulge_variant,
             "on_breakdown": on_breakdown,
             "abft": getattr(abft, "mode", abft) or "off",
         },

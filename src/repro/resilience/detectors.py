@@ -189,8 +189,21 @@ class DetectorBank:
         panel: int | None,
         precision: Precision,
     ) -> None:
-        """Post-GEMM output check: NaN/Inf scan plus magnitude guard."""
+        """Post-GEMM output check: NaN/Inf scan plus magnitude guard.
+
+        With both detectors on (the default) one ``max|arr|`` pass serves
+        both: a NaN or Inf anywhere makes the maximum non-finite, so a
+        finite maximum within the limit clears the output, and anything
+        else is classified with the non-finite detector taking precedence.
+        """
         cfg = self.config
+        if cfg.nonfinite and cfg.magnitude:
+            arr = np.asarray(arr)
+            if arr.size == 0:
+                return
+            mx = float(np.abs(arr).max())
+            if mx <= cfg.magnitude_limit and mx < np.inf:
+                return
         if cfg.nonfinite and has_nonfinite(arr):
             raise NumericalBreakdownError(
                 "non-finite entries in GEMM output",

@@ -84,9 +84,6 @@ class JobSpec:
     precision: str = "fp32"
     want_vectors: bool = True
     tridiag_solver: str = "dc"
-    #: Stage-2 bulge-chase variant forwarded to the driver
-    #: (``"givens"``, ``"blocked"``, or ``"wavefront"``).
-    bulge_variant: str = "givens"
     priority: str = "standard"
     deadline_seconds: "float | None" = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -294,7 +291,6 @@ class Job:
             "tag": self.spec.tag,
             "n": int(self.spec.a.shape[0]),
             "priority": self.spec.priority,
-            "bulge_variant": self.spec.bulge_variant,
             "state": self.state,
             "attempts": self.attempts,
             "preemptions": self.preemptions,

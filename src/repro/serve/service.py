@@ -243,13 +243,6 @@ class EvdService:
             raise AdmissionError(
                 "retry.max_attempts must be >= 1", reason="invalid",
             )
-        from ..eig.driver import BULGE_VARIANTS
-
-        if spec.bulge_variant not in BULGE_VARIANTS:
-            raise AdmissionError(
-                f"unknown bulge_variant {spec.bulge_variant!r} (expected "
-                f"one of {BULGE_VARIANTS})", reason="invalid",
-            )
         # Validate the matrix once here; workers run check_input=False.
         a64 = np.asarray(spec.a, dtype=np.float64)
         if a64.ndim == 2 and a64.size:

@@ -340,7 +340,6 @@ class Worker(threading.Thread):
             b=job.spec.b, nb=job.spec.nb, method=job.spec.method,
             precision=job.precision, want_vectors=job.want_vectors,
             tridiag_solver=job.spec.tridiag_solver,
-            bulge_variant=job.spec.bulge_variant,
             check_input=False,  # validated once at submission
         )
         if job.spec.abft is not None:

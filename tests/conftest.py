@@ -29,3 +29,19 @@ def assert_upper_triangular(r: np.ndarray, *, atol: float = 0.0) -> None:
     """Assert the strictly-lower part of R is (numerically) zero."""
     lower = np.tril(r, k=-1)
     assert np.max(np.abs(lower), initial=0.0) <= atol
+
+
+def eig_banded_spectrum(ab: np.ndarray, b: int) -> np.ndarray:
+    """Ascending eigenvalues of a dense symmetric band matrix by LAPACK.
+
+    The stage-2 oracle: ``scipy.linalg.eig_banded`` on the lower band
+    storage of ``ab`` (semi-bandwidth ``b``).
+    """
+    from scipy.linalg import eig_banded
+
+    n = ab.shape[0]
+    b = min(b, n - 1)
+    band = np.zeros((b + 1, n))
+    for k in range(b + 1):
+        band[k, : n - k] = np.diagonal(ab, -k)
+    return eig_banded(band, lower=True, eigvals_only=True)

@@ -648,3 +648,27 @@ class TestResumeOverrides:
         self._crashed_run(tmp_path)
         with pytest.raises(ConfigurationError, match="pinned"):
             resume(str(tmp_path / "run"), precision="fp32")
+
+    def test_every_pinned_key_is_forwarded_or_exempt(self, tmp_path):
+        # A key pinned in run.json but not forwarded by resume() comes
+        # back at its default, so the resumed run's header never matches.
+        from repro.ckpt.driver import _FORWARDED
+
+        self._crashed_run(tmp_path)
+        with open(tmp_path / "run" / "run.json") as fh:
+            pinned = set(json.load(fh)["config"])
+        assert pinned - {"driver", "n"} <= set(_FORWARDED)
+
+    def test_stale_knob_in_header_raises_configuration_error(self, tmp_path):
+        # A directory written before the stage-2 variant knob was removed
+        # pins ``bulge_variant``; resuming it is refused with the
+        # structured config-mismatch error, not a TypeError.
+        self._crashed_run(tmp_path)
+        path = tmp_path / "run" / "run.json"
+        with open(path) as fh:
+            header = json.load(fh)
+        header["config"]["bulge_variant"] = "givens"
+        with open(path, "w") as fh:
+            json.dump(header, fh)
+        with pytest.raises(ConfigurationError, match="differs"):
+            resume(str(tmp_path / "run"))

@@ -18,7 +18,7 @@ from repro.gemm import Fp64Engine, SgemmEngine, TensorCoreEngine
 from repro.gemm.trace import GemmRecord
 from repro.la import bandwidth_of, extract_band, tridiag_to_dense
 from repro.sbr import sbr_zy
-from tests.conftest import random_symmetric
+from tests.conftest import eig_banded_spectrum, random_symmetric
 
 
 class TestQdwhPolar:
@@ -228,6 +228,8 @@ class TestSyr2k:
 
 
 class TestBlockedBulgeChase:
+    """The one stage-2 chase (blocked WY hops) against LAPACK and Givens."""
+
     @pytest.mark.parametrize(
         "n,b", [(10, 3), (40, 5), (64, 8), (33, 7), (12, 11), (50, 2), (65, 16), (9, 8)]
     )
@@ -236,43 +238,40 @@ class TestBlockedBulgeChase:
         from repro.la import tridiag_to_dense
 
         ab = extract_band(random_symmetric(n, rng), b)
-        d, e, q = bulge_chase(ab, b, want_q=True, variant="blocked")
+        d, e, q = bulge_chase(ab, b, want_q=True)
         t = tridiag_to_dense(d, e)
         np.testing.assert_allclose(q @ t @ q.T, ab, atol=1e-12)
         np.testing.assert_allclose(q.T @ q, np.eye(n), atol=1e-12)
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(t), eig_banded_spectrum(ab, b), atol=1e-11
+        )
 
     def test_matches_givens_spectrum(self, rng):
-        from repro.eig import bulge_chase
+        # The Givens band reduction kept for band-to-band targets, run all
+        # the way to tridiagonal, agrees with the chase and with LAPACK.
+        from repro.eig import bulge_chase, reduce_bandwidth
         from repro.la import tridiag_to_dense
 
         ab = extract_band(random_symmetric(72, rng), 9)
-        d1, e1, _ = bulge_chase(ab, 9, want_q=False, variant="givens")
-        d2, e2, _ = bulge_chase(ab, 9, want_q=False, variant="blocked")
-        np.testing.assert_allclose(
-            np.linalg.eigvalsh(tridiag_to_dense(d1, e1)),
-            np.linalg.eigvalsh(tridiag_to_dense(d2, e2)),
-            atol=1e-11,
-        )
+        d, e, _ = bulge_chase(ab, 9, want_q=False)
+        givens, _ = reduce_bandwidth(ab, 9, target=1, want_q=False)
+        lam = np.linalg.eigvalsh(tridiag_to_dense(d, e))
+        np.testing.assert_allclose(lam, np.linalg.eigvalsh(givens), atol=1e-11)
+        np.testing.assert_allclose(lam, eig_banded_spectrum(ab, 9), atol=1e-11)
 
     def test_bandwidth_one_passthrough(self, rng):
         from repro.eig import bulge_chase
 
         t_in = extract_band(random_symmetric(12, rng), 1)
-        d, e, q = bulge_chase(t_in, 1, variant="blocked")
+        d, e, q = bulge_chase(t_in, 1)
         np.testing.assert_array_equal(d, np.diagonal(t_in))
         np.testing.assert_array_equal(q, np.eye(12))
-
-    def test_unknown_variant(self, rng):
-        from repro.eig import bulge_chase
-
-        with pytest.raises(ShapeError):
-            bulge_chase(extract_band(random_symmetric(8, rng), 2), 2, variant="panel")
 
     def test_no_q(self, rng):
         from repro.eig import bulge_chase
 
         _, _, q = bulge_chase(extract_band(random_symmetric(24, rng), 4), 4,
-                              want_q=False, variant="blocked")
+                              want_q=False)
         assert q is None
 
 

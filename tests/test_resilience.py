@@ -195,6 +195,58 @@ class TestDetectorBank:
             precision=Precision.FP32,
         )
 
+    @staticmethod
+    def _verdict(bank, arr):
+        """(detector, value, threshold) of a raised check, None if clean."""
+        try:
+            bank.check_output(arr, site="s", phase=None, panel=None,
+                              precision=Precision.FP32)
+        except NumericalBreakdownError as exc:
+            return exc.detector, exc.value, exc.threshold
+        return None
+
+    @pytest.mark.parametrize("arr,expected", [
+        (np.array([1.0, np.nan, 2.0]), "nonfinite"),
+        (np.array([1.0, np.inf]), "nonfinite"),
+        (np.array([-np.inf, 1.0]), "nonfinite"),
+        (np.full((3, 3), np.nan), "nonfinite"),
+        (np.array([1.0, 1e30, np.nan]), "nonfinite"),  # precedence
+        (np.array([[1.0, -1e30]]), "magnitude"),
+        (np.empty((0, 4)), None),
+        (np.ones((2, 5)), None),
+    ])
+    def test_fused_check_output_matches_separate_passes(self, arr, expected):
+        # Both detectors on share one max|arr| pass; the verdict, fields,
+        # and non-finite-first precedence equal the separate scans.
+        fused = DetectorBank()
+        got = self._verdict(fused, arr)
+        assert (got[0] if got else None) == expected
+        if expected == "magnitude":
+            assert got[1] == pytest.approx(1e30)
+            assert got[2] == fused.config.magnitude_limit
+        # Same verdict as the two detectors run one after the other.
+        nonfinite = self._verdict(
+            DetectorBank(DetectorConfig(magnitude=False)), arr)
+        magnitude = self._verdict(
+            DetectorBank(DetectorConfig(nonfinite=False)), arr)
+        assert got == (nonfinite or magnitude)
+
+    def test_single_detector_configs(self):
+        only_nonfinite = DetectorBank(DetectorConfig(magnitude=False))
+        only_magnitude = DetectorBank(DetectorConfig(nonfinite=False))
+        big = np.array([1e30])
+        assert self._verdict(only_nonfinite, big) is None
+        assert self._verdict(only_nonfinite, np.array([np.inf]))[0] == "nonfinite"
+        assert self._verdict(only_magnitude, big)[0] == "magnitude"
+        # The magnitude scan ignores NaN; an Inf still exceeds the limit.
+        assert self._verdict(only_magnitude, np.array([np.nan, 1.0])) is None
+        assert self._verdict(only_magnitude, np.array([np.inf]))[0] == "magnitude"
+
+    def test_fused_check_with_infinite_limit_still_flags_inf(self):
+        bank = DetectorBank(DetectorConfig(magnitude_limit=np.inf))
+        assert self._verdict(bank, np.array([np.inf]))[0] == "nonfinite"
+        assert self._verdict(bank, np.array([1e300])) is None
+
     def test_norm_growth(self):
         bank = DetectorBank(DetectorConfig(norm_growth_factor=10.0))
         bank.check_norm_growth(

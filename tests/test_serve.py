@@ -539,25 +539,14 @@ class TestSoakHarness:
 
 class TestBulgeVariantServing:
     def test_wavefront_job_end_to_end(self, rng, tmp_path):
+        # Stage 2 of every job is the engine-routed wavefront chase; the
+        # manifest line no longer carries a variant knob.
         a = random_symmetric(24, rng)
         with _service(tmp_path) as svc:
-            jid = svc.submit(a, bulge_variant="wavefront", b=4)
+            jid = svc.submit(a, b=4)
             res = svc.result(jid, timeout=60.0)
             assert res is not None and res.outcome == "done"
             np.testing.assert_allclose(
                 res.eigenvalues, np.linalg.eigvalsh(a), atol=1e-4)
         lines = [json.loads(l) for l in open(svc.manifest_path)]
-        assert lines[0]["bulge_variant"] == "wavefront"
-
-    def test_default_variant_in_manifest(self, rng, tmp_path):
-        with _service(tmp_path) as svc:
-            jid = svc.submit(random_symmetric(12, rng))
-            assert svc.result(jid, timeout=60.0).outcome == "done"
-        lines = [json.loads(l) for l in open(svc.manifest_path)]
-        assert lines[0]["bulge_variant"] == "givens"
-
-    def test_unknown_variant_rejected_at_admission(self, rng, tmp_path):
-        with _service(tmp_path) as svc:
-            with pytest.raises(AdmissionError) as ei:
-                svc.submit(random_symmetric(8, rng), bulge_variant="fast")
-            assert ei.value.reason == "invalid"
+        assert "bulge_variant" not in lines[0]

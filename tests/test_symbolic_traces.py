@@ -142,13 +142,13 @@ class TestWavefrontTraceFidelity:
     )
     @pytest.mark.parametrize("want_q", [False, True])
     def test_schedule_matches_recorded(self, rng, n, b, want_q):
-        from repro.eig.bulge_wavefront import bulge_chase_wavefront
+        from repro.eig.bulge import bulge_chase
         from repro.gemm.symbolic import trace_bulge_wavefront
         from repro.la import extract_band
 
         ab = extract_band(random_symmetric(n, rng), b)
         eng = Fp64Engine(record=True)
-        bulge_chase_wavefront(ab, b, want_q=want_q, engine=eng)
+        bulge_chase(ab, b, want_q=want_q, engine=eng)
         rec = [
             (r.m, r.n, r.k, r.tag, r.op, r.batch)
             for r in _recorded_algorithm_trace(eng).records
@@ -160,14 +160,14 @@ class TestWavefrontTraceFidelity:
         assert rec == sym
 
     def test_flops_match(self, rng):
-        from repro.eig.bulge_wavefront import bulge_chase_wavefront
+        from repro.eig.bulge import bulge_chase
         from repro.gemm.symbolic import trace_bulge_wavefront
         from repro.la import extract_band
 
         n, b = 48, 6
         ab = extract_band(random_symmetric(n, rng), b)
         eng = Fp64Engine(record=True)
-        bulge_chase_wavefront(ab, b, engine=eng)
+        bulge_chase(ab, b, engine=eng)
         assert (
             _recorded_algorithm_trace(eng).total_flops
             == trace_bulge_wavefront(n, b, want_q=True).total_flops
@@ -178,4 +178,4 @@ class TestWavefrontTraceFidelity:
 
         assert all(is_algorithm_tag(t) for t in BULGE_SVD_TAGS)
         assert all(is_algorithm_tag(t) for t in
-                   ("bulge.wavefront.strip", "bulge.wavefront.syr2k"))
+                   ("bulge.wavefront.left", "bulge.wavefront.syr2k"))
