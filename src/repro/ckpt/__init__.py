@@ -8,8 +8,9 @@ drivers *resumable*:
 - :mod:`repro.ckpt.store` — the versioned, CRC- and ABFT-checksummed,
   atomically committed checkpoint files under one run directory
   (:class:`CheckpointConfig` / :class:`CheckpointManager`).
-- :mod:`repro.ckpt.abft` — Huang–Abraham row/column checksum signatures
-  guarding checkpointed matrices against silent corruption at rest.
+- Huang–Abraham row/column checksum signatures
+  (:mod:`repro.resilience.abft`, shared with the online launch guard)
+  protect checkpointed matrices against silent corruption at rest.
 - :mod:`repro.ckpt.driver` — :func:`resume`: reconstruct a run from its
   directory alone and continue it to the same result the uninterrupted
   run would have produced (bitwise-identical per precision mode — every
@@ -39,7 +40,7 @@ stale-schema corruption, each of which must surface as a structured
 wrong numbers.
 """
 
-from .abft import abft_signature, verify_abft
+from ..resilience.abft import abft_signature, verify_abft
 from .store import (
     CKPT_SCHEMA_VERSION,
     PHASE_STEPS,

@@ -24,7 +24,7 @@ Commit protocol (crash-safe ordering):
 A checkpoint exists only once its commit record does; a crash between the
 two steps leaves an orphan payload the loader ignores.  At load time the
 payload CRC and the Huang–Abraham ABFT row/column checksums
-(:mod:`repro.ckpt.abft`) are verified, so torn writes and silent
+(:mod:`repro.resilience.abft`) are verified, so torn writes and silent
 corruption surface as a structured
 :class:`~repro.errors.CheckpointCorruptionError` naming the file and
 field — never as wrong numbers in a resumed run.
@@ -53,7 +53,7 @@ from ..errors import (
 from ..ioutils import atomic_write_bytes, atomic_write_json, file_crc32, sweep_orphans
 from ..obs import spans as obs
 from ..obs.live import registry as _live
-from .abft import abft_signature, verify_abft
+from ..resilience.abft import abft_signature, verify_abft
 
 __all__ = [
     "CKPT_SCHEMA_VERSION",

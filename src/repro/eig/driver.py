@@ -163,15 +163,12 @@ def _solve_tridiagonal_with_context(d, e, solver, want_vectors):
 
 def _make_context(
     on_breakdown: "str | None",
-    resilience: "ResilienceContext | None",
     ladder: "EscalationLadder | None",
     detectors: "DetectorConfig | None",
     faults: "FaultInjector | None",
     abft=None,
 ) -> "ResilienceContext | None":
     """Resolve the resilience context for one driver run."""
-    if resilience is not None:
-        return resilience
     if on_breakdown is None:
         if faults is not None:
             raise ConfigurationError(
@@ -345,7 +342,6 @@ def syevd_2stage(
     workspace=None,
     lookahead: bool = False,
     on_breakdown: "str | None" = "escalate",
-    resilience: "ResilienceContext | None" = None,
     ladder: "EscalationLadder | None" = None,
     detectors: "DetectorConfig | None" = None,
     faults: "FaultInjector | None" = None,
@@ -398,10 +394,6 @@ def syevd_2stage(
     on_breakdown : {"escalate", "raise", "best_effort"} or None
         Failure-detector response (see module docstring).  ``None``
         disables the resilience layer.
-    resilience : ResilienceContext, optional
-        Pre-built context (overrides ``on_breakdown``/``ladder``/
-        ``detectors``/``faults``) — lets callers share one report across
-        composed calls.
     ladder : EscalationLadder, optional
         Retry budget / widening / stickiness policy.
     detectors : DetectorConfig, optional
@@ -477,7 +469,7 @@ def syevd_2stage(
     check_blocksizes(n, b, nb if method == "wy" else None)
     if method not in ("wy", "zy"):
         raise ConfigurationError(f"method must be 'wy' or 'zy', got {method!r}")
-    ctx = _make_context(on_breakdown, resilience, ladder, detectors, faults, abft)
+    ctx = _make_context(on_breakdown, ladder, detectors, faults, abft)
     eng = engine if engine is not None else make_engine(precision, record=record_trace)
     sbr_eng = ctx.wrap_engine(eng) if ctx is not None else eng
     ws = resolve_workspace(workspace)
@@ -638,7 +630,7 @@ def syevd_1stage(
     if check_input and check_finite and a.ndim == 2 and a.size:
         check_finite_matrix(a)
     a = as_symmetric_matrix(a, dtype=np.float64, check=check_input)
-    ctx = _make_context(on_breakdown, None, None, None, None)
+    ctx = _make_context(on_breakdown, None, None, None)
     with obs.span("syevd_1stage", n=a.shape[0], solver=tridiag_solver):
         with obs.span("tridiagonalize"):
             d, e, q1 = householder_tridiagonalize(a, want_q=want_vectors)
@@ -717,7 +709,7 @@ def syevd_selected(
     check_blocksizes(n, b, nb if method == "wy" else None)
     if method not in ("wy", "zy"):
         raise ConfigurationError(f"method must be 'wy' or 'zy', got {method!r}")
-    ctx = _make_context(on_breakdown, None, None, None, faults, abft)
+    ctx = _make_context(on_breakdown, None, None, faults, abft)
     eng = make_engine(precision)
     sbr_eng = ctx.wrap_engine(eng) if ctx is not None else eng
     with obs.span("syevd_selected", n=n, b=b, nb=nb, method=method):

@@ -63,14 +63,18 @@ class GemmEngine(ABC):
     """A matrix-multiply executor with optional call recording.
 
     Subclasses define :attr:`name`, :attr:`precision` and the raw
-    :meth:`_matmul`.  The public :meth:`gemm` validates shapes, records the
-    call (when tracing), and delegates.
+    :meth:`_matmul`.  The public :meth:`gemm`, :meth:`gemm_batched` and
+    :meth:`syr2k` validate shapes, build the call's record, and hand it
+    to :meth:`_launch`, the one place a launch is recorded and timed.
     """
 
     #: Short engine identifier stored in trace records.
     name: str = "abstract"
     #: The precision policy this engine implements.
     precision: Precision = Precision.FP32
+    #: Whether :meth:`_matmul` consumes :meth:`prepare_operand` handles
+    #: itself; other kernels are handed the handle's source array.
+    takes_prepared: bool = False
 
     def __init__(self, *, record: bool = False, workspace=None) -> None:
         self.trace: GemmTrace | None = GemmTrace() if record else None
@@ -93,36 +97,40 @@ class GemmEngine(ABC):
         implementation writes into it and returns it.
         """
 
-    # -- shared execution path --------------------------------------------
-    def _run(self, rec: GemmRecord, a, b, out):
-        """Record ``rec``, time the product when telemetry is on, return it.
+    # -- the one launch path ----------------------------------------------
+    def _launch(self, rec: GemmRecord, kernel, a, b, out, alpha=1.0, beta=0.0):
+        """Record ``rec``, run ``kernel(a, b, out)``, time it when telemetry is on.
 
-        ``out`` (if any) is already validated and alias-free here.
+        Every public entry point validates its operands, builds ``rec``
+        and ends here.  ``out`` (if any) is already validated and
+        alias-free.  ``alpha``/``beta`` are the syr2k scalars, passed
+        through for subclasses that guard the launch.
         """
         if self.trace is not None:
             with self._trace_lock:
                 self.trace.add(rec)
         # One timing covers both consumers (collector event + live
-        # registry); with neither installed the call costs two module
-        # reads and no allocation (the zero-overhead-off contract).
-        reg = _live.active_registry()
-        if _obs.is_enabled() or reg is not None:
-            t0 = _obs.now()
-            res = self._matmul(a, b, out=out)
-            dt = _obs.now() - t0
-            _obs.gemm_event(
+        # registry).  The activation slots are read directly: with
+        # neither installed a launch pays two module reads, no call and
+        # no allocation (the zero-overhead-off contract).
+        reg = _live._active
+        if _obs._active is None and reg is None:
+            return kernel(a, b, out)
+        t0 = _obs.now()
+        res = kernel(a, b, out)
+        dt = _obs.now() - t0
+        _obs.gemm_event(
+            rec.m, rec.n, rec.k,
+            tag=rec.tag, engine=rec.engine, op=rec.op, batch=rec.batch,
+            seconds=dt, start=t0,
+        )
+        if reg is not None:
+            reg.record_gemm(
                 rec.m, rec.n, rec.k,
-                tag=rec.tag, engine=self.name, op=rec.op, batch=rec.batch,
-                seconds=dt, start=t0,
+                tag=rec.tag, engine=rec.engine, op=rec.op,
+                batch=rec.batch, seconds=dt,
             )
-            if reg is not None:
-                reg.record_gemm(
-                    rec.m, rec.n, rec.k,
-                    tag=rec.tag, engine=self.name, op=rec.op,
-                    batch=rec.batch, seconds=dt,
-                )
-            return res
-        return self._matmul(a, b, out=out)
+        return res
 
     @staticmethod
     def _resolve_out(out, shape, a, b):
@@ -172,7 +180,7 @@ class GemmEngine(ABC):
             operand (the engine then computes into a temporary and
             copies).  The *returned* array is always the result; callers
             must use it rather than assume ``out`` was mutated in place
-            (resilience wrappers may substitute a different array).
+            (a resilient engine's guard may substitute a different array).
         ta, tb : bool
             Multiply with the operand transposed (a no-copy view) —
             ``gemm(a, b, ta=True)`` is ``a.T @ b`` without the caller
@@ -200,7 +208,12 @@ class GemmEngine(ABC):
         n = bv.shape[1]
         direct, copy_back = self._resolve_out(out, (m, n), av, bv)
         rec = GemmRecord(m=m, n=n, k=k, tag=tag, engine=self.name)
-        res = self._run(rec, a if prep_a else av, b if prep_b else bv, direct)
+        res = self._launch(
+            rec, self._matmul,
+            a if prep_a and self.takes_prepared else av,
+            b if prep_b and self.takes_prepared else bv,
+            direct,
+        )
         if copy_back:
             np.copyto(out, res, casting="same_kind")
             return out
@@ -237,7 +250,7 @@ class GemmEngine(ABC):
         rec = GemmRecord(
             m=m, n=n, k=k, tag=tag, engine=self.name, op="gemm_batched", batch=batch
         )
-        res = self._run(rec, a, b, direct)
+        res = self._launch(rec, self._matmul, a, b, direct)
         if copy_back:
             np.copyto(out, res, casting="same_kind")
             return out
@@ -277,11 +290,8 @@ class GemmEngine(ABC):
         rec = GemmRecord(
             m=mm, n=mm, k=y.shape[1], tag=tag, engine=self.name, op="syr2k"
         )
-        if self.trace is not None:
-            with self._trace_lock:
-                self.trace.add(rec)
 
-        def compute():
+        def kernel(y, z, out):
             p = self._matmul(y, z.T)
             s = p + p.T
             if alpha != 1.0:
@@ -297,23 +307,7 @@ class GemmEngine(ABC):
                 np.add(out, s, out=out, casting="same_kind")
             return out
 
-        reg = _live.active_registry()
-        if _obs.is_enabled() or reg is not None:
-            t0 = _obs.now()
-            res = compute()
-            dt = _obs.now() - t0
-            _obs.gemm_event(
-                mm, mm, y.shape[1],
-                tag=tag, engine=self.name, op="syr2k",
-                seconds=dt, start=t0,
-            )
-            if reg is not None:
-                reg.record_gemm(
-                    mm, mm, y.shape[1],
-                    tag=tag, engine=self.name, op="syr2k", seconds=dt,
-                )
-            return res
-        return compute()
+        return self._launch(rec, kernel, y, z, out, alpha, beta)
 
     def reset_trace(self) -> None:
         """Clear the recorded trace (enables recording if it was off)."""
@@ -411,6 +405,7 @@ class EcTensorCoreEngine(GemmEngine):
 
     name = "ectc"
     precision = Precision.FP16_EC_TC
+    takes_prepared = True
 
     def __init__(self, *, record: bool = False, workspace=None,
                  chunk_k: int | None = None) -> None:

@@ -43,8 +43,8 @@ canaries and CI, where you want the fault surfaced, not absorbed.
 (tracemalloc-asserted in the tests).
 
 The checkpoint-at-rest helpers (``abft_signature``/``verify_abft``)
-live here as the shared implementation; :mod:`repro.ckpt.abft`
-re-exports them for backward compatibility.
+live here too: :mod:`repro.ckpt` verifies its stored matrices with the
+same sum-vector/CRC encoding.
 """
 
 from __future__ import annotations
@@ -362,7 +362,8 @@ class Syr2kPre:
     The fused update ``beta·C + alpha·(Y Zᵀ + Z Yᵀ)`` overwrites ``C``,
     so its contribution to the output checksums must be captured before
     the launch.  Sums only — the full snapshot needed for a correct-mode
-    replay is taken separately by the resilient wrapper.
+    replay is taken separately by the launch guard
+    (:meth:`~repro.resilience.ResilienceContext.after_launch`).
     """
 
     row: np.ndarray
@@ -599,7 +600,7 @@ class AbftChecker:
 
         ``pre`` carries the float64 row/col sums (and |·| sums) of the
         accumulator *before* the launch when ``beta != 0`` (captured by
-        the resilient wrapper); without it the update term is verified
+        the launch guard); without it the update term is verified
         alone.
         """
         index = self._next_index(site)

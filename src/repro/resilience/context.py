@@ -2,8 +2,10 @@
 
 One :class:`ResilienceContext` lives for one driver invocation.  It owns
 
-- the wrapped :class:`ResilientEngine` (fault injection + post-GEMM
-  detectors on every matrix multiply),
+- the :class:`ResilientEngine` (precision-escalation state over a base
+  engine) and the one launch guard, :meth:`ResilienceContext.after_launch`
+  (fault injection, online ABFT and the post-GEMM detectors on every
+  matrix multiply),
 - the :class:`~repro.resilience.policy.EscalationLadder` and the retry
   decision (:meth:`ResilienceContext.handle_breakdown`),
 - the :class:`~repro.resilience.policy.ResilienceReport` the driver
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 
 import numpy as np
 
@@ -44,32 +47,36 @@ __all__ = ["BREAKDOWN_MODES", "ResilientEngine", "ResilienceContext"]
 BREAKDOWN_MODES = ("raise", "escalate", "best_effort")
 
 
-class ResilientEngine:
-    """GEMM engine wrapper: inject faults, run detectors, allow escalation.
+class ResilientEngine(GemmEngine):
+    """A :class:`~repro.gemm.engine.GemmEngine` that escalates precision.
 
-    Duck-types the :class:`~repro.gemm.engine.GemmEngine` interface the
-    drivers consume (``gemm``/``syr2k``/``precision``/``working_dtype``/
-    ``trace``).  The *base* engine implements the run's requested
-    precision policy; :meth:`escalate_to` swaps in a safer engine, and
-    GEMMs executed while escalated are still appended to the base
-    engine's trace (tagged with the escalated engine's name) so the
-    recorded stream stays complete.
+    The *base* engine implements the run's requested precision policy;
+    :meth:`escalate_to` swaps in a safer engine.  The kernel,
+    :meth:`prepare_operand`, :attr:`name` and :attr:`precision` follow
+    the engine currently in use; :attr:`working_dtype`, :attr:`trace`
+    and :attr:`workspace` stay the base engine's, so launches made while
+    escalated are recorded in the base trace under the escalated
+    engine's name and the stream stays complete.  Every launch is handed
+    to :meth:`ResilienceContext.after_launch`.
     """
+
+    #: The active engine's kernel, rebound per instance by :meth:`_use`.
+    _matmul = None
 
     def __init__(self, base: GemmEngine, ctx: "ResilienceContext") -> None:
         self.base = base
-        self._inner = base
         self._ctx = ctx
         self._lock = threading.Lock()
+        self._use(base)
 
-    # -- GemmEngine surface -------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self._inner.name
-
-    @property
-    def precision(self) -> Precision:
-        return self._inner.precision
+    def _use(self, engine: GemmEngine) -> None:
+        # Plain attributes rebound here, not resolved on every launch.
+        self._active = engine
+        self.name = engine.name
+        self.precision = engine.precision
+        self.takes_prepared = engine.takes_prepared
+        self._matmul = engine._matmul
+        self.prepare_operand = engine.prepare_operand
 
     @property
     def working_dtype(self) -> np.dtype:
@@ -89,98 +96,34 @@ class ResilientEngine:
     def workspace(self):
         return self.base.workspace
 
-    def gemm(self, a, b, *, tag: str = "", out=None, ta: bool = False,
-             tb: bool = False) -> np.ndarray:
-        """Policy GEMM with injection + detection.
+    @workspace.setter
+    def workspace(self, ws) -> None:
+        self.base.workspace = ws
 
-        Note: even with ``out=`` the *returned* array is authoritative —
-        fault injection may substitute a different array than the buffer
-        the inner engine wrote.  All callers must use the return value.
-        """
-        inner = self._inner
-        res = inner.gemm(a, b, tag=tag, out=out, ta=ta, tb=tb)
-        if inner is not self.base and self.base.trace is not None:
-            rec = GemmRecord(
-                m=res.shape[0], n=res.shape[1], k=np.asarray(a).shape[0 if ta else 1],
-                tag=tag, engine=inner.name,
-            )
-            with self.base._trace_lock:
-                self.base.trace.add(rec)
-        # Zero-overhead-off contract: with ABFT off this is one attribute
-        # read and a None check on the hot path.
-        if self._ctx.abft is None:
-            return self._ctx.after_gemm(res, site=tag, precision=inner.precision)
-        return self._ctx.after_gemm_abft(
-            res, a, b, inner=inner, site=tag, ta=ta, tb=tb, out_buf=out,
-        )
-
-    def gemm_batched(self, a, b, *, tag: str = "", out=None, ta: bool = False,
-                     tb: bool = False) -> np.ndarray:
-        """Batched policy GEMM with injection + detection (one stack check)."""
-        inner = self._inner
-        res = inner.gemm_batched(a, b, tag=tag, out=out, ta=ta, tb=tb)
-        if inner is not self.base and self.base.trace is not None:
-            rec = GemmRecord(
-                m=res.shape[1], n=res.shape[2],
-                k=np.asarray(a).shape[1 if ta else 2],
-                tag=tag, engine=inner.name, op="gemm_batched", batch=res.shape[0],
-            )
-            with self.base._trace_lock:
-                self.base.trace.add(rec)
-        if self._ctx.abft is None:
-            return self._ctx.after_gemm(res, site=tag, precision=inner.precision)
-        return self._ctx.after_batched_abft(
-            res, a, b, inner=inner, site=tag, ta=ta, tb=tb, out_buf=out,
-        )
-
-    def syr2k(self, y, z, *, tag: str = "", out=None, alpha: float = 1.0,
-              beta: float = 0.0) -> np.ndarray:
-        inner = self._inner
-        ab = self._ctx.abft
-        pre = snapshot = None
-        if ab is not None and out is not None and beta != 0.0:
-            # The accumulator's checksums (and, in correct mode, its full
-            # contents for the replay) must be captured before the launch
-            # scales them away.
-            pre = Syr2kPre.capture(out)
-            if ab.policy.mode == "correct":
-                snapshot = np.array(out, copy=True)
-        res = inner.syr2k(y, z, tag=tag, out=out, alpha=alpha, beta=beta)
-        if inner is not self.base and self.base.trace is not None:
-            yy = np.asarray(y)
-            rec = GemmRecord(
-                m=yy.shape[0], n=yy.shape[0], k=yy.shape[1],
-                tag=tag, engine=inner.name, op="syr2k",
-            )
-            with self.base._trace_lock:
-                self.base.trace.add(rec)
-        if ab is None:
-            return self._ctx.after_gemm(res, site=tag, precision=inner.precision)
-        return self._ctx.after_syr2k_abft(
-            res, y, z, inner=inner, site=tag, alpha=alpha, beta=beta,
-            pre=pre, snapshot=snapshot,
-        )
+    def _launch(self, rec, kernel, a, b, out, alpha=1.0, beta=0.0):
+        """Hand the launch to the context's guard."""
+        return self._ctx.after_launch(self, rec, kernel, a, b, out, alpha, beta)
 
     # -- escalation ---------------------------------------------------------
     def escalate_to(self, precision: Precision) -> None:
         """Swap in an engine implementing a safer precision policy."""
         with self._lock:
             if precision is self.base.precision:
-                self._inner = self.base
+                self._use(self.base)
             else:
-                self._inner = make_engine(precision)
+                self._use(make_engine(precision))
 
     def restore_base(self) -> None:
         """Return to the run's requested base precision."""
         with self._lock:
-            self._inner = self.base
+            self._use(self.base)
 
     @property
     def escalated(self) -> bool:
-        return self._inner is not self.base
+        return self._active is not self.base
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"escalated->{self._inner.name}" if self.escalated else "base"
+        state = f"escalated->{self.name}" if self.escalated else "base"
         return f"<ResilientEngine {self.base.name} ({state})>"
 
 
@@ -249,12 +192,15 @@ class ResilienceContext:
             self.detectors = DetectorBank(detectors)
         self.injector = injector
         policy = AbftPolicy.from_knob(abft)
-        #: AbftChecker or None — the single attribute the engine wrapper
+        #: AbftChecker or None — the single attribute the launch guard
         #: reads per launch (the zero-overhead-off contract).
         self.abft = AbftChecker(policy) if policy is not None else None
         self.report = ResilienceReport()
         self._stack: list[tuple[str, "int | None"]] = []
-        self._engines: list[ResilientEngine] = []
+        # Weak: each engine refers back to this context, and the base
+        # engine it wraps may own the run's workspace arena — a strong
+        # cycle would keep that arena alive until the next GC pass.
+        self._engines: "weakref.WeakSet[ResilientEngine]" = weakref.WeakSet()
         self._suppress = False
 
     # -- wiring -------------------------------------------------------------
@@ -267,7 +213,7 @@ class ResilienceContext:
         if isinstance(engine, ResilientEngine):
             return engine
         wrapped = ResilientEngine(engine, self)
-        self._engines.append(wrapped)
+        self._engines.add(wrapped)
         return wrapped
 
     def unit(self, phase: str, *, panel: "int | None" = None) -> _Unit:
@@ -293,124 +239,58 @@ class ResilienceContext:
                 pass
         return out
 
-    def after_gemm(self, out: np.ndarray, *, site: str, precision: Precision) -> np.ndarray:
-        """Engine hook: inject due faults, then run the output detectors."""
-        out = self.inject(site, out)
-        self._run_detectors(out, site=site, precision=precision)
-        return out
+    def after_launch(self, engine: ResilientEngine, rec: GemmRecord, kernel,
+                     a, b, out, alpha: float = 1.0, beta: float = 0.0) -> np.ndarray:
+        """Run one launch of ``engine`` and guard its result.
 
-    def _run_detectors(self, out: np.ndarray, *, site: str,
-                       precision: Precision) -> None:
-        if self._suppress:
-            return
-        phase, panel = self.current_unit()
-        try:
-            self.detectors.check_output(
-                out, site=site, phase=phase, panel=panel, precision=precision
-            )
-        except NumericalBreakdownError as exc:
-            self._record_detection(exc)
-            raise
-
-    # -- online ABFT hooks ---------------------------------------------------
-    @staticmethod
-    def _operand_view(x, transpose: bool) -> np.ndarray:
-        """Effective operand view: prepared operands unwrapped, ``ta``/``tb``
-        applied — the matrix the engine actually multiplied."""
-        arr = np.asarray(getattr(x, "array", x))
-        if transpose:
-            arr = arr.swapaxes(-2, -1)
-        return arr
-
-    def _guard(self, check, out, *, site: str, precision: Precision) -> np.ndarray:
-        """Run one checker call, recording any SdcError like a detection."""
-        try:
-            out = check()
-        except SdcError as exc:
-            self._record_detection(exc)
-            raise
-        self._run_detectors(out, site=site, precision=precision)
-        return out
-
-    def after_gemm_abft(self, out, a, b, *, inner, site: str,
-                        ta: bool = False, tb: bool = False,
-                        out_buf=None) -> np.ndarray:
-        """Engine hook with online ABFT: inject, verify, correct, detect."""
-        out = self.inject(site, out)
-        av = self._operand_view(a, ta)
-        bv = self._operand_view(b, tb)
-        if out_buf is not None and (np.may_share_memory(out_buf, av)
-                                    or np.may_share_memory(out_buf, bv)):
-            # The launch clobbered its own operand (aliased out=); the
-            # checksum references are gone — fall back to the detectors.
-            self._run_detectors(out, site=site, precision=inner.precision)
-            return out
-        phase, panel = self.current_unit()
-        recompute = None
-        if self.abft.policy.mode == "correct":
-            def recompute():
-                # Deterministic replay through the raw engine; routed back
-                # through the injector so persistent faults stay visible.
-                return self.inject(site, inner.gemm(a, b, tag=site, ta=ta, tb=tb))
-        return self._guard(
-            lambda: self.abft.guard_gemm(
-                out, av, bv, precision=inner.precision, site=site,
-                phase=phase, panel=panel, recompute=recompute,
-            ),
-            out, site=site, precision=inner.precision,
-        )
-
-    def after_batched_abft(self, out, a, b, *, inner, site: str,
-                           ta: bool = False, tb: bool = False,
-                           out_buf=None) -> np.ndarray:
-        """Batched-GEMM hook with online ABFT (Freivalds for big stacks)."""
-        out = self.inject(site, out)
-        av = self._operand_view(a, ta)
-        bv = self._operand_view(b, tb)
-        if out_buf is not None and (np.may_share_memory(out_buf, av)
-                                    or np.may_share_memory(out_buf, bv)):
-            self._run_detectors(out, site=site, precision=inner.precision)
-            return out
-        phase, panel = self.current_unit()
-        recompute = None
-        if self.abft.policy.mode == "correct":
-            def recompute():
-                return self.inject(
-                    site, inner.gemm_batched(a, b, tag=site, ta=ta, tb=tb)
-                )
-        return self._guard(
-            lambda: self.abft.guard_batched(
-                out, av, bv, precision=inner.precision, site=site,
-                phase=phase, panel=panel, recompute=recompute,
-            ),
-            out, site=site, precision=inner.precision,
-        )
-
-    def after_syr2k_abft(self, out, y, z, *, inner, site: str, alpha: float,
-                         beta: float, pre, snapshot) -> np.ndarray:
-        """syr2k hook with online ABFT (pre-launch accumulator checksums)."""
-        out = self.inject(site, out)
-        yv = np.asarray(y)
-        zv = np.asarray(z)
-        phase, panel = self.current_unit()
-        recompute = None
-        if self.abft.policy.mode == "correct":
-            def recompute():
-                if beta != 0.0:
-                    buf = np.array(snapshot, copy=True)
-                    r = inner.syr2k(y, z, tag=site, out=buf, alpha=alpha,
-                                    beta=beta)
+        The launch itself is the base engine's (recorded, timed).  Then,
+        in order: faults due at ``rec.tag`` are injected, online ABFT
+        verifies the result with the checker routine for ``rec.op``
+        (correcting it in correct mode), and the output detectors run.
+        A fused ``syr2k`` (``beta != 0``) scales its accumulator away, so
+        its checksums — and, in correct mode, a copy for the replay —
+        are taken before the launch.
+        """
+        abft = self.abft
+        pre = snapshot = None
+        if abft is not None and beta != 0.0:
+            pre = Syr2kPre.capture(out)
+            if abft.policy.mode == "correct":
+                snapshot = np.array(out, copy=True)
+        res = engine.base._launch(rec, kernel, a, b, out)
+        site = rec.tag
+        if self.injector is not None:
+            res = self.inject(site, res)
+        if abft is not None:
+            recompute = None
+            if abft.policy.mode == "correct":
+                def recompute():
+                    # Deterministic replay of the same kernel; routed back
+                    # through the injector so persistent faults stay visible.
+                    buf = None if snapshot is None else np.array(snapshot, copy=True)
+                    return self.inject(site, kernel(a, b, buf))
+            phase, panel = self.current_unit()
+            # Checksums read the multiplied arrays (prepared operands
+            # unwrapped).  The launch wrote a temporary when ``out``
+            # aliased an operand, so the operands are intact here.
+            av = getattr(a, "array", a)
+            bv = getattr(b, "array", b)
+            kw = dict(precision=engine.precision, site=site, phase=phase,
+                      panel=panel, recompute=recompute)
+            try:
+                if rec.op == "syr2k":
+                    res = abft.guard_syr2k(res, av, bv, alpha=alpha, beta=beta,
+                                           pre=pre, **kw)
+                elif rec.op == "gemm_batched":
+                    res = abft.guard_batched(res, av, bv, **kw)
                 else:
-                    r = inner.syr2k(y, z, tag=site, alpha=alpha)
-                return self.inject(site, r)
-        return self._guard(
-            lambda: self.abft.guard_syr2k(
-                out, yv, zv, precision=inner.precision, site=site,
-                alpha=alpha, beta=beta, pre=pre, phase=phase, panel=panel,
-                recompute=recompute,
-            ),
-            out, site=site, precision=inner.precision,
-        )
+                    res = abft.guard_gemm(res, av, bv, **kw)
+            except SdcError as exc:
+                self._record_detection(exc)
+                raise
+        self._check(self.detectors.check_output, res, site=site,
+                    precision=engine.precision)
+        return res
 
     def guard_copy(self, site: str, arr: np.ndarray,
                    ref: np.ndarray) -> np.ndarray:
@@ -428,69 +308,38 @@ class ResilienceContext:
     def check_array(self, arr: np.ndarray, *, site: str,
                     precision: Precision = Precision.FP64) -> None:
         """Driver hook: NaN/Inf + magnitude scan of a stage output."""
-        if self._suppress:
-            return
-        phase, panel = self.current_unit()
-        try:
-            self.detectors.check_output(
-                arr, site=site, phase=phase, panel=panel, precision=precision
-            )
-        except NumericalBreakdownError as exc:
-            self._record_detection(exc)
-            raise
+        self._check(self.detectors.check_output, arr, site=site,
+                    precision=precision)
 
     def check_panel(self, w: np.ndarray, y: np.ndarray, *, precision: Precision) -> None:
         """Driver hook: panel-Q orthogonality drift."""
-        if self._suppress:
-            return
-        phase, panel = self.current_unit()
-        try:
-            self.detectors.check_panel_q(
-                w, y, phase=phase, panel=panel, precision=precision
-            )
-        except NumericalBreakdownError as exc:
-            self._record_detection(exc)
-            raise
+        self._check(self.detectors.check_panel_q, w, y, precision=precision)
 
     def check_norm_growth(self, arr: np.ndarray, baseline: float, *,
                           precision: Precision, site: str = "") -> None:
         """Driver hook: trailing-matrix norm growth vs. phase baseline."""
-        if self._suppress:
-            return
-        phase, panel = self.current_unit()
-        try:
-            self.detectors.check_norm_growth(
-                arr, baseline, phase=phase, panel=panel,
-                precision=precision, site=site,
-            )
-        except NumericalBreakdownError as exc:
-            self._record_detection(exc)
-            raise
+        self._check(self.detectors.check_norm_growth, arr, baseline,
+                    precision=precision, site=site)
 
     def check_symmetry(self, a: np.ndarray, *, precision: Precision,
                        norm: "float | None" = None) -> None:
         """Driver hook: symmetry drift of a trailing block (sampled)."""
-        if self._suppress:
-            return
-        phase, panel = self.current_unit()
-        try:
-            self.detectors.check_symmetry(
-                a, phase=phase, panel=panel, precision=precision, norm=norm
-            )
-        except NumericalBreakdownError as exc:
-            self._record_detection(exc)
-            raise
+        self._check(self.detectors.check_symmetry, a, precision=precision,
+                    norm=norm)
 
     def check_residual(self, a: np.ndarray, q: np.ndarray, band: np.ndarray, *,
                        precision: Precision) -> None:
         """Driver hook: sampled factorization-residual probe."""
+        self._check(self.detectors.check_residual, a, q, band,
+                    precision=precision)
+
+    def _check(self, detector, *args, **kwargs) -> None:
+        """Run one detector in the current unit's context; record a trip."""
         if self._suppress:
             return
-        phase, _ = self.current_unit()
+        phase, panel = self.current_unit()
         try:
-            self.detectors.check_residual(
-                a, q, band, phase=phase, precision=precision
-            )
+            detector(*args, phase=phase, panel=panel, **kwargs)
         except NumericalBreakdownError as exc:
             self._record_detection(exc)
             raise

@@ -296,6 +296,7 @@ class DetectorBank:
         *,
         phase: str | None,
         precision: Precision,
+        panel: int | None = None,
     ) -> None:
         """Sampled factorization-residual probe at a stage boundary."""
         if not self.config.residual:
@@ -305,6 +306,6 @@ class DetectorBank:
         if not np.isfinite(res) or res > tol:
             raise NumericalBreakdownError(
                 "band-reduction residual probe failed",
-                phase=phase, detector="residual",
+                phase=phase, panel=panel, detector="residual",
                 value=float(res), threshold=tol, precision=precision.value,
             )

@@ -4,7 +4,8 @@ A :class:`FaultInjector` corrupts arrays at named *sites* — the GEMM tags
 of the band-reduction stream (``panel_tsqr``, ``wy_right``, ``form_q``,
 ...) plus driver-level sites (``bulge``) — at a chosen call index, with a
 chosen corruption kind, reproducibly from a seed.  The injector is wired
-into :class:`repro.resilience.engine.ResilientEngine` (GEMM outputs) and
+into the launch guard :meth:`repro.resilience.ResilienceContext.after_launch`
+(GEMM outputs) and
 into the driver-level injection points, so tests can prove that every
 detector fires and every fallback path recovers.
 

@@ -300,10 +300,9 @@ def sbr_wy(
             # OA is constant for the whole big block: let the engine
             # amortize its operand transformation (the EC hi/lo FP16
             # split — several full M×M passes) across the block's
-            # panels.  Bitwise identical to passing OA itself.  Under a
-            # resilience context the wrapped engine re-runs steps at
-            # other precisions, so the raw array is used there.
-            oa_op = eng.prepare_operand(OA, tag="sbr_OA") if ctx is None else OA
+            # panels.  Bitwise identical to passing OA itself; an engine
+            # escalated mid-block multiplies the handle's source array.
+            oa_op = eng.prepare_operand(OA, tag="sbr_OA")
             status = "advance"
             la_fut = None
 
@@ -428,8 +427,7 @@ def _flush_interrupt_checkpoint(
 
 def _resilient_panel_step(
     A, OA, st, eng, strategy, ctx, ws,
-    *, b, nb, j0, r, n, panel_index, norm_baseline, la_pool, pre_pf,
-    oa_op=None,
+    *, b, nb, j0, r, n, panel_index, norm_baseline, la_pool, pre_pf, oa_op,
 ):
     """Run one panel step, retrying from a checkpoint on breakdown.
 
@@ -455,7 +453,7 @@ def _resilient_panel_step(
                     A, OA, st, eng, strategy, ctx, ws,
                     b=b, nb=nb, j0=j0, r=r, n=n,
                     panel_index=panel_index, norm_baseline=norm_baseline,
-                    la_pool=None, pre_pf=None,
+                    la_pool=None, pre_pf=None, oa_op=oa_op,
                 )
         except (NumericalBreakdownError, SingularMatrixError) as exc:
             if not ctx.handle_breakdown(
@@ -493,8 +491,7 @@ def _resilient_form_q(blocks, n, eng, ctx, q_method, dtype):
 
 def _panel_step(
     A, OA, st, eng, strategy, ctx, ws,
-    *, b, nb, j0, r, n, panel_index, norm_baseline, la_pool, pre_pf,
-    oa_op=None,
+    *, b, nb, j0, r, n, panel_index, norm_baseline, la_pool, pre_pf, oa_op,
 ):
     """One panel iteration: QR, (W, Y) extension, deferred update.
 
@@ -568,8 +565,7 @@ def _panel_step(
     #     cost of Algorithm 1's inner loop). -------------------------
     with obs.span("sbr.oaw"):
         _gemm_into(
-            eng, OA if oa_op is None else oa_op,
-            st.w[:, K : st.k], st.oaw[:, K : st.k], tag="wy_oaw",
+            eng, oa_op, st.w[:, K : st.k], st.oaw[:, K : st.k], tag="wy_oaw",
         )
 
     if m <= b + 1:

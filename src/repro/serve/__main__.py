@@ -127,8 +127,9 @@ def _preempt_one(svc: EvdService, job_ids: "list[str]", fired: "list[str]") -> N
 def _sdc_chaos(svc: EvdService, args) -> "list[str]":
     """SDC chaos segment (``--faults bitflip``): prove the ABFT contract.
 
-    Three correct-mode jobs take a transient single-bit flip at distinct
-    GEMM sites (SBR trailing update, full trailing update, back
+    Five correct-mode jobs take a transient single-bit flip at distinct
+    GEMM sites (SBR trailing update, full trailing update, the stage-2
+    chase's batched left update and fused ``syr2k`` tile update, back
     transform); each must finish with eigenpairs bitwise-identical to an
     uninjected run of the same config.  One detect-mode job takes a
     persistent flip that exhausts the in-driver escalation ladder; the
@@ -144,9 +145,12 @@ def _sdc_chaos(svc: EvdService, args) -> "list[str]":
     clean = syevd_2stage(a, b=8, precision="fp32", check_input=False)
 
     # wy_full_right launches once per run at soak sizes, so its flip
-    # targets call index 0; the other sites take their second launch.
+    # targets call index 0; the stage-2 sites take a launch past the
+    # sweep opening, the others their second launch.
     for i, (site, call_index) in enumerate((
-        ("wy_right", 1), ("wy_full_right", 0), ("back_transform", 1),
+        ("wy_right", 1), ("wy_full_right", 0),
+        ("bulge.wavefront.left", 2), ("bulge.wavefront.syr2k", 3),
+        ("back_transform", 1),
     )):
         inj = FaultInjector(FaultSpec(
             site=site, kind="bitflip", call_index=call_index,

@@ -52,20 +52,9 @@ def _gemm_triplet(rng, m=12, k=8, n=10, dtype=np.float32):
 
 
 # ---------------------------------------------------------------------------
-# satellite 1: promoted checksum helpers + back-compat re-exports
+# checksum helpers shared by the launch guard and checkpoints
 # ---------------------------------------------------------------------------
 class TestPromotedHelpers:
-    def test_ckpt_module_reexports_the_same_objects(self):
-        from repro.ckpt import abft as ckpt_abft
-
-        assert ckpt_abft.abft_signature is abft_signature
-        assert ckpt_abft.verify_abft is verify_abft
-        assert ckpt_abft.sum_vectors is sum_vectors
-        assert ckpt_abft.checksum_crc is checksum_crc
-        # Pre-promotion private names stay importable for old callers.
-        assert ckpt_abft._sum_vectors is sum_vectors
-        assert ckpt_abft._crc is checksum_crc
-
     def test_top_level_exports(self):
         import repro
         import repro.resilience as res
@@ -424,14 +413,26 @@ class TestAbftPolicy:
 # ---------------------------------------------------------------------------
 # (site, call_index) pairs covering distinct compute phases: the SBR
 # trailing update, the big-block full update, the driver-level band copy
-# into bulge chasing, and the final back-transform.  ``wy_full_right``
-# fires once per run at n=64/b=8, so its index is 0.
+# into bulge chasing, the stage-2 chase's batched left update and fused
+# syr2k (``beta=1``) tile update, and the final back-transform.
+# ``wy_full_right`` fires once per run at n=64/b=8, so its index is 0.
 SITES = (
     ("wy_right", 1),
     ("wy_full_right", 0),
     ("bulge", 0),
     ("back_transform", 1),
+    ("bulge.wavefront.left", 2),
+    ("bulge.wavefront.syr2k", 3),
 )
+#: The checker routine each site's launch goes through (SdcError.op).
+SITE_OPS = {
+    "wy_right": "gemm",
+    "wy_full_right": "gemm",
+    "bulge": "copy",
+    "back_transform": "gemm",
+    "bulge.wavefront.left": "gemm_batched",
+    "bulge.wavefront.syr2k": "syr2k",
+}
 
 
 class TestDriverIntegration:
@@ -485,6 +486,7 @@ class TestDriverIntegration:
                          faults=inj, on_breakdown="raise", check_input=False)
         exc = ei.value
         assert exc.site == site
+        assert exc.op == SITE_OPS[site]
         assert exc.call_index is not None
         assert exc.phase is not None
         assert exc.detector == "abft"
