@@ -7,10 +7,13 @@ from scratch:
 - :mod:`~repro.eig.bulge` — bulge-chasing reduction of a symmetric band
   matrix to tridiagonal form (stage 2 of two-stage tridiagonalization).
 - :mod:`~repro.eig.qliter` — implicit-shift QL iteration (EISPACK
-  ``tql2``-style), the dense fallback / base-case solver.
+  ``tql2``-style), the ``tridiag_solver="ql"`` path and the D&C tests'
+  reference.
 - :mod:`~repro.eig.secular` / :mod:`~repro.eig.dc` — Cuppen's divide &
-  conquer for the symmetric tridiagonal eigenproblem, with a safeguarded
-  secular-equation solver and Löwner-formula eigenvector stabilization.
+  conquer for the symmetric tridiagonal eigenproblem on LAPACK
+  ``stedc``'s structure (``sterf`` for eigenvalues only, ``steqr``
+  leaves), with a safeguarded secular-equation solver and Löwner-formula
+  eigenvector stabilization in the merges.
 - :mod:`~repro.eig.sturm` — Sturm-sequence eigenvalue counting and
   bisection (selected eigenvalues, verification).
 - :mod:`~repro.eig.tridiag_direct` — classic one-stage Householder

@@ -1,15 +1,20 @@
 """Cuppen's divide & conquer for the symmetric tridiagonal eigenproblem.
 
-The tridiagonal matrix is torn at the midpoint into a block-diagonal part
-plus a rank-one correction,
+Built the way LAPACK ``stedc`` is, the routine behind the MAGMA divide &
+conquer stage the paper calls after its band reduction:
 
-    T = [T1' 0; 0 T2'] + beta * u u^T,     u = e_m + e_{m+1},
+- **Eigenvalues only** go to LAPACK ``sterf`` (the root-free
+  Pal–Walker–Kahan QL), which needs no eigenvectors at any level.
+- **With eigenvectors**, the matrix is scaled by a power of two to
+  ``max |entry|`` in [1/2, 1) (exact, and undone on the eigenvalues), then
+  torn at the midpoint into a block-diagonal part plus a rank-one
+  correction,
 
-children are solved recursively, and the merge diagonalizes
-``diag(D) + rho z z^T`` via deflation + the secular solver
-(:mod:`repro.eig.secular`).  This is the algorithm behind LAPACK
-``stedc`` and the MAGMA divide & conquer stage the paper calls after its
-band reduction.
+      T = [T1' 0; 0 T2'] + beta * u u^T,     u = e_m + e_{m+1},
+
+  children are solved recursively, leaves of size <= ``cutoff`` by LAPACK
+  ``steqr``, and the merge diagonalizes ``diag(D) + rho z z^T`` via
+  deflation + the secular solver (:mod:`repro.eig.secular`).
 
 Deflation (LAPACK ``slaed2``):
 
@@ -21,17 +26,23 @@ Deflation (LAPACK ``slaed2``):
 Deflation is not an optimization detail: the secular solver *requires*
 strictly separated poles and nonzero components, and clustered spectra
 (the paper's cluster0/cluster1 matrix classes) deflate almost entirely.
+Each merge adds its deflated count to the ``deflated`` counter of the
+innermost telemetry span.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
-from ..errors import ShapeError
-from .qliter import tridiag_eig_ql
+from ..errors import ConvergenceError, ShapeError
+from ..obs import spans as obs
+from ..validation import check_tridiagonal
 from .secular import secular_eig
 
 __all__ = ["tridiag_eig_dc"]
+
+_sterf, _stev = get_lapack_funcs(("sterf", "stev"), dtype=np.float64)
 
 
 def tridiag_eig_dc(
@@ -50,11 +61,11 @@ def tridiag_eig_dc(
     e : array_like, shape (n-1,)
         Off-diagonal entries.
     want_vectors : bool
-        Whether to return eigenvectors.  (Vectors are always computed
-        inside the recursion — the merge needs the children's edge rows —
-        and dropped at the top if not requested.)
+        Whether to return eigenvectors.  Without them the eigenvalues
+        come from LAPACK ``sterf`` and no recursion runs.
     cutoff : int
-        Subproblem size below which the QL iteration solves directly.
+        Subproblem size at or below which LAPACK ``steqr`` solves a leaf
+        directly.
 
     Returns
     -------
@@ -62,21 +73,46 @@ def tridiag_eig_dc(
         Eigenvalues, ascending.
     v : ndarray or None
         Orthonormal eigenvectors (columns), aligned with ``lam``.
+
+    Raises
+    ------
+    ShapeError
+        Malformed or non-finite ``(d, e)``, checked before any LAPACK
+        call, or ``cutoff < 3``.
+    ConvergenceError
+        A LAPACK routine reported ``info != 0`` (``phase="tridiag_solve"``).
     """
-    d = np.asarray(d, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    if d.ndim != 1 or e.ndim != 1 or e.size != max(d.size - 1, 0):
-        raise ShapeError(f"need d (n,) and e (n-1,), got {d.shape} and {e.shape}")
+    d, e = check_tridiagonal(d, e)
     if cutoff < 3:
         raise ShapeError(f"cutoff must be >= 3, got {cutoff}")
-    lam, v = _dc(d.copy(), e.copy(), cutoff)
-    return (lam, v) if want_vectors else (lam, None)
+    if d.size == 1:
+        return d.copy(), (np.ones((1, 1)) if want_vectors else None)
+    if not want_vectors:
+        lam, info = _sterf(d, e)
+        _check_info(info, "sterf")
+        return lam, None
+    # The secular solver's squared terms over- or underflow far from
+    # unit scale (at |T| ~ 1e-150 its vectors lose all orthogonality).
+    anorm = max(float(np.abs(d).max()), float(np.abs(e).max(initial=0.0)))
+    _, exp = np.frexp(anorm)
+    lam, v = _dc(np.ldexp(d, -exp), np.ldexp(e, -exp), cutoff)
+    return np.ldexp(lam, exp), v
+
+
+def _check_info(info: int, routine: str) -> None:
+    """Map a LAPACK ``info`` flag to a structured error."""
+    if info != 0:
+        raise ConvergenceError(
+            f"LAPACK {routine} failed with info={info}",
+            iterations=int(info), phase="tridiag_solve",
+        )
 
 
 def _dc(d: np.ndarray, e: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     n = d.size
     if n <= cutoff:
-        lam, v = tridiag_eig_ql(d, e, want_vectors=True)
+        lam, v, info = _stev(d, e, compute_v=1)
+        _check_info(info, "steqr")
         return lam, v
 
     m = n // 2
@@ -172,6 +208,7 @@ def _merge(
 
     keep = np.nonzero(active)[0]
     defl = np.nonzero(~active)[0]
+    obs.counter("deflated", int(defl.size))
 
     lam = np.empty(n)
     v = np.zeros((n, n))

@@ -2,9 +2,9 @@
 
 A port of the classic EISPACK ``tql2`` / Numerical-Recipes ``tqli``
 algorithm: Wilkinson-shifted QL sweeps applied implicitly via Givens
-rotations, deflating converged off-diagonals.  Used as the base-case
-solver of the divide & conquer recursion and as an independent reference
-for the D&C tests.
+rotations, deflating converged off-diagonals.  Serves
+``tridiag_solver="ql"`` (and its ``z0`` fused back-transform) and is an
+independent reference for the D&C tests.
 
 Cost: O(n²) for eigenvalues only, O(n³) with eigenvectors.
 """
@@ -31,7 +31,6 @@ def tridiag_eig_ql(
     z0: np.ndarray | None = None,
     max_seconds: float | None = None,
     metrics=None,
-    check_input: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigendecomposition of the symmetric tridiagonal (d, e).
 
@@ -55,10 +54,6 @@ def tridiag_eig_ql(
         Install a live metrics registry for this call (iteration ticks
         land on the ``repro_solver_iterations_total{phase="ql_iteration"}``
         counter).
-    check_input : bool
-        Validate ``(d, e)`` up front (shape + finiteness) with a
-        structured :class:`~repro.errors.ValidationError` instead of
-        spinning on NaN rotations; default on.
 
     Returns
     -------
@@ -70,21 +65,18 @@ def tridiag_eig_ql(
     if metrics is not None:
         with use_registry(metrics):
             return tridiag_eig_ql(
-                d, e, want_vectors=want_vectors, z0=z0,
-                max_seconds=max_seconds, check_input=check_input,
+                d, e, want_vectors=want_vectors, z0=z0, max_seconds=max_seconds,
             )
-    if check_input:
-        d, e = check_tridiagonal(d, e)
-    d = np.array(d, dtype=np.float64, copy=True)
-    e_in = np.asarray(e, dtype=np.float64)
+    # Shape and finiteness up front: a NaN would otherwise spin the
+    # sweeps on NaN rotations instead of raising a ValidationError.
+    d, e = check_tridiagonal(d, e)
+    d = d.copy()
     n = d.size
-    if d.ndim != 1 or e_in.ndim != 1 or e_in.size != max(n - 1, 0):
-        raise ShapeError(f"need d (n,) and e (n-1,), got {d.shape} and {e_in.shape}")
 
     # EISPACK convention: work array e has length n with a zero sentinel.
     e_work = np.zeros(n, dtype=np.float64)
     if n > 1:
-        e_work[: n - 1] = e_in
+        e_work[: n - 1] = e
 
     z: np.ndarray | None = None
     if want_vectors:

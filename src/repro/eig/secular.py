@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConvergenceError, ShapeError
+from ..obs import spans as obs
 
 __all__ = ["solve_secular", "secular_eig"]
 
@@ -45,6 +46,12 @@ def solve_secular(
     rho: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of the secular equation for ``diag(d) + rho z z^T``, rho > 0.
+
+    Each call adds its sweep count to the ``secular_sweeps`` counter of
+    the innermost telemetry span.  A call that runs all ``_MAX_SWEEPS``
+    sweeps and is accepted only because every bracket is narrower than
+    ``1e-6 * max(1, max|d|)`` adds one to ``secular_capped`` (others add
+    zero, so the counter is always present).
 
     Parameters
     ----------
@@ -104,6 +111,7 @@ def solve_secular(
     # d_i - a_j, exact where d_i is the anchor itself.
     dma = d[np.newaxis, :] - a_val[:, np.newaxis]
 
+    capped = 0
     for sweep in range(_MAX_SWEEPS):
         denom = dma - t[:, np.newaxis]  # d_i - lam_j, anchored
         terms = zsq[np.newaxis, :] / denom
@@ -134,6 +142,9 @@ def solve_secular(
                 f"secular solver failed to converge (max bracket width {width:.3e})",
                 residual=width, phase="tridiag_solve",
             )
+        capped = 1
+    obs.counter("secular_sweeps", sweep + 1)
+    obs.counter("secular_capped", capped)
 
     lam = a_val + t
     return lam, anchor.astype(np.int64), t

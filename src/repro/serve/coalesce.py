@@ -4,18 +4,19 @@ Small EVDs are launch-bound, not flop-bound — the fix the paper's
 tensor-core pipeline applies everywhere is the same one that helps here:
 fewer, fatter GEMM launches.  The coalescer groups same-shape
 eigenvalue+vector requests that opted in (``coalescible=True``) and runs
-them as a stack: per-matrix tridiagonalization and tridiagonal solve
-(scalar-heavy, already cheap), then **one** ``gemm_batched`` call for
-the back-transform ``X_i = Q1_i @ Vtri_i`` — the dominant O(n^3) step —
-through the shared engine, so the batch lands in the perf model, the
-GEMM telemetry stream, and the live registry as a single batched launch.
+them as a stack: per-matrix tridiagonalization and divide & conquer
+tridiagonal solve (the drivers' default), then **one** ``gemm_batched``
+call for the back-transform ``X_i = Q1_i @ Vtri_i`` — the dominant
+O(n^3) step — through the shared engine, so the batch lands in the perf
+model, the GEMM telemetry stream, and the live registry as a single
+batched launch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..eig.qliter import tridiag_eig_ql
+from ..eig.dc import tridiag_eig_dc
 from ..eig.tridiag_direct import householder_tridiagonalize
 from ..gemm.engine import make_engine
 from ..obs import spans as obs
@@ -44,9 +45,7 @@ def evd_stack(mats, *, engine=None, want_vectors: bool = True):
         lams, q1s, vts = [], [], []
         for m in mats:
             d, e, q1 = householder_tridiagonalize(m, want_q=want_vectors)
-            lam, v_tri = tridiag_eig_ql(
-                d, e, want_vectors=want_vectors, check_input=False
-            )
+            lam, v_tri = tridiag_eig_dc(d, e, want_vectors=want_vectors)
             lams.append(lam)
             q1s.append(q1)
             vts.append(v_tri)

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from repro.errors import ConvergenceError, ShapeError
+import repro.eig.dc as dc_mod
+from conftest import random_symmetric
+from repro import obs, syevd_2stage
+from repro.errors import ConvergenceError, ShapeError, ValidationError
 from repro.eig import (
     eigvals_bisect,
     secular_eig,
@@ -198,6 +202,145 @@ class TestDC:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             tridiag_eig_dc([1.0], [1.0])
+
+    def test_power_of_two_scaling_is_exact(self, rng):
+        # The internal scaling to max|entry| in [1/2, 1) is a power of two,
+        # so rescaling the input by one rescales the output bit for bit.
+        d, e = _random_tridiag(100, rng)
+        lam, v = tridiag_eig_dc(d, e)
+        lam_s, v_s = tridiag_eig_dc(d * 2.0**40, e * 2.0**40)
+        np.testing.assert_array_equal(lam_s, lam * 2.0**40)
+        np.testing.assert_array_equal(v_s, v)
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("LAPACK was called on invalid input")
+
+
+class TestDCChecks:
+    """Input validation and LAPACK failure reporting in the D&C."""
+
+    @pytest.mark.parametrize("want_vectors", [True, False])
+    @pytest.mark.parametrize("where,value", [("d", np.inf), ("e", np.nan)])
+    def test_nonfinite_names_global_index(self, rng, monkeypatch, want_vectors,
+                                          where, value):
+        monkeypatch.setattr(dc_mod, "_sterf", _fail_if_called)
+        monkeypatch.setattr(dc_mod, "_stev", _fail_if_called)
+        d, e = _random_tridiag(40, rng)
+        {"d": d, "e": e}[where][20] = value
+        kind = "inf" if np.isinf(value) else "nan"
+        with pytest.raises(ValidationError, match=rf"{kind} at \[20\]") as ei:
+            tridiag_eig_dc(d, e, want_vectors=want_vectors)
+        assert ei.value.field == "finite"
+        assert ei.value.name == where
+
+    @pytest.mark.parametrize("routine,want_vectors", [
+        ("_sterf", False), ("_stev", True),
+    ])
+    def test_lapack_info_raises_convergence_error(self, rng, monkeypatch,
+                                                  routine, want_vectors):
+        real = getattr(dc_mod, routine)
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 3)
+
+        monkeypatch.setattr(dc_mod, routine, failing)
+        d, e = _random_tridiag(70, rng)
+        with pytest.raises(ConvergenceError) as ei:
+            tridiag_eig_dc(d, e, want_vectors=want_vectors)
+        assert ei.value.phase == "tridiag_solve"
+        assert ei.value.iterations == 3
+
+    def test_syevd_counts_secular_work_on_tridiag_span(self, rng):
+        a = random_symmetric(96, rng)
+        with obs.collect() as session:
+            syevd_2stage(a, b=8, nb=32, want_vectors=True)
+        (span,) = [s for s in session.spans if s.name == "tridiag_solve"]
+        # n=96 with 32-leaves: three merges (48 = 24+24 twice, then 96).
+        assert span.counters["secular_sweeps"] >= 3
+        assert 0 <= span.counters["secular_capped"] <= 3
+        assert 0 <= span.counters["deflated"] <= 96
+
+
+# Matrix classes of the differential grid, each an (n -> (d, e)) builder.
+def _grid_random(n, rng):
+    return rng.standard_normal(n), rng.standard_normal(n - 1)
+
+
+def _grid_zero_at_tear(n, rng):
+    d, e = _grid_random(n, rng)
+    if n > 1:
+        e[n // 2 - 1] = 0.0  # the off-diagonal the top-level tear cuts
+    return d, e
+
+
+def _grid_zero_in_leaf(n, rng):
+    d, e = _grid_random(n, rng)
+    if n > 2:
+        e[min(4, n - 2)] = 0.0  # inside the first leaf
+    return d, e
+
+
+def _grid_wilkinson(n, rng):
+    return np.abs(np.arange(n) - (n - 1) / 2.0), np.ones(n - 1)
+
+
+def _grid_glued_wilkinson(n, rng):
+    k = min(n, 21)
+    d = np.tile(np.abs(np.arange(k) - (k - 1) / 2.0), -(-n // k))[:n]
+    e = np.ones(n - 1)
+    e[k - 1 :: k] = 1e-10  # the glue between W21+ blocks
+    return d, e
+
+
+def _grid_constant(n, rng):
+    return np.full(n, 2.0), np.full(n - 1, -1.0)
+
+
+_GRID_CLASSES = {
+    "random": _grid_random,
+    "zero_at_tear": _grid_zero_at_tear,
+    "zero_in_leaf": _grid_zero_in_leaf,
+    "wilkinson": _grid_wilkinson,
+    "glued_wilkinson": _grid_glued_wilkinson,
+    "constant": _grid_constant,
+}
+
+
+class TestDCDifferential:
+    """D&C against scipy ``eigh_tridiagonal`` across sizes, classes, scales.
+
+    Sizes straddle the leaf cutoff (32) and its multiples; the scales
+    push the entries toward under- and overflow.  Bounds are in units of
+    ``n * eps``: eigenvalue error and residual relative to ``||T||_2``,
+    orthogonality absolute.  The worst observed constant is about 1.
+    """
+
+    C = 8.0
+
+    @pytest.mark.parametrize("want_vectors", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    @pytest.mark.parametrize("cls", sorted(_GRID_CLASSES))
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 64, 65, 257])
+    def test_matches_scipy(self, n, cls, scale, want_vectors):
+        d, e = _GRID_CLASSES[cls](n, np.random.default_rng(n))
+        d, e = d * scale, e * scale
+        ref = eigh_tridiagonal(d, e, eigvals_only=True) if n > 1 else d
+        tol = self.C * n * np.finfo(np.float64).eps
+        tnorm = float(np.abs(ref).max())
+
+        lam, v = tridiag_eig_dc(d, e, want_vectors=want_vectors)
+        assert np.all(np.diff(lam) >= 0)
+        assert np.abs(lam - ref).max() <= tol * tnorm
+        if not want_vectors:
+            assert v is None
+            return
+        tv = d[:, None] * v
+        tv[:-1] += e[:, None] * v[1:]
+        tv[1:] += e[:, None] * v[:-1]
+        assert np.abs(tv - v * lam).max() <= tol * tnorm
+        assert np.abs(v.T @ v - np.eye(n)).max() <= tol
 
 
 class TestSturm:
