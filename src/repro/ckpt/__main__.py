@@ -73,7 +73,7 @@ def _cmd_run(args) -> int:
             res = syevd_2stage(
                 a, b=args.b, nb=args.nb, method=args.method,
                 precision=args.precision, want_vectors=not args.no_vectors,
-                tridiag_solver=args.solver, checkpoint=cfg,
+                checkpoint=cfg,
             )
     except KeyboardInterrupt:
         print("interrupted; checkpoint flushed, resume with "
@@ -176,7 +176,6 @@ def main(argv: "list[str] | None" = None) -> int:
     p_run.add_argument("--nb", type=int, default=None)
     p_run.add_argument("--method", choices=("wy", "zy"), default="wy")
     p_run.add_argument("--precision", default="fp32")
-    p_run.add_argument("--solver", choices=("dc", "ql", "bisect"), default="dc")
     p_run.add_argument("--no-vectors", action="store_true")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--every", type=int, default=1,

@@ -28,7 +28,7 @@ __all__ = ["resume", "result_digest"]
 #: run-header config keys forwarded verbatim into ``syevd_2stage``.
 _FORWARDED = (
     "b", "nb", "method", "precision", "panel",
-    "want_vectors", "tridiag_solver", "on_breakdown",
+    "want_vectors", "on_breakdown",
 )
 
 
@@ -65,7 +65,7 @@ def resume(
     **overrides
         Extra keyword arguments forwarded to ``syevd_2stage`` for the
         continuation — run-environment knobs only (``faults=``,
-        ``metrics=``, ``live=``, ``workspace=``, ``check_input=``, ...).
+        ``live=``, ``workspace=``, ``check_input=``, ...).
         Arguments pinned in the stored run config (``b``, ``precision``,
         ``method``, ...) cannot be overridden: the checkpoint store
         validates config equality on ``begin`` and raises

@@ -7,8 +7,7 @@ from scratch:
 - :mod:`~repro.eig.bulge` — bulge-chasing reduction of a symmetric band
   matrix to tridiagonal form (stage 2 of two-stage tridiagonalization).
 - :mod:`~repro.eig.qliter` — implicit-shift QL iteration (EISPACK
-  ``tql2``-style), the ``tridiag_solver="ql"`` path and the D&C tests'
-  reference.
+  ``tql2``-style), the D&C tests' reference.
 - :mod:`~repro.eig.secular` / :mod:`~repro.eig.dc` — Cuppen's divide &
   conquer for the symmetric tridiagonal eigenproblem on LAPACK
   ``stedc``'s structure (``sterf`` for eigenvalues only, ``steqr``

@@ -39,8 +39,7 @@ The per-group fixed cost is kept to a handful of NumPy calls:
 Every per-slice kernel (LAPACK, ``trtri``, batched ``np.matmul``) gives
 the same bits whatever the stack height, so ``batch=False`` (one launch
 per step) and the default batched execution produce *bitwise identical*
-results — the schedule-invariance analogue of stage 1's look-ahead
-guarantee, pinned by tests.
+results, pinned by tests.
 
 The diagonal tile update uses the syr2k trick: with ``U = D W``,
 ``V = W^T D W`` (symmetric) and ``U' = U - (1/2) Y V``,

@@ -10,8 +10,8 @@ implementation chains its GPU band reduction with MAGMA's CPU stages:
    (The paper ships the band matrix over PCIe to the host here; the
    device performance model charges that transfer, the numerics don't
    need it.)
-3. **Tridiagonal eigensolver** — divide & conquer (default), QL
-   iteration, or Sturm bisection (eigenvalues only).
+3. **Tridiagonal eigensolver** — divide & conquer
+   (:func:`repro.eig.dc.tridiag_eig_dc`, built like LAPACK ``dstedc``).
 4. **Back-transformation** — eigenvectors are assembled as
    ``Q_sbr @ Q_bulge @ V_tri`` when requested.
 
@@ -55,7 +55,7 @@ from ..ckpt.store import (
 from ..errors import ConfigurationError, ConvergenceError, NumericalBreakdownError
 from ..gemm.engine import GemmEngine, make_engine
 from ..obs import spans as obs
-from ..obs.live import phase_plan, resolve_live, use_registry
+from ..obs.live import phase_plan, resolve_live
 from ..obs.tracing import TraceContext
 from ..perf import resolve_workspace
 from ..precision.modes import Precision
@@ -70,7 +70,8 @@ from ..sbr.zy import sbr_zy
 from ..validation import as_symmetric_matrix, check_blocksizes, check_finite_matrix
 from .bulge import bulge_chase
 from .dc import tridiag_eig_dc
-from .qliter import tridiag_eig_ql
+# Not called here: bench/test_bench.py reads it off this module.
+from .qliter import tridiag_eig_ql  # noqa: F401
 from .sturm import eigvals_bisect
 from .tridiag_direct import householder_tridiagonalize
 
@@ -130,29 +131,14 @@ class EvdResult:
     abft_report: "object | None" = None
 
 
-def _solve_tridiagonal(
-    d: np.ndarray,
-    e: np.ndarray,
-    solver: str,
-    want_vectors: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    if solver == "dc":
-        return tridiag_eig_dc(d, e, want_vectors=want_vectors)
-    if solver == "ql":
-        return tridiag_eig_ql(d, e, want_vectors=want_vectors)
-    if solver == "bisect":
-        if want_vectors:
-            raise ConfigurationError("bisection computes eigenvalues only")
-        return eigvals_bisect(d, e), None
-    raise ConfigurationError(
-        f"unknown tridiagonal solver {solver!r}; expected 'dc', 'ql' or 'bisect'"
-    )
+def _solve_tridiagonal_with_context(d, e, want_vectors):
+    """Tridiagonal solve, re-raising ConvergenceError with phase context.
 
-
-def _solve_tridiagonal_with_context(d, e, solver, want_vectors):
-    """Tridiagonal solve, re-raising ConvergenceError with phase context."""
+    Calls ``tridiag_eig_dc`` through its module-level name on every call:
+    the bench tracer times the layer by replacing that attribute.
+    """
     try:
-        return _solve_tridiagonal(d, e, solver, want_vectors)
+        return tridiag_eig_dc(d, e, want_vectors=want_vectors)
     except ConvergenceError as exc:
         # Attach the driver phase instead of swallowing the structured
         # state; re-raise the same (enriched) exception.
@@ -337,10 +323,8 @@ def syevd_2stage(
     engine: GemmEngine | None = None,
     panel: "str | PanelStrategy | None" = None,
     want_vectors: bool = True,
-    tridiag_solver: str = "dc",
     record_trace: bool = False,
     workspace=None,
-    lookahead: bool = False,
     on_breakdown: "str | None" = "escalate",
     ladder: "EscalationLadder | None" = None,
     detectors: "DetectorConfig | None" = None,
@@ -350,7 +334,6 @@ def syevd_2stage(
     check_finite: bool = True,
     check_input: bool = True,
     live=None,
-    metrics=None,
     trace: "TraceContext | dict | None" = None,
 ) -> EvdResult:
     """Two-stage symmetric eigendecomposition ``A = X diag(lam) X^T``.
@@ -375,8 +358,6 @@ def syevd_2stage(
         Panel factorization (defaults: "tsqr" for WY, "blocked_qr" for ZY).
     want_vectors : bool
         Whether to form eigenvectors (adds the two back-transformations).
-    tridiag_solver : {"dc", "ql", "bisect"}
-        Tridiagonal eigensolver.
     record_trace : bool
         Record the stage-1 GEMM stream on the engine (and the stage-2
         stream on the float64 engine :func:`repro.eig.bulge.bulge_chase`
@@ -387,10 +368,6 @@ def syevd_2stage(
         ``None``/``True`` create one, ``False`` disables buffer reuse; the
         arena's allocation counters are reported on ``EvdResult.workspace``
         and in the run manifest's ``alloc`` line.
-    lookahead : bool
-        Overlap each big block's trailing update with the next panel's QR
-        (WY stage 1 only; bitwise identical to the serial schedule, and
-        ignored when resilience retry or checkpointing is active).
     on_breakdown : {"escalate", "raise", "best_effort"} or None
         Failure-detector response (see module docstring).  ``None``
         disables the resilience layer.
@@ -440,12 +417,11 @@ def syevd_2stage(
         or a directory path starts the full stack — metrics registry,
         progress/ETA estimator seeded from the flop model, background
         reporter writing Prometheus/JSONL snapshots and a heartbeat file
-        under the directory.  The final registry dump is returned on
-        :attr:`EvdResult.metrics`.
-    metrics : MetricsRegistry, optional
-        Registry-only aggregation: install an existing registry for the
-        duration of the call (no reporter thread, no files).  Ignored
-        when ``live=`` is given.
+        under the directory.  A bare ``MetricsRegistry`` is installed
+        for the call with no reporter thread and no files.  The final
+        registry dump is returned on :attr:`EvdResult.metrics`.  To
+        aggregate into a registry without a dump, wrap the call in
+        ``with repro.obs.use_registry(reg):``.
     trace : TraceContext or dict, optional
         Request-scoped causal context (:mod:`repro.obs.tracing`).  When
         given (or recovered from a checkpointed run directory's header),
@@ -486,8 +462,7 @@ def syevd_2stage(
             "driver": "syevd_2stage", "n": n, "b": b, "nb": nb,
             "method": method, "precision": eng.precision.value,
             "panel": panel if isinstance(panel, str) else None,
-            "want_vectors": want_vectors, "tridiag_solver": tridiag_solver,
-            "on_breakdown": on_breakdown,
+            "want_vectors": want_vectors, "on_breakdown": on_breakdown,
         })
         if tctx is None:
             # Resuming a traced directory without an explicit context:
@@ -507,30 +482,27 @@ def syevd_2stage(
             restore_resilience(ctx, sbr_eng, furthest.scalars.get("resilience"))
             ck.mark_resumed(furthest)
 
-    # Live monitoring: `live=` starts the full registry/reporter stack
-    # with a progress plan from the flop model; `metrics=` installs a
-    # bare registry.  Off by default — both contexts are no-ops then.
+    # Live monitoring: `live=` installs a registry (a bare
+    # MetricsRegistry) or the full registry/reporter stack with a progress
+    # plan from the flop model.  Off by default — a no-op context then.
     if live is not None and live is not False:
         live_sess = resolve_live(live, plan=phase_plan(
             n, b, nb, method=method, want_vectors=want_vectors,
-            tridiag_solver=tridiag_solver,
         ))
-        metrics_reg = None
     else:
         live_sess = resolve_live(None)
-        metrics_reg = metrics
 
-    root_meta = dict(n=n, b=b, nb=nb, method=method, solver=tridiag_solver)
+    root_meta = dict(n=n, b=b, nb=nb, method=method)
     if tctx is not None:
         root_meta.update(tctx.span_meta())
-    with live_sess, use_registry(metrics_reg), obs.span("syevd", **root_meta):
+    with live_sess, obs.span("syevd", **root_meta):
         with obs.span("sbr"):
             if band_ck is not None:
                 sbr = _sbr_from_checkpoint(band_ck, b)
             elif method == "wy":
                 sbr = sbr_wy(
                     a, b, nb, engine=sbr_eng, panel=panel or "tsqr",
-                    want_q=want_vectors, workspace=ws, lookahead=lookahead,
+                    want_q=want_vectors, workspace=ws,
                     resilience=ctx, checkpoint=ck,
                     check_finite=False,
                 )
@@ -570,14 +542,12 @@ def syevd_2stage(
                     ck.save("tridiag", {"d": d, "e": e, "q2": q2}, {
                         "resilience": resilience_snapshot(ctx, sbr_eng),
                     })
-        with obs.span("tridiag_solve", solver=tridiag_solver):
+        with obs.span("tridiag_solve"):
             if trieig_ck is not None:
                 lam = trieig_ck.arrays["lam"]
                 v_tri = trieig_ck.arrays.get("v_tri")
             else:
-                lam, v_tri = _solve_tridiagonal_with_context(
-                    d, e, tridiag_solver, want_vectors
-                )
+                lam, v_tri = _solve_tridiagonal_with_context(d, e, want_vectors)
                 _stage_check(ctx, "tridiag_solve", lam, "tridiag_eigenvalues")
                 if ck is not None:
                     ck.save("trieig", {"lam": lam, "v_tri": v_tri}, {
@@ -612,7 +582,6 @@ def syevd_1stage(
     a,
     *,
     want_vectors: bool = True,
-    tridiag_solver: str = "dc",
     on_breakdown: "str | None" = "escalate",
     check_finite: bool = True,
     check_input: bool = True,
@@ -631,7 +600,7 @@ def syevd_1stage(
         check_finite_matrix(a)
     a = as_symmetric_matrix(a, dtype=np.float64, check=check_input)
     ctx = _make_context(on_breakdown, None, None, None)
-    with obs.span("syevd_1stage", n=a.shape[0], solver=tridiag_solver):
+    with obs.span("syevd_1stage", n=a.shape[0]):
         with obs.span("tridiagonalize"):
             d, e, q1 = householder_tridiagonalize(a, want_q=want_vectors)
             if ctx is not None:
@@ -639,10 +608,8 @@ def syevd_1stage(
                     ctx.check_array(d, site="tridiag_d")
                     if e.size:
                         ctx.check_array(e, site="tridiag_e")
-        with obs.span("tridiag_solve", solver=tridiag_solver):
-            lam, v_tri = _solve_tridiagonal_with_context(
-                d, e, tridiag_solver, want_vectors
-            )
+        with obs.span("tridiag_solve"):
+            lam, v_tri = _solve_tridiagonal_with_context(d, e, want_vectors)
         with obs.span("back_transform"):
             x = q1 @ v_tri if want_vectors else None
     if ctx is not None:

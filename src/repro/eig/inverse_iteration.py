@@ -16,7 +16,6 @@ import numpy as np
 
 from ..errors import ConvergenceError, ShapeError
 from ..validation import check_finite_vector, check_tridiagonal
-from ..obs.live import use_registry
 from .budget import WallClockBudget
 
 __all__ = ["tridiag_inverse_iteration"]
@@ -63,7 +62,6 @@ def tridiag_inverse_iteration(
     cluster_tol: float | None = None,
     rng: np.random.Generator | None = None,
     max_seconds: float | None = None,
-    metrics=None,
     check_input: bool = True,
 ) -> np.ndarray:
     """Eigenvectors of tridiag(d, e) for precomputed eigenvalues.
@@ -87,9 +85,6 @@ def tridiag_inverse_iteration(
         Wall-clock budget; exceeding it raises a structured
         :class:`~repro.errors.BudgetExceededError` (phase
         ``"inverse_iteration"``).
-    metrics : repro.obs.live.MetricsRegistry, optional
-        Install a live metrics registry for this call (iteration ticks
-        land under ``phase="inverse_iteration"``).
     check_input : bool
         Validate ``(d, e)`` and ``eigenvalues`` up front (shape +
         finiteness) with a structured
@@ -100,12 +95,6 @@ def tridiag_inverse_iteration(
     v : ndarray, shape (n, k)
         Orthonormal eigenvector columns aligned with ``eigenvalues``.
     """
-    if metrics is not None:
-        with use_registry(metrics):
-            return tridiag_inverse_iteration(
-                d, e, eigenvalues, cluster_tol=cluster_tol, rng=rng,
-                max_seconds=max_seconds, check_input=check_input,
-            )
     if check_input:
         d, e = check_tridiagonal(d, e)
     d = np.asarray(d, dtype=np.float64)

@@ -26,7 +26,6 @@ import numpy as np
 
 from ..errors import ConfigurationError, ConvergenceError, ShapeError
 from ..gemm.engine import GemmEngine, PlainEngine
-from ..obs.live import use_registry
 from ..validation import as_symmetric_matrix, check_finite_matrix
 from .budget import WallClockBudget
 
@@ -53,7 +52,6 @@ def lobpcg(
     max_iter: int = 200,
     max_seconds: float | None = None,
     rng: np.random.Generator | None = None,
-    metrics=None,
     check_input: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Extremal eigenpairs of a symmetric matrix by LOBPCG.
@@ -78,10 +76,6 @@ def lobpcg(
     max_seconds : float, optional
         Wall-clock budget; exceeding it raises a structured
         :class:`~repro.errors.BudgetExceededError` (phase ``"lobpcg"``).
-    metrics : repro.obs.live.MetricsRegistry, optional
-        Install a live metrics registry for this call: per-iteration
-        ticks and the residual gauge land under ``phase="lobpcg"``, and
-        the block products feed the GEMM latency histograms.
     check_input : bool
         Reject non-square/non-symmetric/non-finite ``a`` up front with
         a structured :class:`~repro.errors.ValidationError`; default on.
@@ -95,14 +89,6 @@ def lobpcg(
     iterations : int
         Iterations performed.
     """
-    if metrics is not None:
-        with use_registry(metrics):
-            return lobpcg(
-                a, k, x0=x0, largest=largest,
-                preconditioner=preconditioner, engine=engine, tol=tol,
-                max_iter=max_iter, max_seconds=max_seconds, rng=rng,
-                check_input=check_input,
-            )
     a = np.asarray(a)
     if check_input and a.ndim == 2 and a.size:
         check_finite_matrix(a)

@@ -29,7 +29,6 @@ import numpy as np
 from scipy.linalg import qr as scipy_qr
 
 from ..errors import ConvergenceError, ShapeError
-from ..obs.live import use_registry
 from ..validation import as_square_matrix, as_symmetric_matrix, check_finite_matrix
 from .budget import WallClockBudget
 
@@ -134,7 +133,6 @@ def qdwh_eig(
     min_size: int = 24,
     tol: float = 1e-14,
     max_seconds: float | None = None,
-    metrics=None,
     check_input: bool = True,
     _depth: int = 0,
     _budget: "WallClockBudget | None" = None,
@@ -154,10 +152,6 @@ def qdwh_eig(
         iterations); exceeding it raises a structured
         :class:`~repro.errors.BudgetExceededError` (phase
         ``"qdwh_eig"``).
-    metrics : repro.obs.live.MetricsRegistry, optional
-        Install a live metrics registry for the whole divide & conquer
-        (recursion ticks land under ``phase="qdwh_eig"``, the inner
-        polar iterations under ``phase="qdwh_polar"``).
     check_input : bool
         Reject non-square/non-symmetric/non-finite ``a`` up front with
         a structured :class:`~repro.errors.ValidationError`; default on
@@ -170,12 +164,6 @@ def qdwh_eig(
     v : ndarray (n, n)
         Orthonormal eigenvectors.
     """
-    if metrics is not None:
-        with use_registry(metrics):
-            return qdwh_eig(
-                a, min_size=min_size, tol=tol, max_seconds=max_seconds,
-                check_input=check_input, _depth=_depth, _budget=_budget,
-            )
     a = np.asarray(a)
     gate = check_input and _depth == 0
     if gate and a.ndim == 2 and a.size:

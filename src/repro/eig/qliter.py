@@ -2,9 +2,8 @@
 
 A port of the classic EISPACK ``tql2`` / Numerical-Recipes ``tqli``
 algorithm: Wilkinson-shifted QL sweeps applied implicitly via Givens
-rotations, deflating converged off-diagonals.  Serves
-``tridiag_solver="ql"`` (and its ``z0`` fused back-transform) and is an
-independent reference for the D&C tests.
+rotations, deflating converged off-diagonals.  An independent reference
+for the D&C tests.
 
 Cost: O(n²) for eigenvalues only, O(n³) with eigenvectors.
 """
@@ -15,7 +14,6 @@ import numpy as np
 
 from ..errors import ConvergenceError, ShapeError
 from ..validation import check_tridiagonal
-from ..obs.live import use_registry
 from .budget import WallClockBudget
 
 __all__ = ["tridiag_eig_ql"]
@@ -30,7 +28,6 @@ def tridiag_eig_ql(
     want_vectors: bool = True,
     z0: np.ndarray | None = None,
     max_seconds: float | None = None,
-    metrics=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigendecomposition of the symmetric tridiagonal (d, e).
 
@@ -50,10 +47,6 @@ def tridiag_eig_ql(
         Wall-clock budget; exceeding it raises a structured
         :class:`~repro.errors.BudgetExceededError` (phase
         ``"ql_iteration"``).
-    metrics : repro.obs.live.MetricsRegistry, optional
-        Install a live metrics registry for this call (iteration ticks
-        land on the ``repro_solver_iterations_total{phase="ql_iteration"}``
-        counter).
 
     Returns
     -------
@@ -62,11 +55,6 @@ def tridiag_eig_ql(
     z : ndarray (m, n) or None
         Eigenvectors (columns), premultiplied by ``z0`` if given.
     """
-    if metrics is not None:
-        with use_registry(metrics):
-            return tridiag_eig_ql(
-                d, e, want_vectors=want_vectors, z0=z0, max_seconds=max_seconds,
-            )
     # Shape and finiteness up front: a NaN would otherwise spin the
     # sweeps on NaN rotations instead of raising a ValidationError.
     d, e = check_tridiagonal(d, e)

@@ -103,10 +103,8 @@ def full_update_col_blocks(t: int, b: int, nb: int) -> "list[tuple[int, int]]":
     The ``t``-column full update computes only the lower trapezoid of each
     column block and mirrors it, so the third ``wy_full_left`` GEMM becomes
     one GEMM per block of shape ``(t - c0) x (c1 - c0) x k``.  The first
-    block is ``b`` wide: it is exactly the set of columns the *next* big
-    block's first panel reads, which is what makes look-ahead overlap
-    possible (the rest of the update can proceed concurrently with that
-    panel's QR).  Subsequent blocks are ``nb`` wide to keep the GEMMs
+    block is ``b`` wide (exactly the columns the *next* big block's first
+    panel reads); subsequent blocks are ``nb`` wide to keep the GEMMs
     near-square.
 
     Shared between the numeric driver (:mod:`repro.sbr.wy`) and the

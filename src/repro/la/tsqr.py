@@ -21,8 +21,6 @@ recovers via non-pivoted LU (Algorithm 3 of the paper).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from ..errors import ShapeError
@@ -58,7 +56,6 @@ def tsqr(
     leaf_rows: int | None = None,
     engine: GemmEngine | None = None,
     tag: str = "tsqr",
-    max_threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tall-skinny QR via a binary reduction tree.
 
@@ -67,16 +64,11 @@ def tsqr(
     a : array_like, shape (m, n) with m >= n
         The tall matrix to factor.
     leaf_rows : int, optional
-        Row count per leaf block.  Defaults to ``max(16 * n, 256)``
-        serially and the GPU-style ``max(4 * n, 64)`` when
-        ``max_threads > 1`` (see Notes).  Each leaf must have at least
-        ``n`` rows; the last leaf absorbs the remainder.
+        Row count per leaf block, default ``max(16 * n, 256)``.  Each
+        leaf must have at least ``n`` rows; the last leaf absorbs the
+        remainder.
     engine : GemmEngine, optional
         Engine used for the Q back-propagation GEMMs (tagged ``tag``).
-    max_threads : int, optional
-        Factor the independent leaf blocks on up to this many threads
-        (default serial).  The leaves are independent and gathered in
-        order, so the result is bitwise identical to the serial path.
 
     Notes
     -----
@@ -107,13 +99,9 @@ def tsqr(
         # A GPU TSQR wants many small leaves for occupancy (the paper's
         # 4n); this emulation's serial leaf stage is dominated by
         # per-leaf interpreter overhead instead, so default to taller
-        # leaves unless the leaves actually run concurrently.  Any
-        # leaf_rows >= n is numerically valid — this only moves work
-        # between the leaf and tree stages.
-        if max_threads is not None and max_threads > 1:
-            leaf_rows = max(4 * n, 64)
-        else:
-            leaf_rows = max(16 * n, 256)
+        # leaves.  Any leaf_rows >= n is numerically valid — this only
+        # moves work between the leaf and tree stages.
+        leaf_rows = max(16 * n, 256)
     if leaf_rows < n:
         raise ShapeError(f"leaf_rows={leaf_rows} must be >= n={n}")
 
@@ -125,19 +113,7 @@ def tsqr(
     bounds = [(s, (splits[i + 1] if i + 1 < len(splits) else m)) for i, s in enumerate(splits)]
 
     with obs.span("tsqr.leaf", leaves=len(bounds), cols=n):
-        if max_threads is not None and max_threads > 1 and len(bounds) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(int(max_threads), len(bounds)),
-                thread_name_prefix="tsqr-leaf",
-            ) as pool:
-                # wrap_context: worker threads inherit the caller's span
-                # path, so leaf GEMMs attribute to the right phase.
-                leaves = list(pool.map(
-                    obs.wrap_context(lambda lh: _leaf_qr(a[lh[0] : lh[1], :])),
-                    bounds,
-                ))
-        else:
-            leaves = [_leaf_qr(a[lo:hi, :]) for lo, hi in bounds]
+        leaves = [_leaf_qr(a[lo:hi, :]) for lo, hi in bounds]
     q_blocks = [q for q, _ in leaves]
     r_blocks = [r for _, r in leaves]
 

@@ -59,15 +59,12 @@ from .spans import (
     GemmEvent,
     Span,
     active_collector,
-    capture_context,
     collect,
     counter,
     gemm_event,
     is_enabled,
     now,
     span,
-    span_context,
-    wrap_context,
 )
 from .live import (
     AlertRule,
@@ -118,9 +115,6 @@ __all__ = [
     "is_enabled",
     "active_collector",
     "now",
-    "capture_context",
-    "span_context",
-    "wrap_context",
     "TraceContext",
     "lifecycle_span",
     "load_serve_manifest",

@@ -55,10 +55,9 @@ class BenchScenario:
     pure-Python bulge chase would dwarf the GEMM stream being measured),
     and ``"svd_banded"`` runs the two-stage banded SVD on an
     upper-banded slice of the scenario matrix.
-    ``workspace`` (``"on"``/``"off"``), ``lookahead``, and ``abft`` are
-    layered knobs forwarded to the target driver *only when its
-    signature supports them*, so a session recorded on an older tree
-    stays comparable.  ``abft="detect"`` prices the online-ABFT
+    ``workspace`` (``"on"``/``"off"``) and ``abft`` are layered knobs
+    forwarded to the target driver *only when its signature supports
+    them*, so a session recorded on an older tree stays comparable.  ``abft="detect"`` prices the online-ABFT
     verification overhead on the GEMM stream.
     """
 
@@ -69,11 +68,9 @@ class BenchScenario:
     precision: str = "fp32"
     method: str = "wy"
     want_vectors: bool = False
-    tridiag_solver: str = "dc"
     seed: int = 1234
     stage: str = "evd"
     workspace: str = "on"
-    lookahead: bool = False
     abft: str = "off"
 
 
@@ -97,10 +94,6 @@ SUITES: dict[str, tuple[BenchScenario, ...]] = {
         BenchScenario("wy-fp32-n256-vec", n=256, b=16, nb=64, want_vectors=True),
         # Stage-1-only hot-loop scenarios (PR 5): the paper's target shape
         # at n=1024, plus a workspace on/off pair isolating the arena.
-        # Look-ahead stays off here: overlap needs a second core to pay
-        # for its thread handoff, and the suite must be comparable on
-        # single-core CI runners (bitwise identity with the serial
-        # schedule is covered by tests, not benchmarks).
         BenchScenario(
             "sbr-wy-ec-n1024", n=1024, b=32, nb=256,
             precision="fp16_ec_tc", stage="sbr",
@@ -164,7 +157,7 @@ def _collector_phases(session) -> dict[str, float]:
 
 
 def _perf_kwargs(sc: BenchScenario, fn) -> dict:
-    """Perf-layer kwargs (workspace/lookahead) the target driver supports.
+    """Perf-layer kwargs (workspace/abft) the target driver supports.
 
     Non-default knobs are forwarded only when ``fn``'s signature has the
     parameter, so a suite definition referencing newer knobs still runs
@@ -176,8 +169,6 @@ def _perf_kwargs(sc: BenchScenario, fn) -> dict:
     kwargs: dict = {}
     if sc.workspace == "off" and "workspace" in params:
         kwargs["workspace"] = False
-    if sc.lookahead and "lookahead" in params:
-        kwargs["lookahead"] = True
     if sc.abft != "off" and "abft" in params:
         kwargs["abft"] = sc.abft
     return kwargs
@@ -191,8 +182,7 @@ def _scenario_runner(sc: BenchScenario, syevd_2stage):
         def run(a):
             syevd_2stage(
                 a, b=sc.b, nb=sc.nb, method=sc.method, precision=sc.precision,
-                want_vectors=sc.want_vectors, tridiag_solver=sc.tridiag_solver,
-                **kwargs,
+                want_vectors=sc.want_vectors, **kwargs,
             )
 
         return run

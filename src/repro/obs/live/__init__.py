@@ -37,7 +37,6 @@ from .registry import (
     is_enabled,
     uninstall,
     use_registry,
-    with_registry,
 )
 from .reporter import Reporter
 from .session import (
@@ -84,5 +83,4 @@ __all__ = [
     "install",
     "uninstall",
     "use_registry",
-    "with_registry",
 ]

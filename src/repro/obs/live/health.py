@@ -4,8 +4,8 @@ A single JSON file, atomically replaced on every reporter tick, holding
 everything an external supervisor needs to decide whether a long run is
 alive: wall-clock update time, a monotonically increasing beat counter,
 the current phase, progress fraction and ETA, the age of the last
-observed forward progress, per-worker-thread liveness (look-ahead and
-TSQR pool threads show up by name), and any fired alerts.
+observed forward progress, per-worker-thread liveness (serve worker
+threads show up by name), and any fired alerts.
 
 Atomic replace (:func:`repro.ioutils.atomic_write_json`) means a reader
 never sees a torn file; ``fsync=False`` because a heartbeat is advisory

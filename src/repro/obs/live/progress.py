@@ -27,8 +27,7 @@ __all__ = ["ProgressEstimator", "phase_plan"]
 
 
 def phase_plan(n: int, b: int = 16, nb: "int | None" = None,
-               method: str = "wy", want_vectors: bool = True,
-               tridiag_solver: str = "dc") -> dict:
+               method: str = "wy", want_vectors: bool = True) -> dict:
     """Predicted work units (flops) per driver phase for one EVD run.
 
     SBR and stage-2 bulge chasing use the analytic counts from
@@ -42,7 +41,7 @@ def phase_plan(n: int, b: int = 16, nb: "int | None" = None,
     """
     from ...metrics import flops as _flops
 
-    nb_eff = nb if nb is not None else max(2 * b, 32)
+    nb_eff = nb if nb is not None else 4 * b
     if method == "zy":
         sbr = _flops.sbr_zy_flops(n, b, want_q=want_vectors)
     else:
@@ -51,10 +50,8 @@ def phase_plan(n: int, b: int = 16, nb: "int | None" = None,
     plan["bulge"] = float(max(
         _flops.bulge_wavefront_flops(n, b, want_q=want_vectors), 1.0
     ))
-    if tridiag_solver == "dc" and want_vectors:
+    if want_vectors:
         tridiag = (4.0 / 3.0) * n ** 3
-    elif want_vectors:
-        tridiag = 3.0 * n ** 3
     else:
         tridiag = 20.0 * n * n
     plan["tridiag_solve"] = float(max(tridiag, 1.0))

@@ -33,7 +33,6 @@ __all__ = [
     "install",
     "uninstall",
     "use_registry",
-    "with_registry",
     "inc",
     "set_gauge",
     "observe",
@@ -79,8 +78,8 @@ class MetricsRegistry:
         self.alerts: list[dict] = []
         self.estimator = None  # ProgressEstimator, attached by the session
         # Worker liveness: thread name -> last activity time (registry
-        # clock).  Fed by every hook, so look-ahead / TSQR pool threads
-        # show up as soon as they do work.
+        # clock).  Fed by every hook, so every thread that does work
+        # shows up as soon as it does.
         self._workers: dict[str, float] = {}
         # Current phase (leaf name of the innermost depth<=1 span) and
         # the last time any forward progress was observed — the
@@ -349,10 +348,10 @@ class use_registry:
     """Context manager installing a registry for a code region.
 
     ``use_registry(None)`` is a no-op, so call sites can forward an
-    optional ``metrics=`` knob without branching::
+    optional registry without branching::
 
-        with use_registry(metrics):
-            ...solver body...
+        with use_registry(reg):
+            res = syevd_2stage(a)
     """
 
     def __init__(self, reg: "MetricsRegistry | None") -> None:
@@ -367,17 +366,6 @@ class use_registry:
     def __exit__(self, *exc) -> None:
         if self.registry is not None:
             uninstall(self._prev)
-
-
-def with_registry(reg, fn, *args, **kwargs):
-    """Run ``fn(*args, **kwargs)`` with ``reg`` installed (if not None)."""
-    if reg is None:
-        return fn(*args, **kwargs)
-    prev = install(reg)
-    try:
-        return fn(*args, **kwargs)
-    finally:
-        uninstall(prev)
 
 
 # Module-level hook helpers: each is a no-op costing one global read and

@@ -108,7 +108,10 @@ class LiveSession:
             rules=cfg.rules, watchdog=watchdog, estimator=self.estimator,
         )
         self._prev = install(reg)
-        self.reporter.start()
+        if sinks or heartbeat is not None or cfg.rules or watchdog is not None:
+            # Registry-only sessions have nothing to publish between
+            # ticks; the final tick on exit still runs.
+            self.reporter.start()
         return self
 
     def __exit__(self, *exc) -> None:

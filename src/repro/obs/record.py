@@ -87,7 +87,6 @@ def record_syevd(
     method: str = "wy",
     precision: str = "fp32",
     want_vectors: bool = True,
-    tridiag_solver: str = "dc",
     distribution: str = "geo",
     cond: float = 1e3,
     seed: int = 0,
@@ -153,8 +152,7 @@ def record_syevd(
     with collect() as session:
         result = syevd_2stage(
             a, b=b, nb=nb, method=method, precision=precision,
-            want_vectors=want_vectors, tridiag_solver=tridiag_solver,
-            record_trace=True, on_breakdown=on_breakdown, faults=faults,
+            want_vectors=want_vectors, record_trace=True, on_breakdown=on_breakdown, faults=faults,
             abft=abft, checkpoint=checkpoint, live=live, trace=trace,
         )
 
@@ -171,8 +169,7 @@ def record_syevd(
         matrix=matrix_meta,
         config={
             "b": b, "nb": nb, "method": method,
-            "want_vectors": want_vectors, "tridiag_solver": tridiag_solver,
-            "on_breakdown": on_breakdown,
+            "want_vectors": want_vectors, "on_breakdown": on_breakdown,
             "abft": getattr(abft, "mode", abft) or "off",
         },
         trace=trace,

@@ -56,9 +56,6 @@ __all__ = [
     "counter",
     "gemm_event",
     "now",
-    "capture_context",
-    "span_context",
-    "wrap_context",
 ]
 
 
@@ -183,29 +180,10 @@ class Collector:
             st = self._tls.stack = []
         return st
 
-    def _base(self) -> "tuple[str, int] | None":
-        """Inherited (path, depth) context for this thread, if installed.
-
-        Worker threads have empty span stacks of their own; without an
-        inherited base, their spans and GEMM events would attribute to
-        the root (``span_path=""``) instead of the phase that spawned
-        them.  :func:`span_context` installs the spawning thread's
-        innermost span as the worker's base.
-        """
-        return getattr(self._tls, "base", None)
-
     def current_path(self) -> str:
-        """Path of the innermost active span on this thread.
-
-        Falls back to the inherited base context (see :meth:`_base`)
-        when the thread has no spans of its own, so events recorded on
-        pool threads attribute to the spawning phase; "" if neither.
-        """
+        """Path of the innermost active span on this thread ("" if none)."""
         st = self._stack()
-        if st:
-            return st[-1].path
-        base = self._base()
-        return base[0] if base is not None else ""
+        return st[-1].path if st else ""
 
     # -- queries ----------------------------------------------------------
     @property
@@ -292,11 +270,6 @@ class _LiveSpan:
             parent = st[-1]
             self.path = f"{parent.path}/{self.name}"
             self.depth = parent.depth + 1
-        else:
-            base = self._col._base()
-            if base is not None:
-                self.path = f"{base[0]}/{self.name}"
-                self.depth = base[1] + 1
         st.append(self)
         self._t0 = self._col.clock()
         self._start = self._t0 - self._col.epoch
@@ -507,83 +480,3 @@ def gemm_event(
     )
     with col._lock:
         col.gemm_events.append(ev)
-
-
-# ----------------------------------------------------------------------
-# span-context propagation into worker threads
-# ----------------------------------------------------------------------
-#
-# The span stack is thread-local, so a function submitted to a pool runs
-# with an *empty* stack: its spans become roots and its GEMM events get
-# span_path="" — they vanish from phase attribution.  The helpers below
-# capture the submitting thread's innermost span and install it as the
-# worker thread's *base context* for the duration of the call, so
-# look-ahead trailing updates (sbr-la) and TSQR leaf factorizations
-# attribute to the phase that spawned them.
-
-
-def capture_context() -> "tuple[Collector, str, int] | None":
-    """Snapshot the current thread's span context for cross-thread use.
-
-    Returns ``(collector, path, depth)`` of the innermost active span
-    (or inherited base), or None when nothing would need propagating.
-    """
-    col = _active
-    if col is None:
-        return None
-    st = col._stack()
-    if st:
-        return (col, st[-1].path, st[-1].depth)
-    base = col._base()
-    if base is not None:
-        return (col, base[0], base[1])
-    return None
-
-
-class span_context:
-    """Install a captured span context as this thread's base context.
-
-    Nested installs restore the previous base on exit.  A context from a
-    collector that is no longer active is ignored (the worker outlived
-    the session; attributing to a dead collector would be wrong)."""
-
-    def __init__(self, ctx: "tuple[Collector, str, int] | None") -> None:
-        self._ctx = ctx
-        self._col: "Collector | None" = None
-        self._prev: "tuple[str, int] | None" = None
-
-    def __enter__(self) -> "span_context":
-        if self._ctx is not None:
-            col, path, depth = self._ctx
-            if col is _active:
-                self._col = col
-                self._prev = col._base()
-                col._tls.base = (path, depth)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._col is not None:
-            self._col._tls.base = self._prev
-            self._col = None
-        return False
-
-
-def wrap_context(fn):
-    """Bind the *current* span context into ``fn`` for pool submission.
-
-    Usage at a submit site::
-
-        pool.submit(obs.wrap_context(task), *args)
-
-    When telemetry is off this returns ``fn`` unchanged — zero wrapping
-    overhead on the default path.
-    """
-    ctx = capture_context()
-    if ctx is None:
-        return fn
-
-    def _with_context(*args, **kwargs):
-        with span_context(ctx):
-            return fn(*args, **kwargs)
-
-    return _with_context

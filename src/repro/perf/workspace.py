@@ -16,8 +16,8 @@ Contract
   view of exactly ``shape``.  The caller owns it until its next ``take``
   of the same tag — the arena never clears or copies it.
 - Buffers are keyed by ``(tag, thread)``: two threads taking the same tag
-  get distinct backing buffers, so a shared arena is safe under the
-  look-ahead overlap (each thread's reuse stream is private).
+  get distinct backing buffers, so an arena shared across threads is
+  safe (each thread's reuse stream is private).
 - Capacity-based reuse: a tag's buffer is reallocated only when the
   requested element count grows (or the dtype changes); smaller takes
   reshape a prefix of the existing buffer.

@@ -83,20 +83,14 @@ class TsqrPanel(PanelStrategy):
 
     name = "tsqr"
 
-    def __init__(self, *, leaf_rows: int | None = None, max_threads: int | None = None):
+    def __init__(self, *, leaf_rows: int | None = None):
         self.leaf_rows = leaf_rows
-        #: Thread count for the independent TSQR leaf factorizations
-        #: (bitwise identical to serial; see :func:`repro.la.tsqr.tsqr`).
-        self.max_threads = max_threads
 
     def factor(self, panel: np.ndarray, *, engine: GemmEngine | None = None) -> PanelFactorization:
         panel = self._validate(panel)
         eng = engine if engine is not None else SgemmEngine()
         with obs.span("panel.tsqr"):
-            q, r = tsqr(
-                panel, leaf_rows=self.leaf_rows, engine=eng,
-                tag="panel_tsqr", max_threads=self.max_threads,
-            )
+            q, r = tsqr(panel, leaf_rows=self.leaf_rows, engine=eng, tag="panel_tsqr")
         with obs.span("panel.reconstruct"):
             w, y, s = reconstruct_wy(q, engine=eng, tag="panel_reconstruct")
         # A = Q R = (Q S)(S R): absorb the sign flips into R's rows.

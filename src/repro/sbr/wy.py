@@ -52,18 +52,6 @@ dominant third-GEMM flops.  The diagonal sub-blocks are exactly
 symmetrized; off-diagonal blocks are mirrored rather than averaged, an
 O(eps) difference from the previous both-triangles formulation.
 
-Look-ahead
-----------
-With ``lookahead=True`` (and no resilience context or checkpoint), the
-block-boundary update is split: the first ``b`` columns — exactly what
-the next big block's first panel reads — are updated synchronously, the
-remaining column blocks run on a single background thread while the main
-thread QR-factors the next panel.  The background job writes only columns
-(and mirror rows) at offsets ``>= b`` of the update region, disjoint from
-everything the panel touches, and is joined before ``OA`` capture.  The
-serial path executes the identical column-block sequence, so
-``lookahead=True`` and ``False`` produce bitwise-identical bands.
-
 Resilience
 ----------
 When a :class:`repro.resilience.ResilienceContext` is passed, each panel
@@ -73,9 +61,7 @@ checkpointed before the step (the arena-backed ``W``/``Y``/``OAW`` are
 rolled back by resetting the column counter — a failed step only wrote
 columns past it), detectors run on every GEMM output and on the panel's
 Q factor, and a detected breakdown restores the checkpoint and re-runs
-the panel at the ladder's next-safer precision.  Look-ahead is disabled
-under a resilience context or checkpoint manager (the retry and
-commit-point semantics are defined on the serial schedule).
+the panel at the ladder's next-safer precision.
 
 GEMM tags: ``form_w``, ``wy_oaw``, ``wy_right``, ``wy_left``,
 ``wy_full_right``, ``wy_full_left``, plus the panel strategy's tags and
@@ -84,15 +70,12 @@ GEMM tags: ``form_w``, ``wy_oaw``, ``wy_right``, ``wy_left``,
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from ..errors import NumericalBreakdownError, SingularMatrixError
 from ..gemm.engine import GemmEngine, SgemmEngine
 from ..gemm.symbolic import full_update_col_blocks
 from ..obs import spans as obs
-from ..obs.live import use_registry
 from ..perf import Workspace, resolve_workspace
 from ..resilience.context import ResilienceContext
 from ..validation import as_symmetric_matrix, check_blocksizes, check_finite_matrix
@@ -156,11 +139,9 @@ def sbr_wy(
     want_q: bool = True,
     q_method: str = "tree",
     workspace=None,
-    lookahead: bool = False,
     resilience: ResilienceContext | None = None,
     checkpoint=None,
     check_finite: bool = True,
-    metrics=None,
 ) -> SbrResult:
     """Reduce a symmetric matrix to band form with the WY-based Algorithm 1.
 
@@ -188,11 +169,6 @@ def sbr_wy(
         ``None``/``True`` create a fresh arena, ``False`` disables reuse
         (a :class:`repro.perf.NullWorkspace` that allocates every take),
         or pass an existing arena to share and inspect its counters.
-    lookahead : bool
-        Overlap the block-boundary trailing update with the next panel's
-        QR on a background thread (module docstring).  Bitwise-identical
-        to the serial schedule; ignored when a resilience context or
-        checkpoint manager is active.
     resilience : ResilienceContext, optional
         Per-run failure detection + per-panel precision-escalation retry.
     checkpoint : repro.ckpt.CheckpointManager, optional
@@ -205,9 +181,6 @@ def sbr_wy(
     check_finite : bool
         Reject NaN/Inf inputs up front (cheap gate; disable only when the
         caller already validated).
-    metrics : repro.obs.live.MetricsRegistry, optional
-        Install a live metrics registry for the duration of this call
-        (standalone use; the 2-stage driver installs one run-wide).
 
     Returns
     -------
@@ -216,14 +189,6 @@ def sbr_wy(
         and the workspace arena (``result.workspace``) whose ``stats()``
         feed the run manifest's ``alloc`` line.
     """
-    if metrics is not None:
-        with use_registry(metrics):
-            return sbr_wy(
-                a, b, nb, engine=engine, panel=panel, want_q=want_q,
-                q_method=q_method, workspace=workspace, lookahead=lookahead,
-                resilience=resilience, checkpoint=checkpoint,
-                check_finite=check_finite,
-            )
     eng: "GemmEngine" = engine if engine is not None else SgemmEngine()
     ws = resolve_workspace(workspace)
     if isinstance(eng, GemmEngine) and eng.workspace is None:
@@ -273,113 +238,88 @@ def sbr_wy(
             restore_resilience_state(ctx, eng, s.get("resilience"))
             ck.mark_resumed(rck)
 
-    la_pool = (
-        ThreadPoolExecutor(max_workers=1, thread_name_prefix="sbr-la")
-        if (lookahead and ctx is None and ck is None)
-        else None
-    )
-    pre_pf = None
-    try:
-        while n - j0 - b >= 2:
-            M = n - j0 - b  # size of the block's trailing row/col space S
-            st = _BlockState(ws, M, min(nb, M), dtype)
-            OA = ws.take("sbr_OA", (M, M), dtype)
-            if pending is not None:
-                oa_r, w_r, y_r, oaw_r, r_start = pending
-                pending = None
-                np.copyto(OA, oa_r)
-                k = w_r.shape[1]
-                st.w[:, :k] = w_r
-                st.y[:, :k] = y_r
-                st.oaw[:, :k] = oaw_r
-                st.k = k
-            else:
-                # Original trailing matrix for this big block (paper: OA).
-                np.copyto(OA, A[j0 + b :, j0 + b :])
-                r_start = 0
-            # OA is constant for the whole big block: let the engine
-            # amortize its operand transformation (the EC hi/lo FP16
-            # split — several full M×M passes) across the block's
-            # panels.  Bitwise identical to passing OA itself; an engine
-            # escalated mid-block multiplies the handle's source array.
-            oa_op = eng.prepare_operand(OA, tag="sbr_OA")
-            status = "advance"
-            la_fut = None
+    while n - j0 - b >= 2:
+        M = n - j0 - b  # size of the block's trailing row/col space S
+        st = _BlockState(ws, M, min(nb, M), dtype)
+        OA = ws.take("sbr_OA", (M, M), dtype)
+        if pending is not None:
+            oa_r, w_r, y_r, oaw_r, r_start = pending
+            pending = None
+            np.copyto(OA, oa_r)
+            k = w_r.shape[1]
+            st.w[:, :k] = w_r
+            st.y[:, :k] = y_r
+            st.oaw[:, :k] = oaw_r
+            st.k = k
+        else:
+            # Original trailing matrix for this big block (paper: OA).
+            np.copyto(OA, A[j0 + b :, j0 + b :])
+            r_start = 0
+        # OA is constant for the whole big block: let the engine
+        # amortize its operand transformation (the EC hi/lo FP16
+        # split — several full M×M passes) across the block's
+        # panels.  Bitwise identical to passing OA itself; an engine
+        # escalated mid-block multiplies the handle's source array.
+        oa_op = eng.prepare_operand(OA, tag="sbr_OA")
+        status = "advance"
 
-            for r in range(r_start, nb, b):
-                i = j0 + r
-                m = n - i - b  # panel rows
-                if m < 2:
-                    break
-                if ck is not None:
-                    # Interrupt-flush snapshot: a KeyboardInterrupt/SIGTERM
-                    # landing mid-step leaves A[i:, i:] half-updated, so the
-                    # pre-step state is kept restorable until the step
-                    # commits.  Same region the resilience retry snapshots.
-                    flush_snap = A[i:, i:].copy()
-                    flush_k = st.k
-                try:
-                    status, la_fut = _resilient_panel_step(
-                        A, OA, st, eng, strategy, ctx, ws,
-                        b=b, nb=nb, j0=j0, r=r, n=n,
-                        panel_index=panel_index, norm_baseline=norm_baseline,
-                        la_pool=la_pool, pre_pf=pre_pf, oa_op=oa_op,
-                    )
-                except KeyboardInterrupt:
-                    if ck is not None:
-                        A[i:, i:] = flush_snap
-                        st.k = flush_k
-                        _flush_interrupt_checkpoint(
-                            ck, A=A, blocks=blocks, ctx=ctx, eng=eng,
-                            j0=j0, r=r, st=st, panel_index=panel_index,
-                            norm_baseline=norm_baseline, OA=OA,
-                        )
-                    raise
-                pre_pf = None
-                panel_index += 1
-                if ck is not None and status == "advance" \
-                        and ck.should_save_panel(panel_index):
-                    save_wy_panel(
-                        ck, A=A, blocks=blocks, ctx=ctx, eng=eng,
-                        j0=j0, r_next=r + b, panel_index=panel_index,
-                        norm_baseline=norm_baseline,
-                        OA=OA, W=st.W, Y=st.Y, OAW=st.OAW,
-                    )
-                if status != "advance":
-                    break
-
-            if st.k > 0:
-                # Copy out of the arena: the buffers are reused next block.
-                blocks.append(
-                    WYBlock(offset=j0 + b, w=st.W.copy(), y=st.Y.copy())
-                )
-            if status != "block_end":
+        for r in range(r_start, nb, b):
+            i = j0 + r
+            m = n - i - b  # panel rows
+            if m < 2:
                 break
-            j0 += nb
-            if la_fut is not None:
-                # Overlap window: QR-factor the next big block's first
-                # panel (it reads only the already-written priority
-                # columns) while the background thread finishes the rest
-                # of the trailing update, then join before OA capture.
-                m_next = n - j0 - b
-                if m_next >= 2:
-                    w_next = min(b, m_next)
-                    with obs.span("sbr.panel", rows=m_next, cols=w_next):
-                        pre_pf = strategy.factor(
-                            A[j0 + b :, j0 : j0 + w_next], engine=eng
-                        )
-                la_fut.result()
-            if ck is not None and ck.should_save_panel(panel_index):
-                # Block boundary: the next panel opens a fresh big block,
-                # so only A, the completed blocks, and the indices are live.
+            if ck is not None:
+                # Interrupt-flush snapshot: a KeyboardInterrupt/SIGTERM
+                # landing mid-step leaves A[i:, i:] half-updated, so the
+                # pre-step state is kept restorable until the step
+                # commits.  Same region the resilience retry snapshots.
+                flush_snap = A[i:, i:].copy()
+                flush_k = st.k
+            try:
+                status = _resilient_panel_step(
+                    A, OA, st, eng, strategy, ctx, ws,
+                    b=b, nb=nb, j0=j0, r=r, n=n,
+                    panel_index=panel_index, norm_baseline=norm_baseline,
+                    oa_op=oa_op,
+                )
+            except KeyboardInterrupt:
+                if ck is not None:
+                    A[i:, i:] = flush_snap
+                    st.k = flush_k
+                    _flush_interrupt_checkpoint(
+                        ck, A=A, blocks=blocks, ctx=ctx, eng=eng,
+                        j0=j0, r=r, st=st, panel_index=panel_index,
+                        norm_baseline=norm_baseline, OA=OA,
+                    )
+                raise
+            panel_index += 1
+            if ck is not None and status == "advance" \
+                    and ck.should_save_panel(panel_index):
                 save_wy_panel(
                     ck, A=A, blocks=blocks, ctx=ctx, eng=eng,
-                    j0=j0, r_next=0, panel_index=panel_index,
+                    j0=j0, r_next=r + b, panel_index=panel_index,
                     norm_baseline=norm_baseline,
+                    OA=OA, W=st.W, Y=st.Y, OAW=st.OAW,
                 )
-    finally:
-        if la_pool is not None:
-            la_pool.shutdown(wait=True)
+            if status != "advance":
+                break
+
+        if st.k > 0:
+            # Copy out of the arena: the buffers are reused next block.
+            blocks.append(
+                WYBlock(offset=j0 + b, w=st.W.copy(), y=st.Y.copy())
+            )
+        if status != "block_end":
+            break
+        j0 += nb
+        if ck is not None and ck.should_save_panel(panel_index):
+            # Block boundary: the next panel opens a fresh big block,
+            # so only A, the completed blocks, and the indices are live.
+            save_wy_panel(
+                ck, A=A, blocks=blocks, ctx=ctx, eng=eng,
+                j0=j0, r_next=0, panel_index=panel_index,
+                norm_baseline=norm_baseline,
+            )
 
     A = (A + A.T) * dtype.type(0.5)
     q = None
@@ -427,7 +367,7 @@ def _flush_interrupt_checkpoint(
 
 def _resilient_panel_step(
     A, OA, st, eng, strategy, ctx, ws,
-    *, b, nb, j0, r, n, panel_index, norm_baseline, la_pool, pre_pf, oa_op,
+    *, b, nb, j0, r, n, panel_index, norm_baseline, oa_op,
 ):
     """Run one panel step, retrying from a checkpoint on breakdown.
 
@@ -440,7 +380,7 @@ def _resilient_panel_step(
             A, OA, st, eng, strategy, None, ws,
             b=b, nb=nb, j0=j0, r=r, n=n,
             panel_index=panel_index, norm_baseline=norm_baseline,
-            la_pool=la_pool, pre_pf=pre_pf, oa_op=oa_op,
+            oa_op=oa_op,
         )
     i = j0 + r
     snapshot = A[i:, i:].copy() if ctx.can_retry else None
@@ -453,7 +393,7 @@ def _resilient_panel_step(
                     A, OA, st, eng, strategy, ctx, ws,
                     b=b, nb=nb, j0=j0, r=r, n=n,
                     panel_index=panel_index, norm_baseline=norm_baseline,
-                    la_pool=None, pre_pf=None, oa_op=oa_op,
+                    oa_op=oa_op,
                 )
         except (NumericalBreakdownError, SingularMatrixError) as exc:
             if not ctx.handle_breakdown(
@@ -491,15 +431,13 @@ def _resilient_form_q(blocks, n, eng, ctx, q_method, dtype):
 
 def _panel_step(
     A, OA, st, eng, strategy, ctx, ws,
-    *, b, nb, j0, r, n, panel_index, norm_baseline, la_pool, pre_pf, oa_op,
+    *, b, nb, j0, r, n, panel_index, norm_baseline, oa_op,
 ):
     """One panel iteration: QR, (W, Y) extension, deferred update.
 
-    Returns ``(status, la_future)`` — status ``"advance"`` (next panel in
-    this big block), ``"tail"`` (matrix exhausted), or ``"block_end"``
-    (full trailing update done; start the next block).  ``la_future`` is
-    the in-flight background remainder of a look-ahead full update (only
-    ever non-None with status ``"block_end"``).
+    Returns ``"advance"`` (next panel in this big block), ``"tail"``
+    (matrix exhausted), or ``"block_end"`` (full trailing update done;
+    start the next block).
     """
     dtype = A.dtype
     M = n - j0 - b
@@ -508,16 +446,13 @@ def _panel_step(
     w_cols = min(b, m)
 
     # --- 1. Panel QR (columns freshened by the previous step). ---
-    if pre_pf is not None and r == 0:
-        pf = pre_pf  # look-ahead prefactored this panel at the boundary
-    else:
-        with obs.span("sbr.panel", rows=m, cols=w_cols):
-            try:
-                pf = strategy.factor(A[i + b :, i : i + w_cols], engine=eng)
-            except SingularMatrixError as exc:
-                if exc.panel is None:
-                    exc.panel = panel_index
-                raise
+    with obs.span("sbr.panel", rows=m, cols=w_cols):
+        try:
+            pf = strategy.factor(A[i + b :, i : i + w_cols], engine=eng)
+        except SingularMatrixError as exc:
+            if exc.panel is None:
+                exc.panel = panel_index
+            raise
     if ctx is not None:
         ctx.check_panel(
             pf.w.astype(dtype, copy=False), pf.y.astype(dtype, copy=False),
@@ -580,15 +515,12 @@ def _panel_step(
                 A[lo:, lo : lo + m], norm_baseline,
                 precision=eng.precision, site="wy_right",
             )
-        return "tail", None
+        return "tail"
     if r + b >= nb:
         # Big block exhausted with panels remaining: full trailing
         # update from OA, then start the next big block (recursion).
         with obs.span("sbr.full_update", rows=M - r):
-            la_fut = _full_update(
-                A, OA, st, eng, ws, b=b, nb=nb, j0=j0, r_end=r,
-                la_pool=la_pool,
-            )
+            _full_update(A, OA, st, eng, ws, b=b, nb=nb, j0=j0, r_end=r)
         if ctx is not None:
             lo = j0 + b + r
             ctx.check_norm_growth(
@@ -597,7 +529,7 @@ def _panel_step(
             )
             ctx.check_symmetry(A[lo:, lo:], precision=eng.precision,
                                norm=norm_baseline)
-        return "block_end", la_fut
+        return "block_end"
 
     # --- 3. Partial update: only the next panel's columns. ----------
     with obs.span("sbr.partial_update", cols=b):
@@ -608,7 +540,7 @@ def _panel_step(
             A[lo:, lo : lo + b], norm_baseline,
             precision=eng.precision, site="wy_right",
         )
-    return "advance", None
+    return "advance"
 
 
 def _partial_update(
@@ -665,8 +597,7 @@ def _full_update(
     nb: int,
     j0: int,
     r_end: int,
-    la_pool=None,
-) -> "object | None":
+) -> None:
     """Block-boundary full trailing update: ``S[r_end:, r_end:]`` from ``OA``.
 
     This is Algorithm 1 lines 12–13: the entire remaining trailing matrix
@@ -676,10 +607,7 @@ def _full_update(
 
     Symmetry-aware: only the lower trapezoid of each column block of the
     result is computed and mirrored (the old path computed the full
-    square and averaged both triangles).  With a look-ahead pool the
-    first (``b``-wide) column block is applied synchronously and the rest
-    run as one background job; the returned future must be joined before
-    anything reads or re-captures the region past those columns.
+    square and averaged both triangles).
     """
     dtype = A.dtype
     M = OA.shape[0]
@@ -694,28 +622,7 @@ def _full_update(
     _gemm_into(eng, W, x, wtx, ta=True, tag="wy_full_left")
 
     lo = j0 + b + r_end
-    col_blocks = full_update_col_blocks(T, b, nb)
-    if la_pool is not None and len(col_blocks) > 1:
-        c0, c1 = col_blocks[0]
-        _apply_full_col_block(
-            A, x, Y, wtx, eng, ws, lo=lo, r_end=r_end, c0=c0, c1=c1
-        )
-        # Propagate the submitting thread's span context into the pool
-        # worker: the worker's GEMM events and spans attribute to the
-        # enclosing phase (e.g. syevd/sbr) instead of span_path="".
-        return la_pool.submit(
-            obs.wrap_context(_apply_full_col_blocks),
-            A, x, Y, wtx, eng, ws,
-            lo=lo, r_end=r_end, col_blocks=col_blocks[1:],
-        )
-    _apply_full_col_blocks(
-        A, x, Y, wtx, eng, ws, lo=lo, r_end=r_end, col_blocks=col_blocks
-    )
-    return None
-
-
-def _apply_full_col_blocks(A, x, Y, wtx, eng, ws, *, lo, r_end, col_blocks):
-    for c0, c1 in col_blocks:
+    for c0, c1 in full_update_col_blocks(T, b, nb):
         _apply_full_col_block(
             A, x, Y, wtx, eng, ws, lo=lo, r_end=r_end, c0=c0, c1=c1
         )

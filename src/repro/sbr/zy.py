@@ -38,7 +38,6 @@ import numpy as np
 from ..errors import NumericalBreakdownError, SingularMatrixError
 from ..gemm.engine import GemmEngine, SgemmEngine
 from ..obs import spans as obs
-from ..obs.live import use_registry
 from ..perf import resolve_workspace
 from ..resilience.context import ResilienceContext
 from ..validation import as_symmetric_matrix, check_blocksizes, check_finite_matrix
@@ -61,7 +60,6 @@ def sbr_zy(
     resilience: ResilienceContext | None = None,
     checkpoint=None,
     check_finite: bool = True,
-    metrics=None,
 ) -> SbrResult:
     """Reduce a symmetric matrix to band form with the ZY-based algorithm.
 
@@ -99,23 +97,12 @@ def sbr_zy(
     check_finite : bool
         Reject NaN/Inf inputs up front (cheap gate; disable only when the
         caller already validated).
-    metrics : repro.obs.live.MetricsRegistry, optional
-        Install a live metrics registry for the duration of this call
-        (standalone use; the 2-stage driver installs one run-wide).
 
     Returns
     -------
     SbrResult
         Band matrix, bandwidth, optional ``Q``, and the per-panel WY blocks.
     """
-    if metrics is not None:
-        with use_registry(metrics):
-            return sbr_zy(
-                a, b, engine=engine, panel=panel, want_q=want_q,
-                use_syr2k=use_syr2k, workspace=workspace,
-                resilience=resilience, checkpoint=checkpoint,
-                check_finite=check_finite,
-            )
     eng: "GemmEngine" = engine if engine is not None else SgemmEngine()
     ws = resolve_workspace(workspace)
     if isinstance(eng, GemmEngine) and eng.workspace is None:

@@ -219,7 +219,6 @@ def _bitwise_reference(spec: JobSpec, result) -> bool:
             spec.a, b=spec.b, nb=spec.nb, method=spec.method,
             precision=result.precision_used,
             want_vectors=result.eigenvectors is not None,
-            tridiag_solver=spec.tridiag_solver,
             checkpoint=os.path.join(ref_dir, "run"),
         )
     if not np.array_equal(ref.eigenvalues, result.eigenvalues):

@@ -83,7 +83,6 @@ class JobSpec:
     method: str = "wy"
     precision: str = "fp32"
     want_vectors: bool = True
-    tridiag_solver: str = "dc"
     priority: str = "standard"
     deadline_seconds: "float | None" = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)

@@ -339,7 +339,6 @@ class Worker(threading.Thread):
         kwargs = dict(
             b=job.spec.b, nb=job.spec.nb, method=job.spec.method,
             precision=job.precision, want_vectors=job.want_vectors,
-            tridiag_solver=job.spec.tridiag_solver,
             check_input=False,  # validated once at submission
         )
         if job.spec.abft is not None:

@@ -660,15 +660,18 @@ class TestResumeOverrides:
         assert pinned - {"driver", "n"} <= set(_FORWARDED)
 
     def test_stale_knob_in_header_raises_configuration_error(self, tmp_path):
-        # A directory written before the stage-2 variant knob was removed
-        # pins ``bulge_variant``; resuming it is refused with the
-        # structured config-mismatch error, not a TypeError.
-        self._crashed_run(tmp_path)
-        path = tmp_path / "run" / "run.json"
-        with open(path) as fh:
-            header = json.load(fh)
-        header["config"]["bulge_variant"] = "givens"
-        with open(path, "w") as fh:
-            json.dump(header, fh)
-        with pytest.raises(ConfigurationError, match="differs"):
-            resume(str(tmp_path / "run"))
+        # A directory written before a driver knob was removed pins it
+        # in run.json; resuming it is refused with the structured
+        # config-mismatch error, not a TypeError.
+        for knob, value in (("bulge_variant", "givens"),
+                            ("tridiag_solver", "dc")):
+            base = tmp_path / knob
+            self._crashed_run(base)
+            path = base / "run" / "run.json"
+            with open(path) as fh:
+                header = json.load(fh)
+            header["config"][knob] = value
+            with open(path, "w") as fh:
+                json.dump(header, fh)
+            with pytest.raises(ConfigurationError, match="differs"):
+                resume(str(base / "run"))

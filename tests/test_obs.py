@@ -342,7 +342,7 @@ class TestEndToEnd:
         a = (a + a.T) * 0.5
         with obs.collect() as session:
             res = syevd_2stage(a, b=16, nb=64, want_vectors=False,
-                               tridiag_solver="dc", record_trace=True)
+                               record_trace=True)
         path = obs.write_manifest(
             session,
             str(tmp_path_factory.mktemp("runs") / "syevd256.jsonl"),

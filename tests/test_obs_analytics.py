@@ -50,7 +50,7 @@ def _syevd_manifest(tmp_path, *, n=64, b=4, nb=16, name="syevd.jsonl"):
     a = rng.standard_normal((n, n))
     a = (a + a.T) * 0.5
     with obs.collect() as session:
-        syevd_2stage(a, b=b, nb=nb, want_vectors=False, tridiag_solver="dc")
+        syevd_2stage(a, b=b, nb=nb, want_vectors=False)
     return obs.write_manifest(
         session,
         str(tmp_path / name),

@@ -11,7 +11,6 @@ Covers, per the PR-6 acceptance criteria:
 - the zero-overhead-off contract: with no registry installed, the hook
   helpers retain no allocations and the SBR steady state stays
   allocation-free (the PR-5 workspace accounting harness);
-- span-context propagation into worker threads (look-ahead, TSQR);
 - sinks (Prometheus render/parse, JSONL stream with torn-final-line
   tolerance, TTY line), heartbeat, alert rules and the no-progress
   watchdog, the reporter, and the driver/manifest/CLI integration.
@@ -27,7 +26,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.gemm.engine import SgemmEngine, make_engine
+from repro.gemm.engine import make_engine
 from repro.obs import spans as obs
 from repro.obs.live import (
     AlertRule,
@@ -314,61 +313,6 @@ class TestZeroOverheadOff:
 
 
 # ----------------------------------------------------------------------
-# Span-context propagation (satellite: look-ahead phase attribution)
-# ----------------------------------------------------------------------
-
-
-class TestSpanContextPropagation:
-    def test_wrap_context_is_identity_when_off(self):
-        def f():
-            return 1
-
-        assert obs.wrap_context(f) is f
-
-    def test_worker_thread_inherits_span_path(self):
-        results = []
-        with obs.collect() as session:
-            with obs.span("syevd"):
-                wrapped = obs.wrap_context(self._leaf_work)
-                t = threading.Thread(target=lambda: results.append(wrapped()))
-                t.start()
-                t.join()
-        assert results == ["done"]
-        leaf = [s for s in session.spans if s.name == "leaf"]
-        assert len(leaf) == 1
-        assert leaf[0].path == "syevd/leaf"
-        assert leaf[0].depth == 1
-
-    @staticmethod
-    def _leaf_work():
-        with obs.span("leaf"):
-            return "done"
-
-    def test_lookahead_gemm_events_keep_phase_attribution(self, rng):
-        from repro.sbr.wy import sbr_wy
-
-        a = random_symmetric(128, rng)
-        with obs.collect() as session:
-            with obs.span("sbr"):
-                sbr_wy(a, 8, 32, engine=SgemmEngine(), want_q=False,
-                       lookahead=True)
-        assert session.gemm_events
-        # Satellite fix: no event may lose its enclosing phase because
-        # it ran on the look-ahead worker thread.
-        assert all(ev.span_path.startswith("sbr") for ev in session.gemm_events)
-
-    def test_lookahead_events_under_registry_touch_worker(self, rng):
-        from repro.sbr.wy import sbr_wy
-
-        a = random_symmetric(128, rng)
-        reg = MetricsRegistry()
-        sbr_wy(a, 8, 32, engine=SgemmEngine(), want_q=False,
-               lookahead=True, metrics=reg)
-        assert reg.counter_total("repro_gemm_calls_total") > 0
-        assert any("sbr-la" in name for name in reg.worker_ages())
-
-
-# ----------------------------------------------------------------------
 # Batch-aware aggregation in the collector path (satellite 1)
 # ----------------------------------------------------------------------
 
@@ -421,6 +365,8 @@ class TestPhasePlan:
         plan = phase_plan(256, 16, 64)
         assert set(plan) == {"sbr", "bulge", "tridiag_solve", "back_transform"}
         assert all(v > 0 for v in plan.values())
+        # The default nb is the drivers' 4*b.
+        assert phase_plan(256, 16) == plan
 
     def test_values_only_drops_back_transform(self):
         plan = phase_plan(256, 16, 64, want_vectors=False)
@@ -891,12 +837,31 @@ class TestDriverIntegration:
 
         reg = MetricsRegistry()
         a = random_symmetric(64, rng)
-        res = syevd_2stage(a, b=8, nb=16, metrics=reg)
+        with use_registry(reg):
+            res = syevd_2stage(a, b=8, nb=16)
         assert res.metrics is None  # caller owns the registry
         assert reg.counter_total("repro_gemm_calls_total") > 0
         assert reg.counter_total("repro_ws_takes_total") > 0
         assert reg.histogram_merged("repro_phase_seconds").count >= 4
         assert live_registry.active_registry() is None  # uninstalled
+
+    def test_registry_only_live_starts_no_reporter_thread(self, rng, monkeypatch):
+        import repro.eig.driver as driver
+
+        seen = []
+        solve = driver.tridiag_eig_dc
+
+        def spy(*args, **kwargs):
+            seen.extend(t.name for t in threading.enumerate())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "tridiag_eig_dc", spy)
+        a = random_symmetric(64, rng)
+        res = driver.syevd_2stage(a, b=8, nb=16, live=MetricsRegistry())
+        assert seen and "obs-reporter" not in seen
+        assert res.metrics is not None
+        assert any(c["name"] == "repro_gemm_calls_total"
+                   for c in res.metrics["counters"])
 
     def test_default_run_leaves_registry_off(self, rng):
         from repro.eig.driver import syevd_2stage
@@ -913,7 +878,8 @@ class TestDriverIntegration:
         a = random_symmetric(64, rng)
         for fn, args in ((sbr_wy, (a, 8, 16)), (sbr_zy, (a, 8))):
             reg = MetricsRegistry()
-            fn(*args, want_q=False, metrics=reg)
+            with use_registry(reg):
+                fn(*args, want_q=False)
             assert reg.counter_total("repro_gemm_calls_total") > 0
 
     def test_solver_iteration_hooks(self, rng):
@@ -923,13 +889,15 @@ class TestDriverIntegration:
         reg = MetricsRegistry()
         d = np.arange(1.0, 17.0)
         e = 0.1 * np.ones(15)
-        tridiag_eig_ql(d, e, want_vectors=False, metrics=reg)
+        with use_registry(reg):
+            tridiag_eig_ql(d, e, want_vectors=False)
         assert reg.counter_value(
             "repro_solver_iterations_total", phase="ql_iteration") > 0
 
         reg2 = MetricsRegistry()
         a = random_symmetric(36, rng)
-        lobpcg(a, 2, metrics=reg2, max_iter=30, tol=1e-6)
+        with use_registry(reg2):
+            lobpcg(a, 2, max_iter=30, tol=1e-6)
         assert reg2.counter_value(
             "repro_solver_iterations_total", phase="lobpcg") > 0
         assert reg2.gauge_value(

@@ -9,8 +9,6 @@ Covers PR 5's contracts:
   ``gemm`` per precision mode, fused ``syr2k``;
 - the symmetry-mirrored block-boundary update (exact symmetry, full
   two-sided accuracy);
-- bitwise identity of the threaded paths (TSQR leaves, look-ahead
-  overlap) with the serial schedule;
 - the ``alloc`` manifest line round-trip.
 """
 
@@ -30,10 +28,8 @@ from repro.gemm.engine import (
     make_engine,
 )
 from repro.errors import ShapeError
-from repro.la import tsqr
 from repro.perf import NullWorkspace, Workspace, resolve_workspace
 from repro.sbr import sbr_wy, sbr_zy
-from repro.sbr.panel import TsqrPanel
 from tests.conftest import random_symmetric
 
 ENGINE_FACTORIES = [
@@ -300,40 +296,6 @@ class TestMirroredUpdate:
         assert np.array_equal(res.band, res.band.T)
         resid = res.q.T @ a @ res.q - res.band
         assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(a)
-
-
-class TestBitwiseThreading:
-    def test_tsqr_threaded_leaves_bitwise_identical(self, rng):
-        a = rng.standard_normal((512, 16)).astype(np.float32)
-        q0, r0 = tsqr(a, leaf_rows=64)
-        q1, r1 = tsqr(a, leaf_rows=64, max_threads=4)
-        assert np.array_equal(q0, q1)
-        assert np.array_equal(r0, r1)
-
-    @pytest.mark.parametrize("precision", ["fp32", "fp16_ec_tc"])
-    def test_lookahead_bitwise_identical_to_serial(self, rng, precision):
-        a = random_symmetric(128, rng)
-        serial = sbr_wy(a, 8, 32, engine=make_engine(precision), want_q=True)
-        overlap = sbr_wy(
-            a, 8, 32, engine=make_engine(precision), want_q=True, lookahead=True
-        )
-        assert np.array_equal(serial.band, overlap.band)
-        assert np.array_equal(serial.q, overlap.q)
-
-    def test_threaded_panel_bitwise_identical(self, rng):
-        # Pin leaf_rows: max_threads>1 otherwise also switches the leaf
-        # default, which is a (valid) different decomposition.
-        a = random_symmetric(128, rng)
-        serial = sbr_wy(
-            a, 8, 32, engine=SgemmEngine(), want_q=True,
-            panel=TsqrPanel(leaf_rows=32),
-        )
-        threaded = sbr_wy(
-            a, 8, 32, engine=SgemmEngine(), want_q=True,
-            panel=TsqrPanel(leaf_rows=32, max_threads=4),
-        )
-        assert np.array_equal(serial.band, threaded.band)
-        assert np.array_equal(serial.q, threaded.q)
 
 
 class TestWorkspaceInDrivers:

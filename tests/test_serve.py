@@ -540,7 +540,7 @@ class TestSoakHarness:
 class TestBulgeVariantServing:
     def test_wavefront_job_end_to_end(self, rng, tmp_path):
         # Stage 2 of every job is the engine-routed wavefront chase; the
-        # manifest line no longer carries a variant knob.
+        # manifest line carries neither a variant nor a solver knob.
         a = random_symmetric(24, rng)
         with _service(tmp_path) as svc:
             jid = svc.submit(a, b=4)
@@ -550,3 +550,4 @@ class TestBulgeVariantServing:
                 res.eigenvalues, np.linalg.eigvalsh(a), atol=1e-4)
         lines = [json.loads(l) for l in open(svc.manifest_path)]
         assert "bulge_variant" not in lines[0]
+        assert "tridiag_solver" not in lines[0]
