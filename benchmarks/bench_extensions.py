@@ -1,5 +1,5 @@
 """Benchmarks for the extension solvers (refinement, SVD routes, QDWH,
-LOBPCG, compact-WY SBR, bulge chase at b=16).
+LOBPCG, bulge chase at b=16).
 
 Library-performance tracking, with the key quality assertions inline:
 refinement reaches float64 from a Tensor-Core start, the SVD routes match
@@ -12,11 +12,9 @@ import numpy as np
 import pytest
 
 from repro.eig import lobpcg, qdwh_eig, qdwh_polar
-from repro.gemm import make_engine
 from repro.matrices import generate_symmetric
 from repro.metrics import eigenvalue_error
 from repro.refine import refined_syevd
-from repro.sbr import sbr_wy_compact
 from repro.svd import randomized_svd, svd_direct
 from tests.conftest import random_symmetric
 
@@ -69,16 +67,6 @@ def test_lobpcg_largest(benchmark):
         iterations=1, rounds=3,
     )
     assert np.abs(lam - lam_true[-5:]).max() < 1e-7
-
-
-def test_sbr_wy_compact(benchmark, rng):
-    a = random_symmetric(256, rng).astype(np.float32)
-    res = benchmark.pedantic(
-        sbr_wy_compact, args=(a, 16, 64),
-        kwargs={"engine": make_engine("fp16_tc"), "want_q": False},
-        iterations=1, rounds=3,
-    )
-    assert res.bandwidth == 16
 
 
 def test_bulge_chase_b16(benchmark, rng):

@@ -27,8 +27,7 @@ __all__ = ["resume", "result_digest"]
 
 #: run-header config keys forwarded verbatim into ``syevd_2stage``.
 _FORWARDED = (
-    "b", "nb", "method", "precision", "panel",
-    "want_vectors", "on_breakdown",
+    "b", "nb", "method", "precision", "want_vectors", "on_breakdown",
 )
 
 

@@ -63,7 +63,6 @@ from ..resilience.context import ResilienceContext
 from ..resilience.detectors import DetectorConfig
 from ..resilience.faults import FaultInjector
 from ..resilience.policy import EscalationLadder, ResilienceReport
-from ..sbr.panel import PanelStrategy
 from ..sbr.types import SbrResult, pack_wy_blocks, unpack_wy_blocks
 from ..sbr.wy import sbr_wy
 from ..sbr.zy import sbr_zy
@@ -321,7 +320,6 @@ def syevd_2stage(
     method: str = "wy",
     precision: "Precision | str" = Precision.FP32,
     engine: GemmEngine | None = None,
-    panel: "str | PanelStrategy | None" = None,
     want_vectors: bool = True,
     record_trace: bool = False,
     workspace=None,
@@ -349,13 +347,12 @@ def syevd_2stage(
         WY big-block size (default ``4 * b``); ignored for ``method="zy"``.
     method : {"wy", "zy"}
         Stage-1 algorithm: the paper's Algorithm 1 or the conventional
-        ZY-based reduction.
+        ZY-based reduction.  Both factor every panel with the paper's
+        TSQR + Householder reconstruction (:mod:`repro.sbr.panel`).
     precision : Precision or str
         Stage-1 arithmetic policy (ignored when ``engine`` is given).
     engine : GemmEngine, optional
         Explicit stage-1 engine (overrides ``precision``).
-    panel : str or PanelStrategy, optional
-        Panel factorization (defaults: "tsqr" for WY, "blocked_qr" for ZY).
     want_vectors : bool
         Whether to form eigenvectors (adds the two back-transformations).
     record_trace : bool
@@ -461,7 +458,6 @@ def syevd_2stage(
         ck.begin(a, {
             "driver": "syevd_2stage", "n": n, "b": b, "nb": nb,
             "method": method, "precision": eng.precision.value,
-            "panel": panel if isinstance(panel, str) else None,
             "want_vectors": want_vectors, "on_breakdown": on_breakdown,
         })
         if tctx is None:
@@ -501,16 +497,14 @@ def syevd_2stage(
                 sbr = _sbr_from_checkpoint(band_ck, b)
             elif method == "wy":
                 sbr = sbr_wy(
-                    a, b, nb, engine=sbr_eng, panel=panel or "tsqr",
-                    want_q=want_vectors, workspace=ws,
-                    resilience=ctx, checkpoint=ck,
+                    a, b, nb, engine=sbr_eng, want_q=want_vectors,
+                    workspace=ws, resilience=ctx, checkpoint=ck,
                     check_finite=False,
                 )
             else:
                 sbr = sbr_zy(
-                    a, b, engine=sbr_eng, panel=panel or "blocked_qr",
-                    want_q=want_vectors, workspace=ws,
-                    resilience=ctx, checkpoint=ck,
+                    a, b, engine=sbr_eng, want_q=want_vectors,
+                    workspace=ws, resilience=ctx, checkpoint=ck,
                     check_finite=False,
                 )
             if ck is not None and band_ck is None:
@@ -683,13 +677,13 @@ def syevd_selected(
         with obs.span("sbr"):
             if method == "wy":
                 sbr = sbr_wy(
-                    a, b, nb, engine=sbr_eng, panel="tsqr",
-                    want_q=want_vectors, resilience=ctx, check_finite=False,
+                    a, b, nb, engine=sbr_eng, want_q=want_vectors,
+                    resilience=ctx, check_finite=False,
                 )
             else:
                 sbr = sbr_zy(
-                    a, b, engine=sbr_eng, panel="blocked_qr",
-                    want_q=want_vectors, resilience=ctx, check_finite=False,
+                    a, b, engine=sbr_eng, want_q=want_vectors,
+                    resilience=ctx, check_finite=False,
                 )
 
         with obs.span("bulge"):

@@ -8,8 +8,8 @@ Each ablation isolates one decision the paper makes or defers:
   kernel) against the WY algorithm.
 - ``run_q_method_ablation`` — Algorithm 2's recursive W formation vs the
   conventional sequential back-transformation (§4.4: 320 ms vs 420 ms).
-- ``run_panel_ablation`` — per-panel strategy cost inside our numeric
-  drivers (TSQR vs blocked vs unblocked QR), measured for real.
+- ``run_panel_ablation`` — measured cost of the paper's TSQR panel
+  against blocked and unblocked Householder QR on one panel.
 - ``run_precision_ablation`` — accuracy of the band reduction across all
   emulated operand formats (fp16/bf16/tf32/EC/fp32), extending Table 3's
   single-format column.
@@ -30,11 +30,13 @@ import time
 import numpy as np
 
 from ..device import PerfModel
-from ..gemm.engine import make_engine
+from ..gemm.engine import SgemmEngine, make_engine
 from ..gemm.symbolic import trace_form_q, trace_sbr_wy, trace_sbr_zy
+from ..la import (
+    blocked_qr, build_wy, householder_qr, reconstruct_wy, tsqr, wy_matrix,
+)
 from ..matrices.generate import generate_symmetric
 from ..metrics.accuracy import backward_error, orthogonality_error
-from ..sbr.panel import make_panel_strategy
 from ..sbr.wy import sbr_wy
 from .runner import ExperimentResult
 
@@ -146,7 +148,22 @@ def run_panel_ablation(
     repeats: int = 3,
     seed: int = 99,
 ) -> ExperimentResult:
-    """Measured (real, NumPy) cost and accuracy of the panel strategies."""
+    """Measured (real, NumPy) cost and accuracy of three panel QRs.
+
+    ``tsqr`` is the panel both SBR drivers run (TSQR + reconstruction);
+    ``blocked_qr`` and ``unblocked_qr`` are the cuSOLVER- and MAGMA-like
+    Householder QRs it is compared with, each turned into WY form.
+    """
+
+    def tsqr_panel(p):
+        eng = SgemmEngine()
+        q, r = tsqr(p, engine=eng, tag="panel_tsqr")
+        w, y, s = reconstruct_wy(q, engine=eng, tag="panel_reconstruct")
+        return w, y, r * s[:, np.newaxis]
+
+    def wy_panel(v_cols, betas, r):
+        return (*build_wy(v_cols, betas), r)
+
     rng = np.random.default_rng(seed)
     panel = rng.standard_normal((m, w)).astype(np.float32)
     result = ExperimentResult(
@@ -158,17 +175,18 @@ def run_panel_ablation(
             "the accuracy column checks P = (I - W Y^T)[:, :w] R for each.",
         ],
     )
-    from ..la.wy import wy_matrix
-
-    for name in ("tsqr", "blocked_qr", "unblocked_qr"):
-        strat = make_panel_strategy(name)
+    for name, factor in (
+        ("tsqr", tsqr_panel),
+        ("blocked_qr", lambda p: wy_panel(*blocked_qr(p))),
+        ("unblocked_qr", lambda p: wy_panel(*householder_qr(p))),
+    ):
         best = np.inf
         for _ in range(repeats):
             t0 = time.perf_counter()
-            pf = strat.factor(panel)
+            pw, py, pr = factor(panel)
             best = min(best, time.perf_counter() - t0)
-        q_full = wy_matrix(pf.w.astype(np.float64), pf.y.astype(np.float64))
-        err = float(np.abs(q_full[:, :w] @ pf.r.astype(np.float64) - panel).max())
+        q_full = wy_matrix(pw.astype(np.float64), py.astype(np.float64))
+        err = float(np.abs(q_full[:, :w] @ pr.astype(np.float64) - panel).max())
         result.add_row(strategy=name, time_ms=best * 1e3, factorization_error=err)
     return result
 

@@ -63,7 +63,7 @@ def run(
     for spec in TABLE_MATRIX_SPECS:
         a, _ = generate_from_spec(spec, n, rng=rng)
         engine = make_engine(precision)
-        res = sbr_wy(a, b, nb, engine=engine, panel="tsqr", want_q=True)
+        res = sbr_wy(a, b, nb, engine=engine, want_q=True)
         result.add_row(
             matrix=spec.label,
             backward_error=backward_error(a, res.q, res.band),

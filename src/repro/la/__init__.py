@@ -4,10 +4,10 @@ This package is the substrate beneath the band-reduction algorithms:
 
 - :mod:`~repro.la.householder` — Householder reflector generation and
   application (the BLAS2 core).
-- :mod:`~repro.la.wy` — WY and compact-WY accumulation of reflector
-  products (Bischof & Van Loan 1987; Schreiber & Van Loan 1989).
-- :mod:`~repro.la.qr` — unblocked and blocked Householder QR (the
-  cuSOLVER-style panel baseline).
+- :mod:`~repro.la.wy` — WY accumulation of reflector products (Bischof &
+  Van Loan 1987).
+- :mod:`~repro.la.qr` — unblocked and blocked Householder QR (the TSQR
+  leaves and tree merges).
 - :mod:`~repro.la.tsqr` — communication-avoiding Tall-Skinny QR with
   Householder local factorizations (paper §5.1).
 - :mod:`~repro.la.lu` — non-pivoting LU and triangular solves.
@@ -28,7 +28,6 @@ from .wy import (
     apply_q_left,
     apply_q_right,
     apply_qt_left,
-    build_compact_wy,
     build_wy,
     extend_wy,
     wy_matrix,
@@ -55,7 +54,6 @@ __all__ = [
     "apply_reflector_right",
     "reflector_matrix",
     "build_wy",
-    "build_compact_wy",
     "extend_wy",
     "wy_matrix",
     "apply_q_left",

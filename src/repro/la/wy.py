@@ -15,10 +15,6 @@ is symmetric, ``H_k ... H_1 = Q^T = I - Y W^T`` — the same pair (W, Y)
 serves both orders, and we fix the convention ``Q = H_1 ... H_k = I - W
 Y^T`` throughout the library.)
 
-The compact WY form (Schreiber & Van Loan 1989) stores ``Q = I - Y T Y^T``
-with a small k×k upper-triangular ``T``; the two are related by
-``W = Y @ T``.
-
 Blocked extension (used by Algorithm 1's inner loop) merges an existing
 (W, Y) with a freshly factorized panel's (W_p, Y_p):
 
@@ -37,7 +33,6 @@ from ..gemm.engine import GemmEngine, PlainEngine
 
 __all__ = [
     "build_wy",
-    "build_compact_wy",
     "extend_wy",
     "wy_matrix",
     "apply_q_left",
@@ -86,25 +81,6 @@ def build_wy(v_cols, betas) -> tuple[np.ndarray, np.ndarray]:
         # w_j = beta v - W_{j-1} (Y_{j-1}^T (beta v))
         w[:, j] = bv - w[:, :j] @ (y[:, :j].T @ bv)
     return w, y
-
-
-def build_compact_wy(v_cols, betas) -> np.ndarray:
-    """Build the compact-WY triangular factor T with ``Q = I - Y T Y^T``.
-
-    Follows LAPACK ``larft`` (forward, columnwise): ``T[j, j] = beta_j`` and
-    ``T[:j, j] = -beta_j * T[:j, :j] @ (Y[:, :j]^T v_j)``.
-    """
-    v_cols, betas = _check_reflectors(v_cols, betas)
-    dtype = v_cols.dtype if v_cols.dtype.kind == "f" else np.dtype(np.float64)
-    y = np.asarray(v_cols, dtype=dtype)
-    k = y.shape[1]
-    t = np.zeros((k, k), dtype=dtype)
-    for j in range(k):
-        bj = dtype.type(betas[j])
-        if j > 0:
-            t[:j, j] = -bj * (t[:j, :j] @ (y[:, :j].T @ y[:, j]))
-        t[j, j] = bj
-    return t
 
 
 def extend_wy(

@@ -15,37 +15,24 @@ Reduces a dense symmetric matrix to symmetric band form ``A = Q B Q^T``
   ``nb``.
 - :mod:`~repro.sbr.formw` — the paper's **Algorithm 2**: recursive
   (tree) W construction for the back-transformation.
-- :mod:`~repro.sbr.panel` — pluggable panel factorizations: TSQR +
-  Householder reconstruction (the paper's), blocked Householder QR
-  (cuSOLVER-like), unblocked QR (MAGMA-panel-like).
+- :mod:`~repro.sbr.panel` — the panel factorization both reductions run:
+  TSQR + Householder reconstruction by non-pivoted LU (paper §5.1–5.2,
+  Algorithm 3).
 """
 
-from .panel import (
-    BlockedQrPanel,
-    PanelFactorization,
-    PanelStrategy,
-    TsqrPanel,
-    UnblockedQrPanel,
-    make_panel_strategy,
-)
+from .panel import PanelFactorization, factor_panel
 from .types import SbrResult, WYBlock
 from .zy import sbr_zy
 from .wy import sbr_wy
-from .wy_compact import sbr_wy_compact
 from .formw import form_wy_tree, form_q_from_blocks
 
 __all__ = [
-    "PanelStrategy",
     "PanelFactorization",
-    "TsqrPanel",
-    "BlockedQrPanel",
-    "UnblockedQrPanel",
-    "make_panel_strategy",
+    "factor_panel",
     "SbrResult",
     "WYBlock",
     "sbr_zy",
     "sbr_wy",
-    "sbr_wy_compact",
     "form_wy_tree",
     "form_q_from_blocks",
 ]

@@ -1,44 +1,29 @@
-"""Panel factorization strategies for band reduction.
+"""The stage-1 panel factorization shared by both band reductions.
 
-A *panel* is the tall-and-skinny block ``A[i+b:n, i:i+b]`` (Figure 2 of the
-paper).  Each strategy QR-factors the panel and returns its WY pair, so the
-SBR drivers are agnostic to how the panel was factored:
+A *panel* is the tall-and-skinny block ``A[i+b:n, i:i+w]`` (Figure 2 of
+the paper).  :func:`factor_panel` QR-factors it the paper's way (§5.1–5.2):
+TSQR produces an explicit Q, whose Householder vectors are reconstructed by
+non-pivoted LU (Algorithm 3).  It then writes the result into the band
+exactly as :func:`~repro.sbr.wy.sbr_wy` and :func:`~repro.sbr.zy.sbr_zy`
+need it, so both drivers run one panel.
 
-- :class:`TsqrPanel` — the paper's approach (§5.1–5.2): TSQR produces an
-  explicit Q; Householder vectors are reconstructed from it by non-pivoted
-  LU (Algorithm 3).  Fast on GPUs because the tree exposes square GEMMs.
-- :class:`BlockedQrPanel` — cuSOLVER-style ``sgeqrf``-shaped blocked
-  Householder QR (the "TSQR off" ablation of Figure 9).
-- :class:`UnblockedQrPanel` — LAPACK-style column-at-a-time Householder
-  QR (the MAGMA-panel-like reference).
-
-All strategies return the same :class:`PanelFactorization`; numerically they
-agree up to signs absorbed into R.
+GEMM tags: ``panel_tsqr``, ``panel_reconstruct``, and ``sbr_strip`` for a
+tail panel narrower than the bandwidth.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeError
-from ..gemm.engine import GemmEngine, SgemmEngine
+from ..errors import SingularMatrixError
+from ..gemm.engine import GemmEngine
 from ..obs import spans as obs
-from ..la.qr import blocked_qr, householder_qr
 from ..la.reconstruct import reconstruct_wy
 from ..la.tsqr import tsqr
-from ..la.wy import build_wy
 
-__all__ = [
-    "PanelFactorization",
-    "PanelStrategy",
-    "TsqrPanel",
-    "BlockedQrPanel",
-    "UnblockedQrPanel",
-    "make_panel_strategy",
-]
+__all__ = ["PanelFactorization", "factor_panel"]
 
 
 @dataclass
@@ -53,96 +38,79 @@ class PanelFactorization:
     y: np.ndarray
     r: np.ndarray
 
-    @property
-    def ncols(self) -> int:
-        return self.r.shape[0]
 
+def factor_panel(
+    A: np.ndarray,
+    i: int,
+    b: int,
+    width: int,
+    *,
+    engine: GemmEngine,
+    resilience=None,
+    panel_index: int | None = None,
+) -> PanelFactorization:
+    """Factor the panel ``A[i+b:, i:i+width]`` and write it into the band.
 
-class PanelStrategy(ABC):
-    """Factory of panel QR factorizations (stateless, reusable)."""
+    On return ``A`` holds ``R`` in place of the panel, zeros below it, and
+    the symmetric mirror of both.  A tail panel (``width < b``) also
+    applies its left transform to the in-band columns ``[i+width, i+b)``,
+    which no later panel reaches.
 
-    #: Identifier used in experiment configuration and reports.
-    name: str = "abstract"
+    Parameters
+    ----------
+    A : ndarray, (n, n)
+        The symmetric working matrix, updated in place.
+    i : int
+        First panel column.
+    b : int
+        Bandwidth: the panel starts ``b`` rows below the diagonal.
+    width : int
+        Panel columns, at most ``b``.  A panel with fewer rows than
+        columns raises :class:`~repro.errors.ShapeError` (from TSQR).
+    engine : GemmEngine
+        Engine for the TSQR, reconstruction and strip GEMMs.
+    resilience : ResilienceContext, optional
+        Runs its panel-orthogonality check on the factored (W, Y).
+    panel_index : int, optional
+        Tagged onto a :class:`~repro.errors.SingularMatrixError` raised by
+        the reconstruction.
 
-    @abstractmethod
-    def factor(self, panel: np.ndarray, *, engine: GemmEngine | None = None) -> PanelFactorization:
-        """QR-factor a tall panel (m >= k columns) into WY form."""
+    Returns
+    -------
+    PanelFactorization
+        ``w``, ``y`` and ``r`` in ``A``'s dtype.
+    """
+    dtype = A.dtype
+    panel = A[i + b :, i : i + width]
+    with obs.span("sbr.panel", rows=panel.shape[0], cols=width):
+        try:
+            with obs.span("panel.tsqr"):
+                q, r = tsqr(panel, engine=engine, tag="panel_tsqr")
+            with obs.span("panel.reconstruct"):
+                w, y, s = reconstruct_wy(q, engine=engine, tag="panel_reconstruct")
+        except SingularMatrixError as exc:
+            if exc.panel is None:
+                exc.panel = panel_index
+            raise
+    # A = Q R = (Q S)(S R): absorb the sign flips into R's rows.
+    pf = PanelFactorization(
+        w=w.astype(dtype, copy=False),
+        y=y.astype(dtype, copy=False),
+        r=(r * s[:, np.newaxis]).astype(dtype, copy=False),
+    )
+    if resilience is not None:
+        resilience.check_panel(pf.w, pf.y, precision=engine.precision)
 
-    @staticmethod
-    def _validate(panel: np.ndarray) -> np.ndarray:
-        panel = np.asarray(panel)
-        if panel.ndim != 2 or panel.shape[0] < panel.shape[1]:
-            raise ShapeError(
-                f"panel must be tall (m >= k), got shape {panel.shape}"
-            )
-        return panel
+    panel[:width] = pf.r
+    panel[width:] = 0
+    A[i : i + width, i + b :] = panel.T
 
-
-class TsqrPanel(PanelStrategy):
-    """TSQR + Householder reconstruction (the paper's panel, §5.1–5.2)."""
-
-    name = "tsqr"
-
-    def __init__(self, *, leaf_rows: int | None = None):
-        self.leaf_rows = leaf_rows
-
-    def factor(self, panel: np.ndarray, *, engine: GemmEngine | None = None) -> PanelFactorization:
-        panel = self._validate(panel)
-        eng = engine if engine is not None else SgemmEngine()
-        with obs.span("panel.tsqr"):
-            q, r = tsqr(panel, leaf_rows=self.leaf_rows, engine=eng, tag="panel_tsqr")
-        with obs.span("panel.reconstruct"):
-            w, y, s = reconstruct_wy(q, engine=eng, tag="panel_reconstruct")
-        # A = Q R = (Q S)(S R): absorb the sign flips into R's rows.
-        r = r * s[:, np.newaxis]
-        return PanelFactorization(w=w, y=y, r=r)
-
-
-class BlockedQrPanel(PanelStrategy):
-    """Blocked Householder QR (cuSOLVER ``sgeqrf``-like panel)."""
-
-    name = "blocked_qr"
-
-    def __init__(self, *, block: int = 32):
-        if block <= 0:
-            raise ShapeError(f"block must be positive, got {block}")
-        self.block = block
-
-    def factor(self, panel: np.ndarray, *, engine: GemmEngine | None = None) -> PanelFactorization:
-        panel = self._validate(panel)
-        with obs.span("panel.blocked_qr"):
-            v_cols, betas, r = blocked_qr(panel, block=self.block, engine=engine)
-            w, y = build_wy(v_cols, betas)
-        return PanelFactorization(w=w, y=y, r=r)
-
-
-class UnblockedQrPanel(PanelStrategy):
-    """Column-at-a-time Householder QR (MAGMA-panel-like reference)."""
-
-    name = "unblocked_qr"
-
-    def factor(self, panel: np.ndarray, *, engine: GemmEngine | None = None) -> PanelFactorization:
-        panel = self._validate(panel)
-        with obs.span("panel.unblocked_qr"):
-            v_cols, betas, r = householder_qr(panel)
-            w, y = build_wy(v_cols, betas)
-        return PanelFactorization(w=w, y=y, r=r)
-
-
-_STRATEGIES = {
-    "tsqr": TsqrPanel,
-    "blocked_qr": BlockedQrPanel,
-    "unblocked_qr": UnblockedQrPanel,
-}
-
-
-def make_panel_strategy(name: "str | PanelStrategy") -> PanelStrategy:
-    """Resolve a panel strategy from its name (or pass one through)."""
-    if isinstance(name, PanelStrategy):
-        return name
-    try:
-        return _STRATEGIES[str(name)]()
-    except KeyError:
-        raise ShapeError(
-            f"unknown panel strategy {name!r}; expected one of {sorted(_STRATEGIES)}"
-        ) from None
+    if width < b:
+        # Tail panel: columns [i+width, i+b) keep in-band entries on the
+        # panel's row range; they see only this panel's transform from
+        # the left (no later panel follows).
+        strip = A[i + b :, i + width : i + b]
+        wts = engine.gemm(pf.w.T, strip, tag="sbr_strip")
+        strip -= engine.gemm(pf.y, wts, tag="sbr_strip")
+        A[i + width : i + b, i + b :] = strip.T
+    return pf

@@ -64,8 +64,8 @@ Q factor, and a detected breakdown restores the checkpoint and re-runs
 the panel at the ladder's next-safer precision.
 
 GEMM tags: ``form_w``, ``wy_oaw``, ``wy_right``, ``wy_left``,
-``wy_full_right``, ``wy_full_left``, plus the panel strategy's tags and
-``form_q`` for eigenvector accumulation.
+``wy_full_right``, ``wy_full_left``, the panel's tags (see
+:mod:`repro.sbr.panel`) and ``form_q`` for eigenvector accumulation.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from ..resilience.context import ResilienceContext
 from ..validation import as_symmetric_matrix, check_blocksizes, check_finite_matrix
 from .ckptio import restore_resilience_state, save_wy_panel
 from .formw import form_q_from_blocks
-from .panel import PanelStrategy, make_panel_strategy
+from .panel import factor_panel
 from .types import SbrResult, WYBlock, unpack_wy_blocks
 
 __all__ = ["sbr_wy"]
@@ -135,7 +135,6 @@ def sbr_wy(
     nb: int,
     *,
     engine: GemmEngine | None = None,
-    panel: "str | PanelStrategy" = "tsqr",
     want_q: bool = True,
     q_method: str = "tree",
     workspace=None,
@@ -157,8 +156,6 @@ def sbr_wy(
         shapes on the left side, WY arithmetic).
     engine : GemmEngine, optional
         GEMM engine implementing the precision policy (default FP32 SGEMM).
-    panel : str or PanelStrategy
-        Panel factorization (default: the paper's TSQR + reconstruction).
     want_q : bool
         Whether to form the orthogonal transform ``Q`` (``A ≈ Q B Q^T``).
     q_method : {"tree", "forward"}
@@ -198,7 +195,6 @@ def sbr_wy(
     ctx = resilience
     if ctx is not None:
         eng = ctx.wrap_engine(eng)
-    strategy = make_panel_strategy(panel)
     a = np.asarray(a)
     if check_finite and a.ndim == 2 and a.size:
         # Before the symmetry check: a NaN fails allclose and would be
@@ -277,7 +273,7 @@ def sbr_wy(
                 flush_k = st.k
             try:
                 status = _resilient_panel_step(
-                    A, OA, st, eng, strategy, ctx, ws,
+                    A, OA, st, eng, ctx, ws,
                     b=b, nb=nb, j0=j0, r=r, n=n,
                     panel_index=panel_index, norm_baseline=norm_baseline,
                     oa_op=oa_op,
@@ -366,7 +362,7 @@ def _flush_interrupt_checkpoint(
 
 
 def _resilient_panel_step(
-    A, OA, st, eng, strategy, ctx, ws,
+    A, OA, st, eng, ctx, ws,
     *, b, nb, j0, r, n, panel_index, norm_baseline, oa_op,
 ):
     """Run one panel step, retrying from a checkpoint on breakdown.
@@ -377,7 +373,7 @@ def _resilient_panel_step(
     """
     if ctx is None:
         return _panel_step(
-            A, OA, st, eng, strategy, None, ws,
+            A, OA, st, eng, None, ws,
             b=b, nb=nb, j0=j0, r=r, n=n,
             panel_index=panel_index, norm_baseline=norm_baseline,
             oa_op=oa_op,
@@ -390,7 +386,7 @@ def _resilient_panel_step(
         try:
             with ctx.unit("sbr.panel", panel=panel_index):
                 return _panel_step(
-                    A, OA, st, eng, strategy, ctx, ws,
+                    A, OA, st, eng, ctx, ws,
                     b=b, nb=nb, j0=j0, r=r, n=n,
                     panel_index=panel_index, norm_baseline=norm_baseline,
                     oa_op=oa_op,
@@ -430,7 +426,7 @@ def _resilient_form_q(blocks, n, eng, ctx, q_method, dtype):
 
 
 def _panel_step(
-    A, OA, st, eng, strategy, ctx, ws,
+    A, OA, st, eng, ctx, ws,
     *, b, nb, j0, r, n, panel_index, norm_baseline, oa_op,
 ):
     """One panel iteration: QR, (W, Y) extension, deferred update.
@@ -446,33 +442,9 @@ def _panel_step(
     w_cols = min(b, m)
 
     # --- 1. Panel QR (columns freshened by the previous step). ---
-    with obs.span("sbr.panel", rows=m, cols=w_cols):
-        try:
-            pf = strategy.factor(A[i + b :, i : i + w_cols], engine=eng)
-        except SingularMatrixError as exc:
-            if exc.panel is None:
-                exc.panel = panel_index
-            raise
-    if ctx is not None:
-        ctx.check_panel(
-            pf.w.astype(dtype, copy=False), pf.y.astype(dtype, copy=False),
-            precision=eng.precision,
-        )
-    A[i + b : i + b + w_cols, i : i + w_cols] = pf.r.astype(dtype, copy=False)
-    A[i + b + w_cols :, i : i + w_cols] = 0
-    A[i : i + w_cols, i + b :] = A[i + b :, i : i + w_cols].T
-
-    if w_cols < b:
-        # Tail panel: columns [i+w, i+b) keep in-band entries on the
-        # panel row range; earlier deferred updates already brought
-        # them up to date through the previous panel, so only this
-        # (last) panel's left transform is missing.
-        pw = pf.w.astype(dtype, copy=False)
-        py = pf.y.astype(dtype, copy=False)
-        strip = A[i + b :, i + w_cols : i + b]
-        wts = eng.gemm(pw.T, strip, tag="sbr_strip")
-        strip -= eng.gemm(py, wts, tag="sbr_strip")
-        A[i + w_cols : i + b, i + b :] = strip.T
+    pf = factor_panel(
+        A, i, b, w_cols, engine=eng, resilience=ctx, panel_index=panel_index,
+    )
 
     # --- 2. Extend (W, Y) over the block row space S (leading zeros),
     #     in place inside the arena buffers. --------------------------
@@ -480,15 +452,15 @@ def _panel_step(
         K = st.k
         y_new = st.y[:, K : K + w_cols]
         y_new[:r] = 0
-        y_new[r:] = pf.y.astype(dtype, copy=False)
+        y_new[r:] = pf.y
         if K == 0:
             w_dst = st.w[:, :w_cols]
             w_dst[:r] = 0
-            w_dst[r:] = pf.w.astype(dtype, copy=False)
+            w_dst[r:] = pf.w
         else:
             wp = ws.take("sbr_wp", (M, w_cols), dtype)
             wp[:r] = 0
-            wp[r:] = pf.w.astype(dtype, copy=False)
+            wp[r:] = pf.w
             ytwp = ws.take("sbr_ytwp", (K, w_cols), dtype)
             _gemm_into(eng, st.Y, wp, ytwp, ta=True, tag="form_w")
             tmp = ws.take("sbr_wtmp", (M, w_cols), dtype)

@@ -1,8 +1,9 @@
 """Conventional ZY-representation SBR (the MAGMA ``ssytrd_sy2sb`` algorithm).
 
 Per panel (Dongarra, Sorensen & Hammarling 1989; paper §3.3): QR-factor the
-panel, build its WY pair, then apply the two-sided update to the *entire*
-trailing matrix as a rank-2b subtraction,
+panel into its WY pair (the paper's TSQR panel of :mod:`repro.sbr.panel`,
+the same one :func:`repro.sbr.wy.sbr_wy` runs), then apply the two-sided
+update to the *entire* trailing matrix as a rank-2b subtraction,
 
     Z = A W - (1/2) Y (W^T A W),
     A <- A - Z Y^T - Y Z^T.
@@ -28,6 +29,7 @@ GEMM tags (recorded in the engine trace):
 ``zy_z``              ``Y @ (W^T A W)``  (m×b)·(b×b)
 ``zy_zyt``/``zy_yzt`` the two rank-2b outer products  (m×b)·(b×m)
 ``form_q``            trailing Q accumulation (when requested)
+``panel_*``           the panel factorization (:mod:`repro.sbr.panel`)
 ====================  =====================================================
 """
 
@@ -42,7 +44,7 @@ from ..perf import resolve_workspace
 from ..resilience.context import ResilienceContext
 from ..validation import as_symmetric_matrix, check_blocksizes, check_finite_matrix
 from .ckptio import restore_resilience_state, save_zy_panel
-from .panel import PanelStrategy, make_panel_strategy
+from .panel import factor_panel
 from .types import SbrResult, WYBlock, unpack_wy_blocks
 
 __all__ = ["sbr_zy"]
@@ -53,7 +55,6 @@ def sbr_zy(
     b: int,
     *,
     engine: GemmEngine | None = None,
-    panel: "str | PanelStrategy" = "blocked_qr",
     want_q: bool = True,
     use_syr2k: bool = False,
     workspace=None,
@@ -71,8 +72,6 @@ def sbr_zy(
         Target (semi-)bandwidth.
     engine : GemmEngine, optional
         GEMM engine implementing the precision policy (default FP32 SGEMM).
-    panel : str or PanelStrategy
-        Panel factorization (default blocked Householder QR, as in MAGMA).
     want_q : bool
         Whether to accumulate the orthogonal transform ``Q`` (with
         ``A ≈ Q B Q^T``).
@@ -110,7 +109,6 @@ def sbr_zy(
     ctx = resilience
     if ctx is not None:
         eng = ctx.wrap_engine(eng)
-    strategy = make_panel_strategy(panel)
     a = np.asarray(a)
     if check_finite and a.ndim == 2 and a.size:
         # Before the symmetry check: a NaN fails allclose and would be
@@ -155,7 +153,7 @@ def sbr_zy(
             flush_q = q[:, i + b:].copy() if q is not None else None
         try:
             w, y = _resilient_zy_panel(
-                A, q, eng, strategy, ctx,
+                A, q, eng, ctx,
                 b=b, i=i, n=n, use_syr2k=use_syr2k,
                 panel_index=panel_index, norm_baseline=norm_baseline,
             )
@@ -194,13 +192,13 @@ def sbr_zy(
 
 
 def _resilient_zy_panel(
-    A, q, eng, strategy, ctx,
+    A, q, eng, ctx,
     *, b, i, n, use_syr2k, panel_index, norm_baseline,
 ):
     """One ZY panel as a retryable unit (checkpoint: A[i:, i:], Q[:, i+b:])."""
     if ctx is None:
         return _zy_panel_step(
-            A, q, eng, strategy, None,
+            A, q, eng, None,
             b=b, i=i, n=n, use_syr2k=use_syr2k,
             panel_index=panel_index, norm_baseline=norm_baseline,
         )
@@ -211,7 +209,7 @@ def _resilient_zy_panel(
         try:
             with ctx.unit("sbr.panel", panel=panel_index):
                 return _zy_panel_step(
-                    A, q, eng, strategy, ctx,
+                    A, q, eng, ctx,
                     b=b, i=i, n=n, use_syr2k=use_syr2k,
                     panel_index=panel_index, norm_baseline=norm_baseline,
                 )
@@ -228,37 +226,17 @@ def _resilient_zy_panel(
 
 
 def _zy_panel_step(
-    A, q, eng, strategy, ctx,
+    A, q, eng, ctx,
     *, b, i, n, use_syr2k, panel_index, norm_baseline,
 ):
     """Panel QR + rank-2b trailing update + Q accumulation (one panel)."""
     dtype = A.dtype
     m = n - i - b
     w_cols = min(b, m)
-    with obs.span("sbr.panel", rows=m, cols=w_cols):
-        try:
-            pf = strategy.factor(A[i + b :, i : i + w_cols], engine=eng)
-        except SingularMatrixError as exc:
-            if exc.panel is None:
-                exc.panel = panel_index
-            raise
-    w, y = pf.w.astype(dtype, copy=False), pf.y.astype(dtype, copy=False)
-    if ctx is not None:
-        ctx.check_panel(w, y, precision=eng.precision)
-
-    # Write R into the band, zero the annihilated part, mirror symmetric.
-    A[i + b : i + b + w_cols, i : i + w_cols] = pf.r.astype(dtype, copy=False)
-    A[i + b + w_cols :, i : i + w_cols] = 0
-    A[i : i + w_cols, i + b :] = A[i + b :, i : i + w_cols].T
-
-    if w_cols < b:
-        # Tail panel: columns [i+w, i+b) still carry in-band entries on
-        # the panel's row range; they see only this panel's transform
-        # from the left (no trailing panel follows).
-        strip = A[i + b :, i + w_cols : i + b]
-        wts = eng.gemm(w.T, strip, tag="sbr_strip")
-        strip -= eng.gemm(y, wts, tag="sbr_strip")
-        A[i + w_cols : i + b, i + b :] = strip.T
+    pf = factor_panel(
+        A, i, b, w_cols, engine=eng, resilience=ctx, panel_index=panel_index,
+    )
+    w, y = pf.w, pf.y
 
     # ZY trailing update on the m×m trailing block (two-sided rank-2b).
     with obs.span("sbr.trailing_update", rows=m):

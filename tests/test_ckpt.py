@@ -664,7 +664,8 @@ class TestResumeOverrides:
         # in run.json; resuming it is refused with the structured
         # config-mismatch error, not a TypeError.
         for knob, value in (("bulge_variant", "givens"),
-                            ("tridiag_solver", "dc")):
+                            ("tridiag_solver", "dc"),
+                            ("panel", "tsqr")):
             base = tmp_path / knob
             self._crashed_run(base)
             path = base / "run" / "run.json"

@@ -38,8 +38,7 @@ class TestSyevd2Stage:
         params = inspect.signature(syevd_2stage).parameters
         keywords = [n for n, p in params.items() if p.kind is p.KEYWORD_ONLY]
         assert keywords == [
-            "b", "nb", "method", "precision", "engine", "panel",
-            "want_vectors", "record_trace", "workspace", "on_breakdown",
+            "b", "nb", "method", "precision", "engine", "want_vectors", "record_trace", "workspace", "on_breakdown",
             "ladder", "detectors", "faults", "abft", "checkpoint",
             "check_finite", "check_input", "live", "trace",
         ]

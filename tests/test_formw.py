@@ -93,9 +93,9 @@ class TestFormQFromBlocks:
         # accumulation applied block by block.
         a = random_symmetric(96, rng)
         eng_tree = Fp64Engine(record=True)
-        sbr_wy(a, 8, 32, engine=eng_tree, want_q=True, q_method="tree", panel="blocked_qr")
+        sbr_wy(a, 8, 32, engine=eng_tree, want_q=True, q_method="tree")
         eng_fwd = Fp64Engine(record=True)
-        sbr_wy(a, 8, 32, engine=eng_fwd, want_q=True, q_method="forward", panel="blocked_qr")
+        sbr_wy(a, 8, 32, engine=eng_fwd, want_q=True, q_method="forward")
         n_tree = len(eng_tree.trace.by_tag("form_q")) + len(eng_tree.trace.by_tag("formw"))
         n_fwd = len(eng_fwd.trace.by_tag("form_q"))
         assert n_tree <= n_fwd + 2

@@ -131,7 +131,7 @@ class TestTraceToModelPipeline:
         n, b, nb = 96, 8, 32
         a, _ = generate_symmetric(n, rng=rng)
         eng = make_engine("fp32", record=True)
-        sbr_wy(a, b, nb, engine=eng, want_q=False, panel="blocked_qr")
+        sbr_wy(a, b, nb, engine=eng, want_q=False)
         rec = eng.trace.filter(lambda r: is_algorithm_tag(r.tag))
         sym = trace_sbr_wy(n, b, nb, want_q=False, mirror=True)
         pm = PerfModel()

@@ -14,7 +14,6 @@ from repro.la import (
     apply_qt_left,
     apply_reflector_left,
     apply_reflector_right,
-    build_compact_wy,
     build_wy,
     extend_wy,
     make_reflector,
@@ -159,24 +158,6 @@ class TestBuildWY:
     def test_betas_length_mismatch(self, rng):
         with pytest.raises(ShapeError):
             build_wy(rng.standard_normal((5, 2)), [0.5])
-
-
-class TestCompactWY:
-    def test_w_equals_y_t(self, rng):
-        v_cols, betas = _random_reflectors(10, 4, rng)
-        w, y = build_wy(v_cols, betas)
-        t = build_compact_wy(v_cols, betas)
-        np.testing.assert_allclose(w, y @ t, atol=1e-13)
-
-    def test_t_upper_triangular(self, rng):
-        v_cols, betas = _random_reflectors(10, 4, rng)
-        t = build_compact_wy(v_cols, betas)
-        np.testing.assert_array_equal(np.tril(t, -1), 0)
-
-    def test_t_diagonal_is_betas(self, rng):
-        v_cols, betas = _random_reflectors(10, 4, rng)
-        t = build_compact_wy(v_cols, betas)
-        np.testing.assert_allclose(np.diagonal(t), betas, atol=1e-14)
 
 
 class TestExtendWY:

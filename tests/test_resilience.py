@@ -120,11 +120,11 @@ class TestMeasurements:
         assert max_abs(np.array([], dtype=np.float64)) == 0.0
 
     def test_orthogonality_defect_clean_vs_corrupt(self, rng):
-        from repro.sbr.panel import make_panel_strategy
+        from repro.la import blocked_qr, build_wy
 
         x = rng.standard_normal((32, 6))
-        pf = make_panel_strategy("blocked_qr").factor(x.copy())
-        w, y = pf.w, pf.y
+        v_cols, betas, _ = blocked_qr(x)
+        w, y = build_wy(v_cols, betas)
         assert panel_orthogonality_defect(w, y) < 1e-12
         w_bad = w.copy()
         w_bad[0, 0] += 0.05

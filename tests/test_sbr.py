@@ -1,4 +1,4 @@
-"""Tests for the band-reduction drivers (ZY, WY) and panel strategies."""
+"""Tests for the band-reduction drivers (ZY, WY) and their shared panel."""
 
 from __future__ import annotations
 
@@ -10,50 +10,39 @@ from repro.gemm import Fp64Engine, SgemmEngine, TensorCoreEngine, EcTensorCoreEn
 from repro.la import bandwidth_of, wy_matrix
 from repro.metrics import backward_error, orthogonality_error
 from repro.precision import FP16_EPS
-from repro.sbr import (
-    BlockedQrPanel,
-    TsqrPanel,
-    UnblockedQrPanel,
-    make_panel_strategy,
-    sbr_wy,
-    sbr_zy,
-)
+from repro.sbr import factor_panel, sbr_wy, sbr_zy
 from tests.conftest import random_symmetric
 
 
-class TestPanelStrategies:
-    @pytest.mark.parametrize("strategy", [TsqrPanel(), BlockedQrPanel(), UnblockedQrPanel()])
-    @pytest.mark.parametrize("m,w", [(40, 8), (16, 16), (25, 4)])
-    def test_factorization_identity(self, rng, strategy, m, w):
-        panel = rng.standard_normal((m, w))
-        pf = strategy.factor(panel, engine=Fp64Engine())
-        q_full = wy_matrix(pf.w, pf.y)
-        np.testing.assert_allclose(q_full[:, :w] @ pf.r, panel, atol=1e-10)
-        np.testing.assert_allclose(q_full.T @ q_full, np.eye(m), atol=1e-10)
+class TestFactorPanel:
+    @staticmethod
+    def _factor(a, b, width):
+        A = a.copy()
+        pf = factor_panel(A, 0, b, width, engine=Fp64Engine())
+        return A, pf
 
-    @pytest.mark.parametrize("strategy", [TsqrPanel(), BlockedQrPanel(), UnblockedQrPanel()])
-    def test_r_upper_triangular(self, rng, strategy):
-        pf = strategy.factor(rng.standard_normal((30, 6)), engine=Fp64Engine())
+    @pytest.mark.parametrize("n,b,width", [(48, 8, 8), (32, 16, 16), (29, 4, 4), (12, 8, 4)])
+    def test_factorization_identity(self, rng, n, b, width):
+        a = random_symmetric(n, rng)
+        A, pf = self._factor(a, b, width)
+        panel = a[b:, :width]
+        m = n - b
+        q_full = wy_matrix(pf.w, pf.y)
+        np.testing.assert_allclose(q_full[:, :width] @ pf.r, panel, atol=1e-10)
+        np.testing.assert_allclose(q_full.T @ q_full, np.eye(m), atol=1e-10)
+        # R lands in the band, the annihilated rows are zero, and the
+        # panel is mirrored.
+        np.testing.assert_array_equal(A[b : b + width, :width], pf.r)
+        np.testing.assert_array_equal(A[b + width :, :width], 0)
+        np.testing.assert_array_equal(A[:width, b:], A[b:, :width].T)
+
+    def test_r_upper_triangular(self, rng):
+        _, pf = self._factor(random_symmetric(36, rng), 6, 6)
         np.testing.assert_allclose(np.tril(pf.r, -1), 0, atol=1e-12)
 
     def test_rejects_wide_panel(self, rng):
         with pytest.raises(ShapeError):
-            TsqrPanel().factor(rng.standard_normal((4, 8)))
-
-    def test_make_panel_strategy(self):
-        assert isinstance(make_panel_strategy("tsqr"), TsqrPanel)
-        assert isinstance(make_panel_strategy("blocked_qr"), BlockedQrPanel)
-        assert isinstance(make_panel_strategy("unblocked_qr"), UnblockedQrPanel)
-        strat = TsqrPanel()
-        assert make_panel_strategy(strat) is strat
-
-    def test_make_panel_strategy_unknown(self):
-        with pytest.raises(ShapeError):
-            make_panel_strategy("cholesky")
-
-    def test_blocked_panel_bad_block(self):
-        with pytest.raises(ShapeError):
-            BlockedQrPanel(block=0)
+            self._factor(random_symmetric(12, rng), 8, 8)
 
 
 def _check_sbr(a, res, *, tol_back, tol_orth, tol_eig):
@@ -106,6 +95,17 @@ class TestSbrZy:
         res = sbr_zy(a, 8, engine=SgemmEngine(), want_q=True)
         _check_sbr(a, res, tol_back=1e-6, tol_orth=1e-5, tol_eig=1e-4)
 
+    def test_runs_the_tsqr_panel(self, rng):
+        # Both SBRs factor panels with the paper's TSQR + reconstruction.
+        # n=720, b=40: the first panel spans two TSQR leaves (so the tree
+        # issues GEMMs) and is wider than blocked QR's 32-column block
+        # (which would issue qr_trailing GEMMs).
+        eng = Fp64Engine(record=True)
+        sbr_zy(random_symmetric(720, rng), 40, engine=eng, want_q=False)
+        tags = set(eng.trace.tags())
+        assert {"panel_tsqr", "panel_reconstruct"} <= tags
+        assert "qr_trailing" not in tags
+
 
 class TestSbrWy:
     @pytest.mark.parametrize(
@@ -115,12 +115,6 @@ class TestSbrWy:
     def test_fp64_correct(self, rng, n, b, nb):
         a = random_symmetric(n, rng)
         res = sbr_wy(a, b, nb, engine=Fp64Engine(), want_q=True)
-        _check_sbr(a, res, tol_back=1e-13, tol_orth=1e-12, tol_eig=1e-11)
-
-    @pytest.mark.parametrize("panel", ["tsqr", "blocked_qr", "unblocked_qr"])
-    def test_panel_strategies_agree(self, rng, panel):
-        a = random_symmetric(80, rng)
-        res = sbr_wy(a, 8, 32, engine=Fp64Engine(), panel=panel, want_q=True)
         _check_sbr(a, res, tol_back=1e-13, tol_orth=1e-12, tol_eig=1e-11)
 
     def test_matches_zy_band_eigenvalues(self, rng):

@@ -63,7 +63,7 @@ class TestWyTraceFidelity:
     def test_matches_recorded(self, rng, n, b, nb, want_q):
         a = random_symmetric(n, rng)
         eng = Fp64Engine(record=True)
-        sbr_wy(a, b, nb, engine=eng, want_q=want_q, panel="blocked_qr")
+        sbr_wy(a, b, nb, engine=eng, want_q=want_q)
         rec = _recorded_algorithm_trace(eng)
         sym = trace_sbr_wy(n, b, nb, want_q=want_q, mirror=True)
         assert rec.shape_multiset_by_tag() == sym.shape_multiset_by_tag()
@@ -72,7 +72,7 @@ class TestWyTraceFidelity:
         n, b, nb = 64, 8, 32
         a = random_symmetric(n, rng)
         eng = Fp64Engine(record=True)
-        sbr_wy(a, b, nb, engine=eng, want_q=True, q_method="forward", panel="blocked_qr")
+        sbr_wy(a, b, nb, engine=eng, want_q=True, q_method="forward")
         rec = _recorded_algorithm_trace(eng)
         sym = trace_sbr_wy(n, b, nb, want_q=True, q_method="forward", mirror=True)
         assert rec.shape_multiset_by_tag() == sym.shape_multiset_by_tag()
