@@ -30,7 +30,8 @@ Engines constructed with a :class:`repro.perf.Workspace` reuse their
 kernels' internal scratch (EC split buffers, chunk accumulators) across
 calls, and :meth:`~GemmEngine.prepare_operand` amortizes an engine's
 operand transformation (the EC hi/lo split) across repeated multiplies
-against the same matrix.
+against the same matrix, or against column blocks of a buffer that is
+re-prepared only where it was written.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class GemmEngine(ABC):
             return None, True
         return out, False
 
-    def prepare_operand(self, a, *, tag: str = "prep"):
+    def prepare_operand(self, a, *, tag: str = "prep", cols: int | None = None):
         """Pre-process an operand for repeated :meth:`gemm` calls.
 
         Engines whose kernels transform operands before multiplying (the
@@ -158,9 +159,19 @@ class GemmEngine(ABC):
         amortizes that transformation; all other engines return the
         array unchanged.  The handle is valid while the source array's
         contents are unchanged and may be passed as either ``gemm``
-        operand (not with ``ta``/``tb``).  Results are bitwise identical
-        to passing the array.
+        operand (not with ``ta``/``tb``; its views ``h[:, i:j]``,
+        ``h[r:]`` and ``h.T`` serve instead).  Results are bitwise
+        identical to passing the array.
+
+        ``cols`` prepares only the leading ``cols`` columns of a 2-D
+        buffer that the caller fills column block by column block.
+        Passing a handle (or a view of one) re-prepares it in place from
+        its source's current contents — on *every* engine, so a handle
+        refreshed while an escalated engine is active is current again
+        when the handle's own engine is restored.
         """
+        if isinstance(a, EcOperand):
+            return a.resplit()
         return np.asarray(a)
 
     def gemm(self, a, b, *, tag: str = "", out=None, ta: bool = False,
@@ -171,7 +182,7 @@ class GemmEngine(ABC):
         ----------
         a, b : array_like
             2-D operands with matching inner dimension (or handles from
-            :meth:`prepare_operand`).
+            :meth:`prepare_operand`, or their ``h[...]``/``h.T`` views).
         tag : str
             Semantic label recorded in the trace (call-site identity).
         out : ndarray, optional
@@ -184,7 +195,8 @@ class GemmEngine(ABC):
         ta, tb : bool
             Multiply with the operand transposed (a no-copy view) —
             ``gemm(a, b, ta=True)`` is ``a.T @ b`` without the caller
-            materializing ``a.T``.  Not supported for prepared operands.
+            materializing ``a.T``.  Not supported for prepared operands
+            (pass the handle's ``.T`` view instead).
         """
         prep_a = isinstance(a, EcOperand)
         prep_b = isinstance(b, EcOperand)
@@ -412,14 +424,18 @@ class EcTensorCoreEngine(GemmEngine):
         super().__init__(record=record, workspace=workspace)
         self.chunk_k = chunk_k
 
-    def prepare_operand(self, a, *, tag: str = "prep"):
+    def prepare_operand(self, a, *, tag: str = "prep", cols: int | None = None):
         """Hi/lo-split ``a`` once for repeated multiplication.
 
         The SBR drivers prepare the block-constant trailing matrix OA so
         its FP16 split (several full passes over an M×M array) is paid
-        once per big block instead of once per panel.
+        once per big block instead of once per panel, and the block's
+        growing ``W``/``Y``/``OAW`` buffers (``cols=``) so each column
+        is split once, when it is written.
         """
-        return ec_prepare(a, ws=self.workspace, name=tag)
+        if isinstance(a, EcOperand):
+            return a.resplit()
+        return ec_prepare(a, ws=self.workspace, name=tag, cols=cols)
 
     def _matmul(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         return ec_tcgemm(a, b, chunk_k=self.chunk_k, out=out, ws=self.workspace)

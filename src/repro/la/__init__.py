@@ -6,10 +6,11 @@ This package is the substrate beneath the band-reduction algorithms:
   application (the BLAS2 core).
 - :mod:`~repro.la.wy` — WY accumulation of reflector products (Bischof &
   Van Loan 1987).
-- :mod:`~repro.la.qr` — unblocked and blocked Householder QR (the TSQR
-  leaves and tree merges).
+- :mod:`~repro.la.qr` — unblocked and blocked Householder QR (the panel
+  ablation baselines and the randomized SVD's range basis).
 - :mod:`~repro.la.tsqr` — communication-avoiding Tall-Skinny QR with
-  Householder local factorizations (paper §5.1).
+  Householder local factorizations (LAPACK ``geqrf`` + ``orgqr``; paper
+  §5.1).
 - :mod:`~repro.la.lu` — non-pivoting LU and triangular solves.
 - :mod:`~repro.la.reconstruct` — Householder-vector reconstruction from an
   explicit Q via non-pivoted LU (Ballard et al. 2014; paper Algorithm 3).

@@ -1,10 +1,10 @@
 """Householder QR factorizations: unblocked and blocked (cuSOLVER-style).
 
-The unblocked routine is the leaf kernel of both the blocked QR and the
-TSQR tree.  The blocked routine mirrors LAPACK ``geqrf``: factor a panel,
-accumulate its WY form, apply ``Q_p^T`` to the trailing columns with two
-GEMMs per panel.  This is the "cuSOLVER panel" baseline of the paper's
-Figure 8.
+The unblocked routine is the leaf kernel of the blocked QR.  The blocked
+routine mirrors LAPACK ``geqrf``: factor a panel, accumulate its WY form,
+apply ``Q_p^T`` to the trailing columns with two GEMMs per panel.  This is
+the "cuSOLVER panel" baseline of the paper's Figure 8.  (TSQR's leaves
+and merges call LAPACK directly; see :mod:`repro.la.tsqr`.)
 """
 
 from __future__ import annotations

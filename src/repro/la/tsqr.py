@@ -11,8 +11,12 @@ column-at-a-time MAGMA/cuSOLVER panels by ~5x (Figure 8).
 Two modifications from the reference GPU implementation are reflected
 here (paper §5.1): local factorizations use **Householder reflections**
 (not modified Gram–Schmidt) for stability, and the leaf kernel works on
-column-major blocks (a data-layout detail with no numerical effect, noted
-for completeness).
+column-major blocks.  Both hold by construction: every leaf and every
+tree merge is one LAPACK ``geqrf`` (Householder QR of a Fortran-ordered
+block) plus ``orgqr`` (its explicit thin Q).  The tree is the
+communication-avoiding QR of Ballard et al., which admits any
+Householder QR at its nodes.  The leaves issue no engine GEMMs, so only
+the Q back-propagation shows in a GEMM trace.
 
 The output is an **explicit Q** — downstream band reduction needs
 Householder vectors, which :func:`repro.la.reconstruct.reconstruct_wy`
@@ -23,30 +27,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from scipy.linalg import get_lapack_funcs
+
+from ..errors import NumericalBreakdownError, ShapeError
 from ..gemm.engine import GemmEngine, PlainEngine
 from ..obs import spans as obs
-from .qr import householder_qr, qr_explicit
 
 __all__ = ["tsqr"]
 
 
-def _leaf_qr(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit-Q Householder QR of one leaf block (unblocked)."""
-    v_cols, betas, r = householder_qr(block)
+def _householder_qr(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Explicit thin Q and R of one tall block: LAPACK ``geqrf`` + ``orgqr``.
+
+    The TSQR leaves and tree merges both run through here.  LAPACK
+    propagates a NaN/Inf silently, so a non-finite block is reported the
+    way the resilience layer expects (``detector="nonfinite"``), and a
+    nonzero ``info`` becomes a structured error too.
+    """
     m, n = block.shape
-    # Thin Q via backward reflector application to the identity: cheap at
-    # leaf sizes, avoids forming the full WY pair.
-    q = np.zeros((m, n), dtype=v_cols.dtype)
-    idx = np.arange(n)
-    q[idx, idx] = 1
-    for j in range(n - 1, -1, -1):
-        beta = betas[j]
-        if beta == 0.0:
-            continue
-        v = v_cols[j:, j]
-        w = v @ q[j:, :]
-        q[j:, :] -= np.multiply.outer(v * q.dtype.type(beta), w)
+    if not np.isfinite(block).all():
+        raise NumericalBreakdownError(
+            "non-finite entry in a TSQR block", detector="nonfinite", site="tsqr",
+        )
+    geqrf, orgqr = get_lapack_funcs(("geqrf", "orgqr"), (block,))
+    qr, tau, _, info = geqrf(block)
+    if info == 0:
+        r = np.triu(qr[:n])
+        q, _, info = orgqr(qr, tau, overwrite_a=1)
+    if info != 0:
+        raise NumericalBreakdownError(
+            f"LAPACK QR of a {m}x{n} TSQR block failed (info={info})",
+            detector="lapack", site="tsqr", value=float(info),
+        )
     return q, r
 
 
@@ -97,10 +109,10 @@ def tsqr(
 
     if leaf_rows is None:
         # A GPU TSQR wants many small leaves for occupancy (the paper's
-        # 4n); this emulation's serial leaf stage is dominated by
-        # per-leaf interpreter overhead instead, so default to taller
-        # leaves.  Any leaf_rows >= n is numerically valid — this only
-        # moves work between the leaf and tree stages.
+        # 4n); this emulation runs its leaves one after another, so each
+        # extra leaf only adds a LAPACK call pair and merge GEMMs —
+        # default to taller leaves.  Any leaf_rows >= n is numerically
+        # valid — this only moves work between the leaf and tree stages.
         leaf_rows = max(16 * n, 256)
     if leaf_rows < n:
         raise ShapeError(f"leaf_rows={leaf_rows} must be >= n={n}")
@@ -113,7 +125,7 @@ def tsqr(
     bounds = [(s, (splits[i + 1] if i + 1 < len(splits) else m)) for i, s in enumerate(splits)]
 
     with obs.span("tsqr.leaf", leaves=len(bounds), cols=n):
-        leaves = [_leaf_qr(a[lo:hi, :]) for lo, hi in bounds]
+        leaves = [_householder_qr(a[lo:hi, :]) for lo, hi in bounds]
     q_blocks = [q for q, _ in leaves]
     r_blocks = [r for _, r in leaves]
 
@@ -132,7 +144,7 @@ def tsqr(
             jobs: list[tuple[np.ndarray, np.ndarray]] = []
             for i in pairs:
                 stacked = np.vstack([r_blocks[i], r_blocks[i + 1]])
-                q_inner, r_merged = qr_explicit(stacked, engine=None)
+                q_inner, r_merged = _householder_qr(stacked)
                 halves.append((q_inner[:n, :], q_inner[n:, :]))
                 next_r.append(r_merged)
             for p, i in enumerate(pairs):

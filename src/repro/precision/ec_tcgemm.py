@@ -19,6 +19,12 @@ Cores.  Two refinements from the original method are modelled:
 
 The result matches a plain FP32 SGEMM to within a few FP32 ulps — property
 tests assert a relative error floor near ``2^-24`` rather than ``2^-11``.
+
+On the host the hi/lo split (a few elementwise passes per operand) costs
+as much as the three FP32 products, so an operand multiplied more than
+once is split once: :func:`ec_prepare` returns an :class:`EcOperand`
+handle, views of which multiply without re-splitting.  Every split
+counts its elements into the ``ec_split_elems`` span counter.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
+from ..obs import spans as _obs
 from .rounding import OOTOMO_SCALE, split_fp16, split_fp16_into
 
 __all__ = ["EcOperand", "ec_prepare", "ec_tcgemm"]
@@ -33,6 +40,7 @@ __all__ = ["EcOperand", "ec_prepare", "ec_tcgemm"]
 
 def _split(x, ws, name: str):
     """Hi/lo FP16 split of one operand, through workspace buffers if given."""
+    _obs.counter("ec_split_elems", x.size)
     if ws is None:
         return split_fp16(x)
     hi = ws.take(f"ec_{name}_hi", x.shape, np.float32)
@@ -41,16 +49,44 @@ def _split(x, ws, name: str):
     return split_fp16_into(x, hi, lo, f16)
 
 
+def _hi_lo(x, ws, name: str):
+    """The split of one ``ec_tcgemm`` operand: a handle's, or a fresh one.
+
+    A handle's split goes to BLAS in the memory order a fresh split of
+    the same view would have, so BLAS runs the same kernel and sums in
+    the same order: the product is bitwise what the array would give.
+    A fresh split keeps the view's order without an arena (``astype``)
+    and is row-major in one (the arena's buffers), so through an arena a
+    transposed view is copied to row-major (two copies, far cheaper than
+    a split).
+    """
+    if not isinstance(x, EcOperand):
+        return _split(x, ws, name)
+    if ws is None or x.hi.strides[-1] == x.hi.itemsize:
+        return x.hi, x.lo
+    hi = ws.take(f"ec_{name}_hi", x.shape, np.float32)
+    lo = ws.take(f"ec_{name}_lo", x.shape, np.float32)
+    np.copyto(hi, x.hi)
+    np.copyto(lo, x.lo)
+    return hi, lo
+
+
 class EcOperand:
     """A pre-split EC operand: the hi/lo FP16 decomposition, computed once.
 
     The SBR big-block loop multiplies the *same* trailing matrix OA
-    against a fresh panel's W columns many times per block; splitting OA
-    on every call is pure overhead (several full passes over an M×M
-    array, comparable to the GEMM itself at small n).  ``ec_prepare``
-    performs the split once and :func:`ec_tcgemm` accepts the handle in
-    place of the array.  The handle is valid while the source array's
-    contents are unchanged — re-prepare after mutating it.
+    against a fresh panel's W columns many times per block, and the
+    block's accumulated ``W``/``Y``/``OAW`` grow by one panel of columns
+    per step while every earlier column stays put; splitting them on
+    every call is pure overhead.  ``ec_prepare`` performs the split once
+    and :func:`ec_tcgemm` accepts the handle in place of the array.
+
+    Basic indexing (``h[:, :k]``, ``h[r:]``) and ``h.T`` return views:
+    handles whose ``array``, ``hi`` and ``lo`` are the same views of the
+    parent's buffers.  A handle is valid while its source's contents are
+    unchanged; after writing into the source, :meth:`resplit` the view
+    over the written region (the split is elementwise, so the refreshed
+    handle is bitwise what a fresh :func:`ec_prepare` would give).
     """
 
     __slots__ = ("array", "hi", "lo")
@@ -68,8 +104,22 @@ class EcOperand:
     def ndim(self) -> int:
         return self.array.ndim
 
+    @property
+    def T(self) -> "EcOperand":
+        return EcOperand(self.array.T, self.hi.T, self.lo.T)
 
-def ec_prepare(a, *, ws=None, name: str = "prep") -> EcOperand:
+    def __getitem__(self, key) -> "EcOperand":
+        return EcOperand(self.array[key], self.hi[key], self.lo[key])
+
+    def resplit(self) -> "EcOperand":
+        """Re-split the source's current contents into ``hi``/``lo``, in place."""
+        _obs.counter("ec_split_elems", self.array.size)
+        split_fp16_into(self.array, self.hi, self.lo,
+                        np.empty(self.array.shape, np.float16))
+        return self
+
+
+def ec_prepare(a, *, ws=None, name: str = "prep", cols: int | None = None) -> EcOperand:
     """Split ``a`` once for repeated use in :func:`ec_tcgemm`.
 
     With a workspace the split lives in arena buffers under
@@ -77,10 +127,23 @@ def ec_prepare(a, *, ws=None, name: str = "prep") -> EcOperand:
     later unprepared calls through the same arena do not clobber the
     handle.  A later ``ec_prepare`` with the same ``name`` reuses (and
     overwrites) the buffers, invalidating the previous handle.
+
+    ``cols`` splits only the leading ``cols`` columns of a 2-D ``a``;
+    the rest of the handle holds arbitrary bytes until a view over them
+    is :meth:`~EcOperand.resplit` (a buffer that is filled column block
+    by column block pays each column's split once).
     """
     a = np.asarray(a, dtype=np.float32)
-    hi, lo = _split(a, ws, name)
-    return EcOperand(a, hi, lo)
+    if ws is None:
+        # In the source's memory order, as a fresh split's ``astype``.
+        hi = np.empty_like(a)
+        lo = np.empty_like(a)
+    else:
+        hi = ws.take(f"ec_{name}_hi", a.shape, np.float32)
+        lo = ws.take(f"ec_{name}_lo", a.shape, np.float32)
+    h = EcOperand(a, hi, lo)
+    (h if cols is None else h[:, :cols]).resplit()
+    return h
 
 
 def ec_tcgemm(
@@ -126,8 +189,8 @@ def ec_tcgemm(
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
 
-    a_hi, a_lo = (a.hi, a.lo) if isinstance(a, EcOperand) else _split(a, ws, "a")
-    b_hi, b_lo = (b.hi, b.lo) if isinstance(b, EcOperand) else _split(b, ws, "b")
+    a_hi, a_lo = _hi_lo(a, ws, "a")
+    b_hi, b_lo = _hi_lo(b, ws, "b")
 
     out_shape = a.shape[:-1] + (b.shape[-1],)
     main = tcgemm(a_hi, b_hi, operand_format="fp32", chunk_k=chunk_k, out=out, ws=ws)

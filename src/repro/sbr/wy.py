@@ -39,7 +39,11 @@ arena (``workspace=``).  ``W``/``Y``/``OAW`` grow *in place* inside
 preallocated ``(M, nb)`` buffers (leading dimension ``nb``, so the
 ``[:, :k]`` views are BLAS-ready without packing copies), ``OA`` and the
 update scratch reuse arena buffers, and the engine-level workspace lets
-the EC Tensor-Core GEMMs reuse their operand-split buffers.  The arena is
+the EC Tensor-Core GEMMs reuse their operand-split buffers.  ``OA`` and
+the three growing buffers are passed to the GEMMs as prepared operands
+(:meth:`~repro.gemm.engine.GemmEngine.prepare_operand`): under the EC
+engine each column's hi/lo split is paid once per big block, when the
+column is written, instead of in every GEMM that reads it.  The arena is
 attached to the engine when the engine has none, so one arena serves both
 layers; pass ``workspace=False`` to disable reuse (every take allocates —
 the control arm the benchmarks and tests compare against).
@@ -92,16 +96,42 @@ class _BlockState:
 
     ``w``/``y``/``oaw`` are ``(M, nb)`` buffers with the first ``k``
     columns live; extensions write columns ``k:k+w`` in place instead of
-    re-``hstack``-ing ever-larger copies each panel.
+    re-``hstack``-ing ever-larger copies each panel.  ``hw``/``hy``/
+    ``hoaw`` are the engine's prepared operands over the same buffers
+    (the buffers themselves on engines that transform no operand), and
+    the GEMMs take views of them.  A column written after the handles
+    were made is re-prepared once, by :meth:`refresh`, so the EC hi/lo
+    split of each column is paid once per big block, not once per GEMM.
+    ``live`` is the ``(W, Y, OAW)`` of a mid-block checkpoint resume.
     """
 
-    __slots__ = ("w", "y", "oaw", "k")
+    __slots__ = ("w", "y", "oaw", "hw", "hy", "hoaw", "k")
 
-    def __init__(self, ws: Workspace, M: int, nb: int, dtype) -> None:
+    def __init__(self, ws: Workspace, eng: GemmEngine, M: int, nb: int, dtype,
+                 live=None) -> None:
         self.w = ws.take("sbr_W", (M, nb), dtype)
         self.y = ws.take("sbr_Y", (M, nb), dtype)
         self.oaw = ws.take("sbr_OAW", (M, nb), dtype)
         self.k = 0
+        if live is not None:
+            self.k = k = live[0].shape[1]
+            for buf, cols in zip((self.w, self.y, self.oaw), live):
+                buf[:, :k] = cols
+        self.hw = eng.prepare_operand(self.w, tag="sbr_W", cols=self.k)
+        self.hy = eng.prepare_operand(self.y, tag="sbr_Y", cols=self.k)
+        self.hoaw = eng.prepare_operand(self.oaw, tag="sbr_OAW", cols=self.k)
+
+    def refresh(self, eng: GemmEngine, handles, k0: int, k1: int, *, tag: str) -> None:
+        """Re-prepare columns ``k0:k1`` of ``handles`` after writing them.
+
+        Goes through ``eng.prepare_operand`` whichever engine is active:
+        every engine re-splits a handle, so the columns an escalated
+        panel wrote are current when the base engine is restored.
+        """
+        if self.hw is self.w:
+            return  # the engine prepared plain arrays: nothing to refresh
+        for h in handles:
+            eng.prepare_operand(h[:, k0:k1], tag=tag)
 
     @property
     def W(self) -> np.ndarray:
@@ -116,14 +146,14 @@ class _BlockState:
         return self.oaw[:, : self.k]
 
 
-def _gemm_into(eng, a, b, view, *, tag, ta=False, tb=False):
+def _gemm_into(eng, a, b, view, *, tag):
     """GEMM into a preallocated view, honoring engine substitution.
 
     A wrapping engine (fault injection, escalation) may return an array
     other than ``out`` — the returned value is authoritative, so copy it
     back into the view in that case.
     """
-    res = eng.gemm(a, b, tag=tag, out=view, ta=ta, tb=tb)
+    res = eng.gemm(a, b, tag=tag, out=view)
     if res is not view:
         view[...] = res
     return view
@@ -236,21 +266,18 @@ def sbr_wy(
 
     while n - j0 - b >= 2:
         M = n - j0 - b  # size of the block's trailing row/col space S
-        st = _BlockState(ws, M, min(nb, M), dtype)
         OA = ws.take("sbr_OA", (M, M), dtype)
+        live = None
         if pending is not None:
             oa_r, w_r, y_r, oaw_r, r_start = pending
             pending = None
             np.copyto(OA, oa_r)
-            k = w_r.shape[1]
-            st.w[:, :k] = w_r
-            st.y[:, :k] = y_r
-            st.oaw[:, :k] = oaw_r
-            st.k = k
+            live = (w_r, y_r, oaw_r)
         else:
             # Original trailing matrix for this big block (paper: OA).
             np.copyto(OA, A[j0 + b :, j0 + b :])
             r_start = 0
+        st = _BlockState(ws, eng, M, min(nb, M), dtype, live=live)
         # OA is constant for the whole big block: let the engine
         # amortize its operand transformation (the EC hi/lo FP16
         # split — several full M×M passes) across the block's
@@ -462,18 +489,20 @@ def _panel_step(
             wp[:r] = 0
             wp[r:] = pf.w
             ytwp = ws.take("sbr_ytwp", (K, w_cols), dtype)
-            _gemm_into(eng, st.Y, wp, ytwp, ta=True, tag="form_w")
+            _gemm_into(eng, st.hy[:, :K].T, wp, ytwp, tag="form_w")
             tmp = ws.take("sbr_wtmp", (M, w_cols), dtype)
-            _gemm_into(eng, st.W, ytwp, tmp, tag="form_w")
+            _gemm_into(eng, st.hw[:, :K], ytwp, tmp, tag="form_w")
             np.subtract(wp, tmp, out=st.w[:, K : K + w_cols])
         st.k = K + w_cols
+        st.refresh(eng, (st.hw, st.hy), K, st.k, tag="form_w")
 
     # --- Incremental OA @ W cache (the 'reuse the original matrix'
     #     cost of Algorithm 1's inner loop). -------------------------
     with obs.span("sbr.oaw"):
         _gemm_into(
-            eng, oa_op, st.w[:, K : st.k], st.oaw[:, K : st.k], tag="wy_oaw",
+            eng, oa_op, st.hw[:, K : st.k], st.oaw[:, K : st.k], tag="wy_oaw",
         )
+        st.refresh(eng, (st.hoaw,), K, st.k, tag="wy_oaw")
 
     if m <= b + 1:
         # Tail: no further panel will run (the next would have
@@ -537,16 +566,15 @@ def _partial_update(
     dtype = A.dtype
     M = OA.shape[0]
     K = st.k
-    W, Y, OAW = st.W, st.Y, st.OAW
-    yc = Y[r : r + cn, :]
+    W, Y, OAW = st.hw[:, :K], st.hy[:, :K], st.hoaw[:, :K]
     # Right update: X = OA[:, r:r+cn] - (OA W) Y_c^T  (full column block —
     # the left update's W^T X needs every row of X).
     x = ws.take("sbr_x", (M, cn), dtype)
-    _gemm_into(eng, OAW, yc, x, tb=True, tag="wy_right")
+    _gemm_into(eng, OAW, Y[r : r + cn].T, x, tag="wy_right")
     np.subtract(OA[:, r : r + cn], x, out=x)
     # Left update restricted to the needed rows r..M.
     wtx = ws.take("sbr_wtx", (K, cn), dtype)
-    _gemm_into(eng, W, x, wtx, ta=True, tag="wy_left")
+    _gemm_into(eng, W.T, x, wtx, tag="wy_left")
     ga = ws.take("sbr_ga", (M - r, cn), dtype)
     _gemm_into(eng, Y[r:], wtx, ga, tag="wy_left")
     np.subtract(x[r:], ga, out=ga)
@@ -584,14 +612,13 @@ def _full_update(
     dtype = A.dtype
     M = OA.shape[0]
     K = st.k
-    W, Y, OAW = st.W, st.Y, st.OAW
+    W, Y, OAW = st.hw[:, :K], st.hy[:, :K], st.hoaw[:, :K]
     T = M - r_end
-    yc = Y[r_end:, :]
     x = ws.take("sbr_fx", (M, T), dtype)
-    _gemm_into(eng, OAW, yc, x, tb=True, tag="wy_full_right")
+    _gemm_into(eng, OAW, Y[r_end:].T, x, tag="wy_full_right")
     np.subtract(OA[:, r_end:], x, out=x)
     wtx = ws.take("sbr_fwtx", (K, T), dtype)
-    _gemm_into(eng, W, x, wtx, ta=True, tag="wy_full_left")
+    _gemm_into(eng, W.T, x, wtx, tag="wy_full_left")
 
     lo = j0 + b + r_end
     for c0, c1 in full_update_col_blocks(T, b, nb):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError, SingularMatrixError
+from repro.errors import NumericalBreakdownError, ShapeError, SingularMatrixError
 from repro.gemm import Fp64Engine, SgemmEngine
 from repro.la import (
     blocked_qr,
@@ -127,6 +127,33 @@ class TestTSQR:
         q, r = tsqr(a, engine=SgemmEngine())
         assert q.dtype == np.float32
         np.testing.assert_allclose(q @ r, a, atol=1e-4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_block_raises_breakdown(self, rng, bad):
+        # LAPACK QR propagates NaN/Inf silently; the leaf reports it.
+        a = rng.standard_normal((64, 4))
+        a[37, 2] = bad
+        with pytest.raises(NumericalBreakdownError) as ei:
+            tsqr(a, leaf_rows=16)
+        assert ei.value.detector == "nonfinite"
+
+    @pytest.mark.parametrize("routine", ["geqrf", "orgqr"])
+    def test_lapack_info_raises_breakdown(self, rng, monkeypatch, routine):
+        import importlib
+
+        mod = importlib.import_module("repro.la.tsqr")
+        real = mod.get_lapack_funcs
+
+        def failing(names, arrays):
+            funcs = dict(zip(names, real(names, arrays)))
+            good = funcs[routine]
+            funcs[routine] = lambda *a, **k: (*good(*a, **k)[:-1], -4)
+            return tuple(funcs[name] for name in names)
+
+        monkeypatch.setattr(mod, "get_lapack_funcs", failing)
+        with pytest.raises(NumericalBreakdownError) as ei:
+            tsqr(rng.standard_normal((32, 4)))
+        assert ei.value.detector == "lapack" and ei.value.value == -4
 
 
 class TestLU:

@@ -397,6 +397,54 @@ class TestPreparedOperand:
         with pytest.raises(ShapeError):
             eng.gemm(a, handle, tb=True)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("workspace", [False, True], ids=["bare", "arena"])
+    def test_handle_views_are_bitwise_the_arrays(self, rng, workspace, order):
+        # Column-block, row-block and transposed views of a handle
+        # multiply exactly like the same views of its array, with and
+        # without out=, whatever the source's memory order.  (BLAS sums
+        # a transposed operand in another order at this shape, so the
+        # handle must reach it in the layout a fresh split would have.)
+        eng = make_engine("fp16_ec_tc", workspace=Workspace() if workspace else None)
+        a = np.asarray(rng.standard_normal((40, 12)), np.float32, order=order)
+        b = rng.standard_normal((40, 5)).astype(np.float32)
+        c = rng.standard_normal((7, 38)).astype(np.float32)
+        h = eng.prepare_operand(a, tag="h")
+        for got_a, got_b, want_a, want_b in (
+            (h[:, 3:9].T, b, a[:, 3:9].T, b),
+            (c, h[2:, :], c, a[2:, :]),
+        ):
+            ref = eng.gemm(want_a, want_b)
+            assert np.array_equal(eng.gemm(got_a, got_b), ref)
+            out = np.empty_like(ref)
+            res = eng.gemm(got_a, got_b, out=out)
+            assert res is out and np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("precision", ["fp16_ec_tc", "tf32_tc", "fp32", "fp64"])
+    def test_every_engine_resplits_a_handle_view(self, rng, precision):
+        # An escalated engine must refresh the EC handle it is handed, or
+        # the restored EC engine multiplies stale splits.
+        from repro.precision.rounding import split_fp16
+
+        a = rng.standard_normal((16, 8)).astype(np.float32)
+        h = make_engine("fp16_ec_tc").prepare_operand(a, tag="h", cols=3)
+        a[:, 3:8] = rng.standard_normal((16, 5))
+        make_engine(precision).prepare_operand(h[:, 3:8], tag="t")
+        hi, lo = split_fp16(a)
+        assert np.array_equal(h.hi, hi) and np.array_equal(h.lo, lo)
+
+    def test_split_elements_are_counted(self, rng):
+        from repro import obs
+
+        eng = make_engine("fp16_ec_tc")
+        a, b = _operands(rng, m=24, k=16, n=12)
+        with obs.collect() as session, obs.span("t"):
+            h = eng.prepare_operand(a, tag="h", cols=10)
+            eng.prepare_operand(h[:, 10:16])
+            eng.gemm(h, b)
+        (sp,) = [s for s in session.spans if s.name == "t"]
+        assert sp.counters["ec_split_elems"] == 24 * 10 + 24 * 6 + b.size
+
 
 class TestEngineWorkspace:
     def test_ec_split_buffers_reused_across_calls(self, rng):

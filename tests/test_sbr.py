@@ -11,7 +11,7 @@ from repro.la import bandwidth_of, wy_matrix
 from repro.metrics import backward_error, orthogonality_error
 from repro.precision import FP16_EPS
 from repro.sbr import factor_panel, sbr_wy, sbr_zy
-from tests.conftest import random_symmetric
+from tests.conftest import eig_banded_spectrum, random_symmetric
 
 
 class TestFactorPanel:
@@ -158,6 +158,22 @@ class TestSbrWy:
         eb_ec = backward_error(a, *_qb(sbr_wy(a, 8, 32, engine=EcTensorCoreEngine(), want_q=True)))
         assert eb_ec < eb_tc / 50
 
+    @pytest.mark.parametrize("precision,u,bound", [
+        ("fp32", 2.0**-24, 4), ("fp16_ec_tc", 2.0**-24, 4), ("fp64", 2.0**-53, 256),
+    ], ids=["fp32", "fp16_ec_tc", "fp64"])
+    def test_band_eigenvalue_error_in_units_of_u(self, rng, precision, u, bound):
+        # Pinned in units of the policy's u against LAPACK, not by band
+        # hashes: the panel's LAPACK QR may change the band's bits, not
+        # its accuracy (1.3-2.2 u for fp32/EC at this shape; fp64 sits
+        # at the oracle's own ~50 u).
+        from repro.gemm import make_engine
+
+        a = random_symmetric(256, rng)
+        band = sbr_wy(a, 16, 64, engine=make_engine(precision), want_q=False).band
+        lam = eig_banded_spectrum(band.astype(np.float64), 16)
+        err = np.abs(lam - np.linalg.eigvalsh(a)).max()
+        assert err / (np.linalg.norm(a, 2) * u) < bound
+
     def test_band_dtype_follows_engine(self, rng):
         a = random_symmetric(32, rng)
         assert sbr_wy(a, 4, 8, engine=SgemmEngine()).band.dtype == np.float32
@@ -168,6 +184,93 @@ class TestSbrWy:
         a_copy = a.copy()
         sbr_wy(a, 8, 16, engine=Fp64Engine())
         np.testing.assert_array_equal(a, a_copy)
+
+
+class TestCachedSplits:
+    """The block's prepared W/Y/OAW always hold the split of their columns.
+
+    ``sbr_wy`` re-splits only the columns it writes (after form_w, after
+    the OAW GEMM, and all live columns on a mid-block resume); after
+    every panel step the cached hi/lo of the live columns must equal a
+    fresh split of them.
+    """
+
+    @staticmethod
+    def _watch(monkeypatch):
+        import importlib
+
+        from repro.precision.ec_tcgemm import EcOperand
+        from repro.precision.rounding import split_fp16
+
+        wy = importlib.import_module("repro.sbr.wy")
+        real = wy._panel_step
+        engines = []
+
+        def checked(A, OA, st, eng, *args, **kwargs):
+            status = real(A, OA, st, eng, *args, **kwargs)
+            for h, buf in ((st.hw, st.w), (st.hy, st.y), (st.hoaw, st.oaw)):
+                assert isinstance(h, EcOperand)
+                hi, lo = split_fp16(buf[:, : st.k])
+                np.testing.assert_array_equal(h.hi[:, : st.k], hi)
+                np.testing.assert_array_equal(h.lo[:, : st.k], lo)
+            engines.append(eng.name)
+            return status
+
+        monkeypatch.setattr(wy, "_panel_step", checked)
+        return engines
+
+    def test_plain_run(self, rng, monkeypatch):
+        engines = self._watch(monkeypatch)
+        sbr_wy(random_symmetric(96, rng), 8, 32, engine=EcTensorCoreEngine())
+        assert len(engines) == 11 and set(engines) == {"ectc"}
+
+    def test_escalated_panel_then_restored_ec(self, rng, monkeypatch):
+        # A NaN in panel 1's partial update escalates that panel to
+        # tf32; the non-sticky ladder restores EC for panel 2, which
+        # multiplies the handles the escalated engine refreshed.
+        from repro.resilience import (
+            EscalationLadder, FaultInjector, FaultSpec, ResilienceContext,
+        )
+
+        engines = self._watch(monkeypatch)
+        ctx = ResilienceContext(
+            ladder=EscalationLadder(sticky=False),
+            injector=FaultInjector(FaultSpec(site="wy_right", kind="nan", call_index=1)),
+        )
+        a = random_symmetric(96, rng)
+        res = sbr_wy(a, 8, 32, engine=EcTensorCoreEngine(), resilience=ctx)
+        assert len(ctx.report.escalations) == 1
+        assert engines[:3] == ["ectc", "tc", "ectc"]
+        assert set(engines[3:]) == {"ectc"}
+        lam = np.linalg.eigvalsh(a)
+        # One panel ran at TF32 (u = 2^-11).
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(res.band.astype(np.float64)), lam,
+            atol=1e-2 * np.abs(lam).max(),
+        )
+
+    def test_mid_block_resume(self, rng, monkeypatch, tmp_path):
+        from repro.ckpt import CheckpointConfig, CheckpointManager
+        from repro.errors import SimulatedCrashError
+        from repro.resilience.crash import CrashFaultSpec, CrashInjector
+
+        a = random_symmetric(96, rng)
+        clean = sbr_wy(a, 8, 32, engine=EcTensorCoreEngine(), want_q=False)
+        run = str(tmp_path / "run")
+        crash = CrashInjector(
+            CrashFaultSpec(site="ckpt.save.sbr_panel.post", call_index=1))
+        first = CheckpointManager(CheckpointConfig(run_dir=run, crash=crash))
+        first.begin(a, {"driver": "t"})
+        with pytest.raises(SimulatedCrashError):
+            sbr_wy(a, 8, 32, engine=EcTensorCoreEngine(), want_q=False,
+                   checkpoint=first)
+        again = CheckpointManager(CheckpointConfig(run_dir=run))
+        engines = self._watch(monkeypatch)
+        res = sbr_wy(a, 8, 32, engine=EcTensorCoreEngine(), want_q=False,
+                     checkpoint=again)
+        assert again.report.resumed_from is not None
+        assert len(engines) == 9  # resumed at panel 2, mid-block
+        np.testing.assert_array_equal(res.band, clean.band)
 
 
 def _qb(res):
