@@ -52,7 +52,6 @@ from ..errors import (
 )
 from ..ioutils import atomic_write_bytes, atomic_write_json, file_crc32, sweep_orphans
 from ..obs import spans as obs
-from ..obs.live import registry as _live
 from ..resilience.abft import abft_signature, verify_abft
 
 __all__ = [
@@ -341,9 +340,7 @@ class CheckpointManager:
             atomic_write_json(meta_path, meta, indent=1)
             self.report.saves += 1
             self.report.bytes_written += len(payload)
-            obs.counter("bytes", len(payload))
-            _live.inc("repro_ckpt_saves_total", step=step)
-            _live.inc("repro_ckpt_bytes_total", float(len(payload)))
+            obs.ckpt_saved(step, len(payload))
         if step == "sbr_panel":
             self.prune("sbr_panel", keep=self.config.keep_panels)
         if crash is not None:

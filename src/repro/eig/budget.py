@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from ..errors import BudgetExceededError, ConfigurationError
 from ..obs import spans as obs
-from ..obs.live import registry as _live
 
 __all__ = ["WallClockBudget"]
 
@@ -98,12 +97,7 @@ class WallClockBudget:
         per iteration.  Both are no-ops without an installed registry,
         and run even when the budget itself is disabled.
         """
-        reg = _live.active_registry()
-        if reg is not None:
-            reg.inc("repro_solver_iterations_total", phase=self.phase)
-            if residual is not None:
-                reg.set("repro_solver_residual", residual, phase=self.phase)
-            reg.mark_progress()
+        obs.solver_iteration(self.phase, residual)
         if self.max_seconds is None:
             return
         elapsed = obs.now() - self._t0

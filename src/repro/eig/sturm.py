@@ -111,6 +111,10 @@ def eigvals_bisect(
         raise ShapeError("pass either select or interval, not both")
     if interval is not None:
         a, bnd = interval
+        if not a <= bnd:
+            raise ShapeError(
+                f"interval must have lo <= hi, got interval={interval!r}"
+            )
         i_lo = int(sturm_count(d, e, a))
         i_hi = int(sturm_count(d, e, np.nextafter(bnd, np.inf)))
         select = (i_lo, i_hi)

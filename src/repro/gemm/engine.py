@@ -11,10 +11,11 @@ algorithm invocation.  Trace appends are guarded by a per-engine lock,
 so concurrent threads may record through a shared engine; note that
 interleaved records then reflect thread scheduling, not program order.
 
-When a telemetry collector is active (:mod:`repro.obs`), every call is
-additionally timed and reported as a :class:`repro.obs.spans.GemmEvent`
-attributed to the enclosing phase span — the join between the semantic
-GEMM stream (tags) and the wall-clock timeline.
+When telemetry is on (:mod:`repro.obs.spans`), every call is additionally
+timed and reported once: the collector stores a
+:class:`repro.obs.spans.GemmEvent` attributed to the enclosing phase span
+— the join between the semantic GEMM stream (tags) and the wall-clock
+timeline — and the live registry its latency and flop series.
 
 Allocation-free calling convention (PR 5)
 -----------------------------------------
@@ -43,7 +44,6 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..obs import spans as _obs
-from ..obs.live import registry as _live
 from ..precision.ec_tcgemm import EcOperand, ec_prepare, ec_tcgemm
 from ..precision.modes import Precision
 from ..precision.tcgemm import tcgemm
@@ -110,27 +110,20 @@ class GemmEngine(ABC):
         if self.trace is not None:
             with self._trace_lock:
                 self.trace.add(rec)
-        # One timing covers both consumers (collector event + live
-        # registry).  The activation slots are read directly: with
-        # neither installed a launch pays two module reads, no call and
-        # no allocation (the zero-overhead-off contract).
-        reg = _live._active
-        if _obs._active is None and reg is None:
+        # The telemetry slot is read directly: with nothing installed a
+        # launch pays one module read, no call and no allocation.  When
+        # on, one timing feeds one gemm_event, which spans hands to the
+        # collector and the live registry.
+        sinks = _obs._active
+        if sinks is None:
             return kernel(a, b, out)
-        t0 = _obs.now()
+        t0 = sinks.clock()
         res = kernel(a, b, out)
-        dt = _obs.now() - t0
         _obs.gemm_event(
             rec.m, rec.n, rec.k,
             tag=rec.tag, engine=rec.engine, op=rec.op, batch=rec.batch,
-            seconds=dt, start=t0,
+            seconds=sinks.clock() - t0, start=t0,
         )
-        if reg is not None:
-            reg.record_gemm(
-                rec.m, rec.n, rec.k,
-                tag=rec.tag, engine=rec.engine, op=rec.op,
-                batch=rec.batch, seconds=dt,
-            )
         return res
 
     @staticmethod

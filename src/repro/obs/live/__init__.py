@@ -9,8 +9,11 @@ background :class:`~repro.obs.live.reporter.Reporter` publishes
 snapshots to Prometheus/JSONL/TTY sinks and a heartbeat health file,
 and evaluates alert rules (thresholds + no-progress watchdog).
 
-Zero-overhead-off: with no registry installed every hook is a module
-read plus a ``None`` check — the same contract as the span collector.
+The registry and the span collector are two views of one telemetry
+stream (:mod:`repro.obs.spans`): one activation slot, one span stack,
+and one call per instrumented site, fanned out to whichever of the two
+is installed.  With neither installed every hook is one module read
+plus a ``None`` check.
 
 Typical use is through the driver knob::
 

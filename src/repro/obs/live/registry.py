@@ -1,18 +1,22 @@
-"""Thread-safe live metrics registry with a zero-overhead-off hot path.
+"""Thread-safe live metrics registry: the in-flight view of the stream.
 
-The registry is the in-flight counterpart of :mod:`repro.obs.spans`:
-where the collector records *events for post-hoc analysis*, the registry
-maintains *current aggregates* — counters, gauges, and quantile-sketch
-histograms — that a background :class:`~repro.obs.live.reporter.Reporter`
-can snapshot while the solver is still running.
+The registry is one of the two consumers of the telemetry stream of
+:mod:`repro.obs.spans`; the :class:`~repro.obs.spans.Collector` is the
+other.  Where the collector records *events for post-hoc analysis*, the
+registry maintains *current aggregates* — counters, gauges, and
+quantile-sketch histograms — that a background
+:class:`~repro.obs.live.reporter.Reporter` can snapshot while the solver
+is still running.
 
-Activation mirrors the PR-1 collector contract exactly: a module-level
-``_active`` global, and every hook point (engine GEMM wrapper, workspace
-arena, resilience detectors, checkpoint driver, budget iteration checks)
-pays only a module-attribute read plus a ``None`` check when no registry
-is installed.  The module-level helpers (:func:`inc`, :func:`observe`,
-:func:`set_gauge`, ...) encapsulate that fast path so instrumented code
-never branches on its own.
+There is one activation slot, one span stack and one call per
+instrumented site, all in :mod:`repro.obs.spans`: a site (engine GEMM
+launch, workspace arena, resilience detectors, checkpoint store, budget
+iteration checks) calls its hook there, and the hook hands it to the
+installed registry's domain method (:meth:`MetricsRegistry.record_gemm`,
+:meth:`~MetricsRegistry.ws_take`, ...) and to the installed collector.
+With nothing installed the hook is one module read.  :func:`install`,
+:func:`uninstall`, :class:`use_registry` and :func:`active_registry`
+are that slot's registry side, re-exported here.
 
 Metric naming follows Prometheus conventions (``repro_*_total`` for
 counters, base units in the name, label sets as keyword arguments), so
@@ -24,6 +28,7 @@ from __future__ import annotations
 import threading
 import time
 
+from ..spans import active_registry, install, uninstall, use_registry
 from .sketch import QuantileSketch
 
 __all__ = [
@@ -33,12 +38,6 @@ __all__ = [
     "install",
     "uninstall",
     "use_registry",
-    "inc",
-    "set_gauge",
-    "observe",
-    "record_gemm",
-    "ws_take",
-    "touch_worker",
 ]
 
 # Label sets are stored as sorted (key, value) tuples so the same labels
@@ -87,9 +86,6 @@ class MetricsRegistry:
         self._phase = ""
         self._phase_path = ""
         self.last_progress = self.epoch
-        # Registry-only spans (no collector active) keep a per-thread
-        # stack here so phase tracking works without a Collector.
-        self._tls = threading.local()
 
     # ------------------------------------------------------------------
     # primitive instruments
@@ -177,15 +173,30 @@ class MetricsRegistry:
             if not hit:
                 self.inc("repro_ws_bytes_allocated_total", float(nbytes))
 
+    def ckpt_saved(self, step: str, nbytes: int) -> None:
+        """One checkpoint written at ``step``."""
+        with self._lock:
+            self.inc("repro_ckpt_saves_total", step=step)
+            self.inc("repro_ckpt_bytes_total", float(nbytes))
+
+    def solver_iteration(self, phase: str, residual: "float | None") -> None:
+        """One iterative-solver iteration (forward progress); ``residual``
+        is the solver's current residual when it reports one."""
+        with self._lock:
+            self.inc("repro_solver_iterations_total", phase=phase)
+            if residual is not None:
+                self.set("repro_solver_residual", residual, phase=phase)
+            self.mark_progress()
+
+    def mark_progress(self) -> None:
+        with self._lock:
+            self.last_progress = self.clock()
+
     def touch_worker(self, name: "str | None" = None) -> None:
         if name is None:
             name = threading.current_thread().name
         with self._lock:
             self._workers[name] = self.clock()
-
-    def mark_progress(self) -> None:
-        with self._lock:
-            self.last_progress = self.clock()
 
     # ------------------------------------------------------------------
     # span integration (phase tracking)
@@ -220,14 +231,6 @@ class MetricsRegistry:
                 est = self.estimator
                 if est is not None:
                     est.on_phase_end(leaf, now)
-
-    # Registry-only spans: a minimal per-thread stack so `obs.span()`
-    # still tracks phases when no Collector is active.
-    def _stack(self) -> list:
-        st = getattr(self._tls, "stack", None)
-        if st is None:
-            st = self._tls.stack = []
-        return st
 
     @property
     def phase(self) -> str:
@@ -309,101 +312,6 @@ class MetricsRegistry:
         return snap
 
 
-# ----------------------------------------------------------------------
-# module-level activation (the zero-overhead-off fast path)
-# ----------------------------------------------------------------------
-
-_active: "MetricsRegistry | None" = None
-_activation_lock = threading.Lock()
-
-
-def active_registry() -> "MetricsRegistry | None":
-    """The installed registry, or None.  Hot paths call this and bail on
-    None — one module read, no allocation."""
-    return _active
-
-
 def is_enabled() -> bool:
-    return _active is not None
-
-
-def install(reg: "MetricsRegistry | None") -> "MetricsRegistry | None":
-    """Install ``reg`` as the active registry; returns the previous one
-    so callers can restore it (see :class:`use_registry`)."""
-    global _active
-    with _activation_lock:
-        prev = _active
-        _active = reg
-        return prev
-
-
-def uninstall(prev: "MetricsRegistry | None" = None) -> None:
-    """Restore ``prev`` (or clear) as the active registry."""
-    global _active
-    with _activation_lock:
-        _active = prev
-
-
-class use_registry:
-    """Context manager installing a registry for a code region.
-
-    ``use_registry(None)`` is a no-op, so call sites can forward an
-    optional registry without branching::
-
-        with use_registry(reg):
-            res = syevd_2stage(a)
-    """
-
-    def __init__(self, reg: "MetricsRegistry | None") -> None:
-        self.registry = reg
-        self._prev = None
-
-    def __enter__(self) -> "MetricsRegistry | None":
-        if self.registry is not None:
-            self._prev = install(self.registry)
-        return self.registry
-
-    def __exit__(self, *exc) -> None:
-        if self.registry is not None:
-            uninstall(self._prev)
-
-
-# Module-level hook helpers: each is a no-op costing one global read and
-# one comparison when no registry is installed.
-
-def inc(name: str, value: float = 1.0, **labels) -> None:
-    reg = _active
-    if reg is not None:
-        reg.inc(name, value, **labels)
-
-
-def set_gauge(name: str, value: float, **labels) -> None:
-    reg = _active
-    if reg is not None:
-        reg.set(name, value, **labels)
-
-
-def observe(name: str, value: float, count: int = 1, **labels) -> None:
-    reg = _active
-    if reg is not None:
-        reg.observe(name, value, count=count, **labels)
-
-
-def record_gemm(m, n, k, *, tag="", engine="", op="gemm", batch=1,
-                seconds=0.0) -> None:
-    reg = _active
-    if reg is not None:
-        reg.record_gemm(m, n, k, tag=tag, engine=engine, op=op,
-                        batch=batch, seconds=seconds)
-
-
-def ws_take(tag: str, hit: bool, nbytes: int) -> None:
-    reg = _active
-    if reg is not None:
-        reg.ws_take(tag, hit, nbytes)
-
-
-def touch_worker(name: "str | None" = None) -> None:
-    reg = _active
-    if reg is not None:
-        reg.touch_worker(name)
+    """Whether a live registry is installed."""
+    return active_registry() is not None

@@ -1,39 +1,43 @@
-"""Phase spans, counters, and GEMM events — the telemetry core.
+"""Phase spans, counters, and GEMM events — the one telemetry stream.
 
 The library's hot paths are instrumented with *spans*::
 
     with obs.span("sbr.panel"):
         ...
 
-A span measures wall-clock time (``time.perf_counter``) between entry and
-exit, nests (the active span stack gives every span a ``/``-joined path),
-and carries named counters and metadata.  Spans are collected by a
-process-wide :class:`Collector` that is **off by default**: when no
-collector is active, :func:`span` returns a shared no-op object and the
-instrumented code pays one module-attribute read per call site — no
-allocation, no timing, no locking.  Enable collection with::
+A span measures wall-clock time between entry and exit, nests (one
+per-thread span stack gives every span a ``/``-joined path), and carries
+named counters and metadata.  Every instrumented site makes one call
+into this module (:func:`span`, :func:`counter`, :func:`gemm_event`,
+:func:`ws_take`, :func:`ckpt_saved`, :func:`solver_iteration`,
+:func:`mark`), which fans it out to the consumers in the one activation
+slot, ``_active``: a :class:`Collector` (:func:`collect`; finished spans
+and GEMM events for the run manifest) and a live
+:class:`~repro.obs.live.registry.MetricsRegistry` (:func:`use_registry`;
+current aggregates and phase).  The two are views of the same stream.
+Telemetry is **off by default**: with nothing installed ``_active`` is
+``None``, :func:`span` returns a shared no-op object and every hook
+costs one module-attribute read — no allocation, no timing, no locking::
 
     with obs.collect() as session:
         res = syevd_2stage(a, b=16, record_trace=True)
     session.spans          # finished spans, in completion order
     session.gemm_events    # per-GEMM latency records (see below)
 
-Alongside spans, the GEMM engines report one :class:`GemmEvent` per call
-while a collector is active — shape, tag, engine, measured latency, and
-the path of the enclosing span — so the phase timeline joins against the
-semantic :class:`repro.gemm.trace.GemmTrace` tags.
+The GEMM engines report one :class:`GemmEvent` per call — shape, tag,
+engine, measured latency, and the path of the enclosing span — so the
+phase timeline joins against the semantic
+:class:`repro.gemm.trace.GemmTrace` tags.
 
 This module depends only on the standard library so the numeric packages
-can import it without cycles.  The active-span stack is per-thread
-(``threading.local``); the finished-span list is lock-guarded, so
-concurrent instrumented threads are safe.
+can import it without cycles.  The finished-span list is lock-guarded,
+so concurrent instrumented threads are safe.
 
-Time comes from the collector's injectable *clock* (default
-``time.perf_counter``).  Tests and the benchmark store pass a
-deterministic fake clock so duration-dependent logic (regression gates,
-zero-duration handling) is testable without wall-clock sleeps; the
-engine hook reads the same clock through :func:`now`, keeping span and
-GEMM-event timestamps on one timeline.
+Time comes from the collector's injectable *clock* (the registry's when
+only a registry is installed).  Tests and the benchmark store pass a
+deterministic fake clock so duration-dependent logic is testable
+without wall-clock sleeps; the engine hook reads the same clock through
+:func:`now`, keeping span and GEMM-event timestamps on one timeline.
 """
 
 from __future__ import annotations
@@ -43,8 +47,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .live import registry as _live
-
 __all__ = [
     "Span",
     "GemmEvent",
@@ -52,9 +54,17 @@ __all__ = [
     "collect",
     "is_enabled",
     "active_collector",
+    "active_registry",
+    "install",
+    "uninstall",
+    "use_registry",
     "span",
     "counter",
     "gemm_event",
+    "ws_take",
+    "ckpt_saved",
+    "solver_iteration",
+    "mark",
     "now",
 ]
 
@@ -160,9 +170,8 @@ class GemmEvent:
 class Collector:
     """Process-wide sink of finished spans and GEMM events.
 
-    The active-span *stack* is thread-local (each thread nests its own
-    spans); the finished-span and event lists are shared and
-    lock-guarded.
+    The finished-span and event lists are shared and lock-guarded; the
+    active-span stack is the module's per-thread one.
     """
 
     def __init__(self, clock=None) -> None:
@@ -171,19 +180,17 @@ class Collector:
         self.spans: list[Span] = []
         self.gemm_events: list[GemmEvent] = []
         self._lock = threading.Lock()
-        self._tls = threading.local()
 
-    # -- stack ------------------------------------------------------------
-    def _stack(self) -> list:
-        st = getattr(self._tls, "stack", None)
-        if st is None:
-            st = self._tls.stack = []
-        return st
+    def add(self, span: Span) -> None:
+        """Append one finished span."""
+        with self._lock:
+            self.spans.append(span)
 
     def current_path(self) -> str:
-        """Path of the innermost active span on this thread ("" if none)."""
-        st = self._stack()
-        return st[-1].path if st else ""
+        """Path of the innermost span on this thread that this collector's
+        spans nest under ("" if none)."""
+        sp = _innermost(self)
+        return sp.path if sp is not None else ""
 
     # -- queries ----------------------------------------------------------
     @property
@@ -204,13 +211,6 @@ class Collector:
         out: dict[str, float] = {}
         for s in self.spans:
             out[s.path] = out.get(s.path, 0.0) + s.duration
-        return out
-
-    def gemm_seconds_by_span(self) -> dict[str, float]:
-        """Measured GEMM seconds per enclosing span path."""
-        out: dict[str, float] = {}
-        for ev in self.gemm_events:
-            out[ev.span_path] = out.get(ev.span_path, 0.0) + ev.seconds
         return out
 
     def gemm_summary(self) -> dict:
@@ -249,54 +249,81 @@ class Collector:
         }
 
 
+#: Per-thread stack of open spans, shared by every consumer.
+_tls = threading.local()
+
+
+def _stack() -> list:
+    """This thread's stack of open spans (innermost last)."""
+    st = getattr(_tls, "stack", None)
+    if st is None:
+        st = _tls.stack = []
+    return st
+
+
+def _innermost(col: "Collector | None") -> "_LiveSpan | None":
+    """Innermost open span on this thread that spans recorded by ``col``
+    nest under: one ``col`` recorded, or one no collector recorded.
+    Spans of another collector (an outer session shadowed by ``col``)
+    are skipped."""
+    for sp in reversed(_stack()):
+        owner = sp._sinks.collector
+        if owner is None or owner is col:
+            return sp
+    return None
+
+
 class _LiveSpan:
-    """Active-collector span context manager (returned by :func:`span`)."""
+    """Open span context manager (returned by :func:`span` when on).
 
-    __slots__ = ("_col", "name", "path", "depth", "counters", "meta", "_t0", "_start")
+    On entry it joins the thread's span stack and notifies the registry;
+    on exit it hands a finished :class:`Span` to the collector and
+    notifies the registry — each consumer only if it was installed when
+    the span opened.
+    """
 
-    def __init__(self, col: Collector, name: str, meta: dict) -> None:
-        self._col = col
+    __slots__ = ("_sinks", "name", "path", "depth", "counters", "meta", "_t0")
+
+    def __init__(self, sinks: "_Sinks", name: str, meta: dict) -> None:
+        self._sinks = sinks
         self.name = name
         self.meta = meta
         self.counters: dict = {}
         self.path = name
         self.depth = 0
         self._t0 = 0.0
-        self._start = 0.0
 
     def __enter__(self) -> "_LiveSpan":
-        st = self._col._stack()
-        if st:
-            parent = st[-1]
+        parent = _innermost(self._sinks.collector)
+        if parent is not None:
             self.path = f"{parent.path}/{self.name}"
             self.depth = parent.depth + 1
-        st.append(self)
-        self._t0 = self._col.clock()
-        self._start = self._t0 - self._col.epoch
-        reg = _live.active_registry()
+        _stack().append(self)
+        self._t0 = self._sinks.clock()
+        reg = self._sinks.registry
         if reg is not None:
             reg.span_started(self.path, self.depth)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        t1 = self._col.clock()
-        st = self._col._stack()
+        sinks = self._sinks
+        duration = sinks.clock() - self._t0
+        st = _stack()
         if st and st[-1] is self:
             st.pop()
-        finished = Span(
-            name=self.name,
-            path=self.path,
-            start=self._start,
-            duration=t1 - self._t0,
-            depth=self.depth,
-            counters=self.counters,
-            meta=self.meta,
-        )
-        with self._col._lock:
-            self._col.spans.append(finished)
-        reg = _live.active_registry()
-        if reg is not None:
-            reg.span_finished(self.path, self.depth, t1 - self._t0)
+        col = sinks.collector
+        if col is not None:
+            col.add(Span(
+                name=self.name,
+                path=self.path,
+                start=self._t0 - col.epoch,
+                duration=duration,
+                depth=self.depth,
+                counters=self.counters,
+                meta=self.meta,
+            ))
+        if sinks.registry is not None:
+            sinks.registry.span_finished(self.path, self.depth, duration)
         return False
 
     def count(self, name: str, value: float = 1) -> None:
@@ -304,51 +331,8 @@ class _LiveSpan:
         self.counters[name] = self.counters.get(name, 0) + value
 
 
-class _PhaseSpan:
-    """Registry-only span: phase tracking without a :class:`Collector`.
-
-    Returned by :func:`span` when a live metrics registry is installed
-    but no collector is active, so progress/phase attribution works in
-    ``live=``-only runs without paying for event collection.  Keeps a
-    minimal per-thread (path, depth) stack on the registry itself and
-    reports enter/exit; records nothing else.
-    """
-
-    __slots__ = ("_reg", "name", "path", "depth", "_t0")
-
-    def __init__(self, reg, name: str) -> None:
-        self._reg = reg
-        self.name = name
-        self.path = name
-        self.depth = 0
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_PhaseSpan":
-        st = self._reg._stack()
-        if st:
-            parent_path, parent_depth = st[-1]
-            self.path = f"{parent_path}/{self.name}"
-            self.depth = parent_depth + 1
-        st.append((self.path, self.depth))
-        self._t0 = self._reg.clock()
-        self._reg.span_started(self.path, self.depth)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        st = self._reg._stack()
-        if st and st[-1] == (self.path, self.depth):
-            st.pop()
-        self._reg.span_finished(
-            self.path, self.depth, self._reg.clock() - self._t0
-        )
-        return False
-
-    def count(self, name: str, value: float = 1) -> None:
-        pass
-
-
 class _NullSpan:
-    """Shared no-op span: what :func:`span` returns when collection is off."""
+    """Shared no-op span: what :func:`span` returns when telemetry is off."""
 
     __slots__ = ()
 
@@ -364,19 +348,54 @@ class _NullSpan:
 
 NULL_SPAN = _NullSpan()
 
-#: The process-wide active collector (None = telemetry disabled).
-_active: Collector | None = None
+
+class _Sinks:
+    """What the activation slot holds: the installed collector and/or
+    registry, and the clock telemetry reads (the collector's, else the
+    registry's)."""
+
+    __slots__ = ("collector", "registry", "clock")
+
+    def __init__(self, collector: "Collector | None", registry) -> None:
+        self.collector = collector
+        self.registry = registry
+        self.clock = (collector if collector is not None else registry).clock
+
+
+#: The one process-wide activation slot (None = telemetry off).
+_active: _Sinks | None = None
 _activation_lock = threading.Lock()
+
+
+def _swap(kind: str, consumer):
+    """Put ``consumer`` (None clears) in the ``kind`` ("collector" or
+    "registry") seat of the slot, keep the other; returns the one replaced."""
+    global _active
+    with _activation_lock:
+        seats = {"collector": None, "registry": None}
+        if _active is not None:
+            seats = {"collector": _active.collector, "registry": _active.registry}
+        prev, seats[kind] = seats[kind], consumer
+        live = any(v is not None for v in seats.values())
+        _active = _Sinks(**seats) if live else None
+        return prev
 
 
 def is_enabled() -> bool:
     """Whether a collector is currently active."""
-    return _active is not None
+    return active_collector() is not None
 
 
 def active_collector() -> Collector | None:
-    """The active collector, or None when telemetry is disabled."""
-    return _active
+    """The active collector, or None when none is installed."""
+    sinks = _active
+    return sinks.collector if sinks is not None else None
+
+
+def active_registry():
+    """The installed live metrics registry, or None."""
+    sinks = _active
+    return sinks.registry if sinks is not None else None
 
 
 class collect:
@@ -384,7 +403,8 @@ class collect:
 
     Nesting restores the previous collector on exit, so an outer session
     (e.g. a benchmark harness) is shadowed, not corrupted, by an inner
-    one.  ``clock`` injects a deterministic time source for tests.
+    one.  An installed registry stays installed.  ``clock`` injects a
+    deterministic time source for tests.
     """
 
     def __init__(self, clock=None) -> None:
@@ -392,21 +412,52 @@ class collect:
         self._prev: Collector | None = None
 
     def __enter__(self) -> Collector:
-        global _active
-        with _activation_lock:
-            self._prev = _active
-            _active = self.collector
+        self._prev = _swap("collector", self.collector)
         return self.collector
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        global _active
-        with _activation_lock:
-            _active = self._prev
+        _swap("collector", self._prev)
         return False
 
 
+def install(reg):
+    """Install ``reg`` as the live registry; returns the previous one so
+    callers can restore it (see :class:`use_registry`).  An active
+    collector stays active."""
+    return _swap("registry", reg)
+
+
+def uninstall(prev=None) -> None:
+    """Restore ``prev`` (or clear) as the live registry."""
+    _swap("registry", prev)
+
+
+class use_registry:
+    """Context manager installing a registry for a code region.
+
+    ``use_registry(None)`` is a no-op, so call sites can forward an
+    optional registry without branching::
+
+        with use_registry(reg):
+            res = syevd_2stage(a)
+    """
+
+    def __init__(self, reg) -> None:
+        self.registry = reg
+        self._prev = None
+
+    def __enter__(self):
+        if self.registry is not None:
+            self._prev = install(self.registry)
+        return self.registry
+
+    def __exit__(self, *exc) -> None:
+        if self.registry is not None:
+            uninstall(self._prev)
+
+
 def span(name: str, **meta):
-    """Timed, nested region context manager (no-op when disabled).
+    """Timed, nested region context manager (no-op when off).
 
     Parameters
     ----------
@@ -415,40 +466,33 @@ def span(name: str, **meta):
     **meta
         Free-form metadata stored on the finished span.
     """
-    col = _active
-    if col is not None:
-        return _LiveSpan(col, name, meta)
-    reg = _live.active_registry()
-    if reg is not None:
-        return _PhaseSpan(reg, name)
-    return NULL_SPAN
+    sinks = _active
+    if sinks is None:
+        return NULL_SPAN
+    return _LiveSpan(sinks, name, meta)
 
 
 def now() -> float:
-    """Current time on the active collector's clock.
+    """Current time on the telemetry clock (``time.perf_counter`` when off).
 
-    Falls back to the live registry's clock when only live metrics are
-    active, then to ``time.perf_counter``, so instrumentation points can
-    time unconditionally and stay consistent with an injected fake clock
-    when one is active.
+    Instrumentation points can time unconditionally and stay consistent
+    with an injected fake clock when one is installed.
     """
-    col = _active
-    if col is not None:
-        return col.clock()
-    reg = _live.active_registry()
-    if reg is not None:
-        return reg.clock()
-    return time.perf_counter()
+    sinks = _active
+    return sinks.clock() if sinks is not None else time.perf_counter()
+
+
+def _count(col: Collector, name: str, value: float) -> None:
+    sp = _innermost(col)
+    if sp is not None:
+        sp.count(name, value)
 
 
 def counter(name: str, value: float = 1) -> None:
-    """Accumulate a counter on the innermost active span (no-op otherwise)."""
-    col = _active
-    if col is None:
-        return
-    st = col._stack()
-    if st:
-        st[-1].count(name, value)
+    """Accumulate a counter on the innermost open span (collector only)."""
+    sinks = _active
+    if sinks is not None and sinks.collector is not None:
+        _count(sinks.collector, name, value)
 
 
 def gemm_event(
@@ -463,20 +507,73 @@ def gemm_event(
     start: float | None = None,
     batch: int = 1,
 ) -> None:
-    """Report one timed GEMM call to the active collector (engine hook).
+    """Report one timed GEMM call (engine hook).
 
-    ``start`` is the call's entry time as read from :func:`now` (i.e. on
-    the collector's clock); it is stored relative to the collector epoch.
-    ``batch`` is the stack depth of a ``gemm_batched`` call (1 otherwise).
+    The collector stores a :class:`GemmEvent` attributed to the innermost
+    open span; the registry counts the launch, its products, flops and
+    latency.  ``start`` is the call's entry time as read from :func:`now`;
+    it is stored relative to the collector epoch.  ``batch`` is the stack
+    depth of a ``gemm_batched`` call (1 otherwise).
     """
-    col = _active
-    if col is None:
+    sinks = _active
+    if sinks is None:
         return
-    ev = GemmEvent(
-        m=m, n=n, k=k, tag=tag, engine=engine, op=op,
-        seconds=seconds, span_path=col.current_path(),
-        start=(start - col.epoch) if start is not None else -1.0,
-        batch=batch,
-    )
-    with col._lock:
-        col.gemm_events.append(ev)
+    col = sinks.collector
+    if col is not None:
+        ev = GemmEvent(
+            m=m, n=n, k=k, tag=tag, engine=engine, op=op,
+            seconds=seconds, span_path=col.current_path(),
+            start=(start - col.epoch) if start is not None else -1.0,
+            batch=batch,
+        )
+        with col._lock:
+            col.gemm_events.append(ev)
+    if sinks.registry is not None:
+        sinks.registry.record_gemm(m, n, k, tag=tag, engine=engine, op=op,
+                                   batch=batch, seconds=seconds)
+
+
+def ws_take(tag: str, hit: bool, nbytes: int) -> None:
+    """One workspace-arena request (``hit`` = served from the pool;
+    ``nbytes`` = bytes newly allocated on a miss)."""
+    sinks = _active
+    if sinks is None:
+        return
+    if sinks.collector is not None:
+        _count(sinks.collector, "ws_hit" if hit else "ws_miss", 1)
+    if sinks.registry is not None:
+        sinks.registry.ws_take(tag, hit, nbytes)
+
+
+def ckpt_saved(step: str, nbytes: int) -> None:
+    """One checkpoint written at ``step`` with ``nbytes`` of payload."""
+    sinks = _active
+    if sinks is None:
+        return
+    if sinks.collector is not None:
+        _count(sinks.collector, "bytes", nbytes)
+    if sinks.registry is not None:
+        sinks.registry.ckpt_saved(step, nbytes)
+
+
+def solver_iteration(phase: str, residual: float | None = None) -> None:
+    """One iteration of an iterative solver in ``phase`` (registry only)."""
+    sinks = _active
+    if sinks is not None and sinks.registry is not None:
+        sinks.registry.solver_iteration(phase, residual)
+
+
+def mark(name: str | None, /, *series: str, labels: dict | None = None,
+         **meta) -> None:
+    """One discrete event: +1 on each registry counter in ``series``
+    (with ``labels``) and, when ``name`` is given, a zero-duration span
+    ``name`` carrying ``meta``."""
+    sinks = _active
+    if sinks is None:
+        return
+    if sinks.registry is not None:
+        for s in series:
+            sinks.registry.inc(s, **(labels or {}))
+    if name is not None:
+        with _LiveSpan(sinks, name, meta):
+            pass

@@ -160,11 +160,12 @@ def lifecycle_span(
     The span is placed on the collector's own timeline ending *now*
     (``start = now - duration``), so lifecycle events recorded from the
     serving layer's ``time.monotonic`` clock still land coherently next
-    to solver spans.  When no collector is active this is a no-op that
-    allocates nothing — the serving hot path pays one module-attribute
-    read per call site.
+    to solver spans.  It goes to the collector only (through
+    :meth:`~repro.obs.spans.Collector.add`, like every finished span), so
+    the live registry sees no phase for it.  When no collector is active
+    this is a no-op that allocates nothing.
     """
-    col = _spans._active
+    col = _spans.active_collector()
     if col is None:
         return
     if trace is not None:
@@ -172,7 +173,7 @@ def lifecycle_span(
     if worker is not None:
         meta["worker"] = worker
     end = col.clock() - col.epoch
-    finished = Span(
+    col.add(Span(
         name=name,
         path=name,
         start=max(end - duration, 0.0),
@@ -180,9 +181,7 @@ def lifecycle_span(
         depth=0,
         counters={},
         meta=meta,
-    )
-    with col._lock:
-        col.spans.append(finished)
+    ))
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,6 @@ import threading
 import numpy as np
 
 from ..obs import spans as obs
-from ..obs.live import registry as _live
 
 __all__ = ["Workspace", "NullWorkspace", "resolve_workspace"]
 
@@ -77,8 +76,7 @@ class Workspace:
                 self._buffers[key] = buf
                 self._count(tag, hit=False, nbytes=int(buf.nbytes))
                 out = buf.reshape(shape)
-        obs.counter("ws_hit" if hit else "ws_miss")
-        _live.ws_take(tag, hit, 0 if hit else int(buf.nbytes))
+        obs.ws_take(tag, hit, 0 if hit else int(buf.nbytes))
         return out
 
     def _count(self, tag: str, *, hit: bool, nbytes: int = 0) -> None:
@@ -141,8 +139,7 @@ class NullWorkspace(Workspace):
         if out.size:
             with self._lock:
                 self._count(tag, hit=False, nbytes=int(out.nbytes))
-            obs.counter("ws_miss")
-            _live.ws_take(tag, False, int(out.nbytes))
+            obs.ws_take(tag, False, int(out.nbytes))
         return out
 
 

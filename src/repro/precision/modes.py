@@ -22,6 +22,7 @@ from collections.abc import Callable
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from .rounding import (
     BF16_EPS,
     FP16_EPS,
@@ -157,6 +158,6 @@ class Precision(enum.Enum):
             return cls(str(name).lower())
         except ValueError:
             valid = ", ".join(m.value for m in cls)
-            raise ValueError(
+            raise ConfigurationError(
                 f"unknown precision {name!r}; expected one of: {valid}"
             ) from None

@@ -58,7 +58,6 @@ import numpy as np
 
 from ..errors import CheckpointCorruptionError, ConfigurationError, SdcError
 from ..obs import spans as _obs
-from ..obs.live import registry as _live
 from .detectors import effective_eps
 
 __all__ = [
@@ -445,14 +444,11 @@ class AbftChecker:
                 self.report.raised += 1
             if len(self.report.events) < _MAX_EVENTS:
                 self.report.events.append(event)
-        _live.inc("repro_sdc_detected_total")
-        if event.action == "corrected":
-            _live.inc("repro_sdc_corrected_total")
-        elif event.action == "recomputed":
-            _live.inc("repro_sdc_recomputed_total")
         if event.action in ("corrected", "recomputed"):
-            with _obs.span("abft.correct", **event.to_dict()):
-                pass
+            _obs.mark("abft.correct", "repro_sdc_detected_total",
+                      f"repro_sdc_{event.action}_total", **event.to_dict())
+        else:
+            _obs.mark(None, "repro_sdc_detected_total")
 
     # -- checksum math ------------------------------------------------------
     @staticmethod

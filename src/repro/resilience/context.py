@@ -35,7 +35,6 @@ from ..errors import ConfigurationError, NumericalBreakdownError, SdcError
 from ..gemm.engine import GemmEngine, make_engine
 from ..gemm.trace import GemmRecord
 from ..obs import spans as obs
-from ..obs.live import registry as _live
 from ..precision.modes import Precision
 from .abft import AbftChecker, AbftPolicy, Syr2kPre
 from .detectors import DetectorBank, DetectorConfig
@@ -234,9 +233,8 @@ class ResilienceContext:
         out = self.injector.apply(site, arr)
         for rec in self.injector.fired[before:]:
             self.report.faults_injected.append(rec.to_dict())
-            _live.inc("repro_resilience_faults_total")
-            with obs.span("resilience.fault", **rec.to_dict()):
-                pass
+            obs.mark("resilience.fault", "repro_resilience_faults_total",
+                     **rec.to_dict())
         return out
 
     def after_launch(self, engine: ResilientEngine, rec: GemmRecord, kernel,
@@ -406,9 +404,8 @@ class ResilienceContext:
                     reason=getattr(exc, "detector", None) or type(exc).__name__,
                 )
                 self.report.escalations.append(rec)
-                _live.inc("repro_resilience_escalations_total")
-                with obs.span("resilience.escalate", **rec.to_dict()):
-                    pass
+                obs.mark("resilience.escalate",
+                         "repro_resilience_escalations_total", **rec.to_dict())
         wait = self.ladder.delay(attempt + 1)
         if wait > 0.0:
             # Only pauses when the ladder opts into a non-zero backoff base
@@ -430,10 +427,8 @@ class ResilienceContext:
             precision=exc.precision or "",
         )
         self.report.detections.append(rec)
-        _live.inc("repro_resilience_detections_total",
-                  detector=rec.detector or "unknown")
-        with obs.span("resilience.detect", **rec.to_dict()):
-            pass
+        obs.mark("resilience.detect", "repro_resilience_detections_total",
+                 labels={"detector": rec.detector or "unknown"}, **rec.to_dict())
 
     def _on_unit_success(self, phase: str) -> None:
         self._suppress = False

@@ -47,6 +47,10 @@ class TestSyevd2Stage:
         with pytest.raises(ConfigurationError):
             syevd_2stage(random_symmetric(32, rng), b=4, method="xy")
 
+    def test_unknown_precision_is_configuration_error(self, rng):
+        with pytest.raises(ConfigurationError, match="unknown precision 'fp8'"):
+            syevd_2stage(random_symmetric(32, rng), b=4, precision="fp8")
+
     def test_default_nb(self, rng):
         a = random_symmetric(64, rng)
         res = syevd_2stage(a, b=8, precision="fp64")  # nb defaults to 4b = 32

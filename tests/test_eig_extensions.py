@@ -304,6 +304,14 @@ class TestSyevdSelected:
         assert res.eigenvectors is None
         assert res.eigenvalues.shape == (5,)
 
+    def test_reversed_interval_names_interval(self, rng):
+        from repro.eig import syevd_selected
+
+        a = random_symmetric(96, rng)
+        with pytest.raises(ShapeError, match=r"interval.*\(5, -5\)") as info:
+            syevd_selected(a, interval=(5, -5), b=8, nb=16, precision="fp64")
+        assert "select" not in str(info.value)
+
     def test_empty_interval(self, rng):
         from repro.eig import syevd_selected
 

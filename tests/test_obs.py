@@ -12,6 +12,7 @@ from repro import obs, syevd_2stage
 from repro.gemm import GemmTrace, SgemmEngine
 from repro.obs.__main__ import main as obs_main
 from repro.obs.manifest import SCHEMA_VERSION
+from repro.obs import spans as obs_spans
 from repro.obs.spans import NULL_SPAN
 
 
@@ -99,6 +100,43 @@ class TestSpans:
                 sp.count("c", 1)
         original = session.spans[0]
         assert obs.Span.from_dict(original.to_dict()) == original
+
+
+class TestOneStream:
+    """The collector and the live registry are two views of one span
+    stack, whichever of them was installed first."""
+
+    def test_collector_inside_registry_span_nests_under_it(self):
+        reg = obs.MetricsRegistry()
+        with obs.use_registry(reg), obs.span("syevd"):
+            with obs.collect() as session:
+                with obs.span("sbr"):
+                    assert reg.phase == "sbr"
+            assert reg.phase == "syevd"
+        assert [(s.path, s.depth) for s in session.spans] == [("syevd/sbr", 1)]
+
+    def test_registry_inside_collector_span_sees_the_path(self):
+        reg = obs.MetricsRegistry()
+        with obs.collect() as session, obs.span("syevd"):
+            with obs.use_registry(reg):
+                with obs.span("sbr"):
+                    assert reg.phase_path == "syevd/sbr"
+                assert reg.phase == "syevd"
+        assert [(s.path, s.depth) for s in session.spans] == [
+            ("syevd/sbr", 1), ("syevd", 0)
+        ]
+        assert reg.histogram("repro_phase_seconds", phase="sbr") is not None
+
+    def test_one_activation_slot(self):
+        reg = obs.MetricsRegistry()
+        assert obs_spans._active is None
+        with obs.use_registry(reg):
+            with obs.collect() as session:
+                assert obs_spans._active.collector is session
+                assert obs_spans._active.registry is reg
+            assert obs.active_collector() is None
+            assert obs_spans._active.registry is reg
+        assert obs_spans._active is None
 
 
 class TestGemmEvents:

@@ -8,9 +8,9 @@ Covers, per the PR-6 acceptance criteria:
   batch-aware GEMM aggregation;
 - ETA monotonicity and convergence of the progress estimator on a fake
   clock;
-- the zero-overhead-off contract: with no registry installed, the hook
-  helpers retain no allocations and the SBR steady state stays
-  allocation-free (the PR-5 workspace accounting harness);
+- the zero-overhead-off contract: with nothing installed, the
+  ``repro.obs.spans`` hooks retain no allocations and the SBR steady
+  state stays allocation-free (the PR-5 workspace accounting harness);
 - sinks (Prometheus render/parse, JSONL stream with torn-final-line
   tolerance, TTY line), heartbeat, alert rules and the no-progress
   watchdog, the reporter, and the driver/manifest/CLI integration.
@@ -260,18 +260,23 @@ class TestZeroOverheadOff:
     def test_module_helpers_retain_no_allocations(self):
         import tracemalloc
 
-        assert live_registry.active_registry() is None
+        assert obs._active is None
+
+        def hooks():
+            obs.gemm_event(8, 8, 8, tag="t", engine="e", op="gemm",
+                           seconds=0.0)
+            obs.counter("c")
+            obs.ws_take("t", True, 0)
+            obs.ckpt_saved("s", 8)
+            obs.solver_iteration("p", 1.0)
+            obs.mark(None, "repro_test_total")
+
         # Warm up any lazy interning, then measure retained bytes.
-        live_registry.record_gemm(8, 8, 8, seconds=0.0)
-        live_registry.ws_take("t", True, 0)
-        live_registry.inc("repro_test_total")
+        hooks()
         tracemalloc.start()
         before, _ = tracemalloc.get_traced_memory()
         for _ in range(200):
-            live_registry.record_gemm(8, 8, 8, seconds=0.0)
-            live_registry.ws_take("t", True, 0)
-            live_registry.inc("repro_test_total")
-            live_registry.touch_worker()
+            hooks()
         after, _ = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert after - before == 0
