@@ -1,23 +1,22 @@
 """Second-stage eigensolvers and end-to-end EVD drivers.
 
 The paper offloads everything after band reduction to MAGMA (bulge chasing
-+ divide & conquer on the CPU).  This package implements those substrates
-from scratch:
++ divide & conquer on the CPU).  This package hands those stages to
+LAPACK behind two layer functions:
 
-- :mod:`~repro.eig.bulge` — bulge-chasing reduction of a symmetric band
-  matrix to tridiagonal form (stage 2 of two-stage tridiagonalization).
+- :mod:`~repro.eig.bulge` — reduction of a symmetric band matrix to
+  tridiagonal form (stage 2 of two-stage tridiagonalization) by LAPACK
+  ``?sbtrd``, plus the Givens band-to-band reduction.
+- :mod:`~repro.eig.dc` — the symmetric tridiagonal eigenproblem by
+  LAPACK ``sterf`` (eigenvalues only) or ``stevd`` (divide & conquer,
+  with eigenvectors).
 - :mod:`~repro.eig.qliter` — implicit-shift QL iteration (EISPACK
-  ``tql2``-style), the D&C tests' reference.
-- :mod:`~repro.eig.secular` / :mod:`~repro.eig.dc` — Cuppen's divide &
-  conquer for the symmetric tridiagonal eigenproblem on LAPACK
-  ``stedc``'s structure (``sterf`` for eigenvalues only, ``steqr``
-  leaves), with a safeguarded secular-equation solver and Löwner-formula
-  eigenvector stabilization in the merges.
+  ``tql2``-style), the tridiagonal tests' reference.
 - :mod:`~repro.eig.sturm` — Sturm-sequence eigenvalue counting and
   bisection (selected eigenvalues, verification).
 - :mod:`~repro.eig.tridiag_direct` — classic one-stage Householder
   tridiagonalization (the 50%-BLAS2 baseline of paper §3.1).
-- :mod:`~repro.eig.driver` — ``syevd_2stage`` (SBR → bulge chase →
+- :mod:`~repro.eig.driver` — ``syevd_2stage`` (SBR → band to tridiagonal →
   tridiagonal eigensolver → back-transformation) and ``syevd_1stage``.
 """
 
@@ -25,7 +24,6 @@ from .bulge import bulge_chase, reduce_bandwidth
 from .qliter import tridiag_eig_ql
 from .dc import tridiag_eig_dc
 from .sturm import sturm_count, eigvals_bisect
-from .secular import solve_secular, secular_eig
 from .inverse_iteration import tridiag_inverse_iteration
 from .lobpcg import lobpcg
 from .qdwh import qdwh_eig, qdwh_polar
@@ -39,8 +37,6 @@ __all__ = [
     "tridiag_eig_dc",
     "sturm_count",
     "eigvals_bisect",
-    "solve_secular",
-    "secular_eig",
     "tridiag_inverse_iteration",
     "lobpcg",
     "qdwh_polar",

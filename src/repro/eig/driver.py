@@ -6,12 +6,14 @@ implementation chains its GPU band reduction with MAGMA's CPU stages:
 1. **Stage 1** — successive band reduction (WY-based Algorithm 1 by
    default; ZY-based available) under the chosen precision policy
    (FP16/TF32 Tensor-Core emulation, EC-TCGEMM, FP32, FP64).
-2. **Stage 2** — bulge chasing of the band matrix to tridiagonal form.
+2. **Stage 2** — band to tridiagonal form by LAPACK ``?sbtrd``
+   (:func:`repro.eig.bulge.bulge_chase`), where the paper calls MAGMA.
    (The paper ships the band matrix over PCIe to the host here; the
    device performance model charges that transfer, the numerics don't
    need it.)
-3. **Tridiagonal eigensolver** — divide & conquer
-   (:func:`repro.eig.dc.tridiag_eig_dc`, built like LAPACK ``dstedc``).
+3. **Tridiagonal eigensolver** — LAPACK ``sterf`` for eigenvalues only,
+   ``stevd`` (divide & conquer) with vectors
+   (:func:`repro.eig.dc.tridiag_eig_dc`).
 4. **Back-transformation** — eigenvectors are assembled as
    ``Q_sbr @ Q_bulge @ V_tri`` when requested.
 
@@ -237,7 +239,7 @@ def _resumed_result(ck, result_ck, b, eng, sbr_eng, ctx) -> "EvdResult":
     )
 
 
-def _resilient_bulge(ctx, band64, b, want_q, record_trace=False, workspace=None):
+def _resilient_bulge(ctx, band64, b, want_q):
     """Bulge chasing as a retryable unit.
 
     Stage 2 is float64 work, so there is no precision to escalate —
@@ -247,17 +249,9 @@ def _resilient_bulge(ctx, band64, b, want_q, record_trace=False, workspace=None)
     The fault-injection site ``"bulge"`` corrupts the band copy handed to
     the chase; the pre-chase detectors (non-finite, magnitude, symmetry)
     catch it before the chase runs.
-
-    The chase launches its tile updates through a float64 engine; with
-    resilience active that engine is wrapped like the stage-1 stream, so
-    the detectors, ABFT checksums, and fault sites cover the stage-2
-    GEMMs too.
     """
-    bulge_eng = make_engine(Precision.FP64, record=record_trace)
     if ctx is None:
-        return bulge_chase(band64, b, want_q=want_q, engine=bulge_eng,
-                           workspace=workspace)
-    bulge_eng = ctx.wrap_engine(bulge_eng)
+        return bulge_chase(band64, b, want_q=want_q)
     attempt = 0
     while True:
         try:
@@ -269,8 +263,7 @@ def _resilient_bulge(ctx, band64, b, want_q, record_trace=False, workspace=None)
                 band_in = ctx.guard_copy("bulge", band_in, band64)
                 ctx.check_array(band_in, site="bulge_band")
                 ctx.check_symmetry(band_in, precision=Precision.FP64)
-                d, e, q2 = bulge_chase(band_in, b, want_q=want_q,
-                                       engine=bulge_eng, workspace=workspace)
+                d, e, q2 = bulge_chase(band_in, b, want_q=want_q)
                 ctx.check_array(d, site="bulge_d")
                 if e.size:
                     ctx.check_array(e, site="bulge_e")
@@ -356,10 +349,8 @@ def syevd_2stage(
     want_vectors : bool
         Whether to form eigenvectors (adds the two back-transformations).
     record_trace : bool
-        Record the stage-1 GEMM stream on the engine (and the stage-2
-        stream on the float64 engine :func:`repro.eig.bulge.bulge_chase`
-        launches its tile updates through, which shares this run's
-        workspace arena and resilience/ABFT guards).
+        Record the stage-1 GEMM stream on the engine (stage 2 and the
+        tridiagonal solve are LAPACK calls and launch no GEMMs).
     workspace : repro.perf.Workspace, bool, or None
         Stage-1 scratch arena (see :func:`repro.sbr.wy.sbr_wy`).
         ``None``/``True`` create one, ``False`` disables buffer reuse; the
@@ -528,10 +519,7 @@ def syevd_2stage(
                 q2 = tridiag_ck.arrays.get("q2")
             else:
                 band64 = np.asarray(sbr.band, dtype=np.float64)
-                d, e, q2 = _resilient_bulge(
-                    ctx, band64, b, want_vectors,
-                    record_trace=record_trace, workspace=ws,
-                )
+                d, e, q2 = _resilient_bulge(ctx, band64, b, want_vectors)
                 if ck is not None:
                     ck.save("tridiag", {"d": d, "e": e, "q2": q2}, {
                         "resilience": resilience_snapshot(ctx, sbr_eng),

@@ -61,11 +61,11 @@ ALGORITHM_TAGS = frozenset(
 )
 
 
-#: Tags of the stage-2 wavefront bulge chase's engine-routed tile updates
-#: (:func:`repro.eig.bulge.bulge_chase`).  The chase's panel-internal work —
-#: the batched bulge-block QR and the WY build — stays outside the engine,
-#: exactly like stage 1's ``panel_*`` work, so these four tags are the
-#: complete algorithm-level stream of stage 2.
+#: Tags of the *modeled* stage-2 wavefront bulge chase's tile updates
+#: (:func:`trace_bulge_wavefront`).  The modeled chase's panel-internal
+#: work — the bulge-block QR and the WY build — stays outside the engine,
+#: exactly like stage 1's ``panel_*`` work, so these four tags are its
+#: complete algorithm-level stream.
 BULGE_WAVEFRONT_TAGS = frozenset(
     {
         "bulge.wavefront.left",
@@ -266,14 +266,12 @@ def trace_form_q(
 # ---------------------------------------------------------------------------
 # Stage-2 wavefront bulge chasing: schedule geometry + symbolic trace.
 #
-# The schedule below is *shared* with the numeric executor
-# (:func:`repro.eig.bulge.bulge_chase`) — the numeric code iterates the same
-# rounds/groups, so the fidelity contract between this trace and the
-# engine-recorded stream holds by construction (the SBR
-# ``full_update_col_blocks`` idiom).  The trace assumes a *generic* band
-# matrix: every sweep's chase runs its full geometric length (the numeric
-# code additionally short-circuits sweeps whose bulge is exactly zero,
-# e.g. an already-tridiagonal input declared with a larger bandwidth).
+# *Modeled*: the library's stage 2 is LAPACK ``?sbtrd``
+# (:func:`repro.eig.bulge.bulge_chase`).  This is the launch stream of a
+# MAGMA ``sb2st``-style blocked chase with memory-aware wavefront batching
+# (arXiv 2510.12705) on a *generic* band matrix — every sweep's chase runs
+# its full geometric length — kept for the paper's figures and the live
+# progress plan.
 # ---------------------------------------------------------------------------
 
 #: Minimum step separation between adjacent sweeps of the wavefront
@@ -320,8 +318,8 @@ def wavefront_rounds(n: int, b: int):
     Round ``r`` executes step ``r - WAVEFRONT_DELTA * j`` of every sweep
     ``j`` for which that index is in range — the anti-diagonal wavefront:
     all steps of one round have pairwise-disjoint row/column footprints
-    (see :data:`WAVEFRONT_DELTA`), so the numeric executor may batch them
-    into single ``gemm_batched`` launches.  Each yielded round is a
+    (see :data:`WAVEFRONT_DELTA`), so a blocked chase may batch them into
+    single ``gemm_batched`` launches.  Each yielded round is a
     non-empty list of ``(j, geometry)`` pairs in ascending ``j``.
     """
     nsweeps = max(n - 2, 0)
@@ -360,9 +358,10 @@ def wavefront_groups(wave: "list[tuple]") -> "list[tuple[tuple, list]]":
 
 
 def trace_bulge_wavefront(n: int, b: int, *, want_q: bool = True) -> GemmTrace:
-    """Shape stream of :func:`repro.eig.bulge.bulge_chase`.
+    """*Modeled* shape stream of a blocked wavefront bulge chase.
 
-    Emits exactly the engine-routed launches of the numeric executor on a
+    Nothing numeric launches this stream (stage 2 is LAPACK ``?sbtrd``);
+    it is the launch schedule of a MAGMA ``sb2st``-style chase on a
     generic band matrix (no dead sweeps): per batch group, three
     ``gemm_batched`` launches over the group's row blocks ``[tile |
     strip | Q^T rows]`` (the left product ``W^T C``, the tile's

@@ -128,13 +128,15 @@ def formw_flops(n: int, blocks: "list[tuple[int, int]]", *, method: str = "tree"
 
 
 def bulge_wavefront_flops(n: int, b: int, *, want_q: bool = True) -> int:
-    """Stage-2 operations of the bulge chase (:func:`repro.eig.bulge_chase`).
+    """*Modeled* stage-2 operations of a blocked wavefront bulge chase.
 
-    Engine-visible work comes from the symbolic launch schedule
-    (:func:`repro.gemm.symbolic.trace_bulge_wavefront` — pinned by tests
-    to match the numeric executor's stream); the batched QR/WY factor
-    work per step is added from the standard panel formulas, summed over
-    the same shared hop geometry.
+    A model, not a count of what runs: the library's stage 2 is LAPACK
+    ``?sbtrd`` (:func:`repro.eig.bulge_chase`).  This prices the MAGMA
+    ``sb2st``-style compact-WY chase the paper's figures and the live
+    progress plan assume: the launch schedule of
+    :func:`repro.gemm.symbolic.trace_bulge_wavefront` plus the per-hop
+    QR/WY factor work from the standard panel formulas, summed over the
+    same hop geometry.
     """
     total = trace_bulge_wavefront(n, b, want_q=want_q).total_flops
     for j in range(max(n - 2, 0)):

@@ -58,18 +58,24 @@ def form_wy_tree(
                 f"all WY pairs must share the row space; got {w.shape} vs rows={rows}"
             )
     eng = engine if engine is not None else PlainEngine()
+    return _merge(pairs, 0, len(pairs), eng, tag)
 
-    def merge(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        if hi - lo == 1:
-            return pairs[lo]
-        mid = (lo + hi) // 2
-        w_l, y_l = merge(lo, mid)
-        w_r, y_r = merge(mid, hi)
-        ylt_wr = eng.gemm(y_l.T, w_r, tag=tag)
-        w_new = w_r - eng.gemm(w_l, ylt_wr, tag=tag)
-        return np.hstack([w_l, w_new]), np.hstack([y_l, y_r])
 
-    return merge(0, len(pairs))
+def _merge(pairs, lo: int, hi: int, eng: GemmEngine, tag: str):
+    """Algorithm 2's recursion over ``pairs[lo:hi]``.
+
+    Module-level rather than a closure: a recursive closure references
+    itself through its cell, a reference cycle that would keep ``eng``
+    (and the workspace arena behind it) alive until the next GC pass.
+    """
+    if hi - lo == 1:
+        return pairs[lo]
+    mid = (lo + hi) // 2
+    w_l, y_l = _merge(pairs, lo, mid, eng, tag)
+    w_r, y_r = _merge(pairs, mid, hi, eng, tag)
+    ylt_wr = eng.gemm(y_l.T, w_r, tag=tag)
+    w_new = w_r - eng.gemm(w_l, ylt_wr, tag=tag)
+    return np.hstack([w_l, w_new]), np.hstack([y_l, y_r])
 
 
 def form_q_from_blocks(

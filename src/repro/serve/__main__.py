@@ -145,12 +145,9 @@ def _sdc_chaos(svc: EvdService, args) -> "list[str]":
     clean = syevd_2stage(a, b=8, precision="fp32", check_input=False)
 
     # wy_full_right launches once per run at soak sizes, so its flip
-    # targets call index 0; the stage-2 sites take a launch past the
-    # sweep opening, the others their second launch.
+    # targets call index 0; the others take their second launch.
     for i, (site, call_index) in enumerate((
-        ("wy_right", 1), ("wy_full_right", 0),
-        ("bulge.wavefront.left", 2), ("bulge.wavefront.syr2k", 3),
-        ("back_transform", 1),
+        ("wy_right", 1), ("wy_full_right", 0), ("back_transform", 1),
     )):
         inj = FaultInjector(FaultSpec(
             site=site, kind="bitflip", call_index=call_index,

@@ -1,8 +1,8 @@
 """Banded SVD: band→bidiagonal bulge chasing + Golub–Kahan solve.
 
 A true two-stage SVD path for banded matrices — the workload the
-memory-aware bulge-chasing paper (arXiv 2510.12705) targets — built from
-the same tile machinery as the EVD wavefront chase:
+memory-aware bulge-chasing paper (arXiv 2510.12705) targets — a blocked
+compact-WY bulge chase on the engine:
 
 1. :func:`band_to_bidiagonal` — the band analogue of the symmetric bulge
    chase: per sweep, a right reflector annihilates row ``j`` beyond the
@@ -13,7 +13,7 @@ the same tile machinery as the EVD wavefront chase:
    :class:`repro.gemm.engine.GemmEngine` under ``bulge.svd.*`` tags with
    scratch from the :class:`repro.perf.Workspace` arena, so the stage
    joins the telemetry stream and the resilience/ABFT guards exactly
-   like the EVD stage 2.
+   like the EVD stage 1.
 2. The bidiagonal ``(d, e)`` is solved by the shared Golub–Kahan back
    end (:func:`repro.svd.direct.gk_bidiagonal_svd`).
 

@@ -413,16 +413,13 @@ class TestAbftPolicy:
 # ---------------------------------------------------------------------------
 # (site, call_index) pairs covering distinct compute phases: the SBR
 # trailing update, the big-block full update, the driver-level band copy
-# into bulge chasing, the stage-2 chase's batched left update and fused
-# syr2k (``beta=1``) tile update, and the final back-transform.
+# into stage 2, and the final back-transform.
 # ``wy_full_right`` fires once per run at n=64/b=8, so its index is 0.
 SITES = (
     ("wy_right", 1),
     ("wy_full_right", 0),
     ("bulge", 0),
     ("back_transform", 1),
-    ("bulge.wavefront.left", 2),
-    ("bulge.wavefront.syr2k", 3),
 )
 #: The checker routine each site's launch goes through (SdcError.op).
 SITE_OPS = {
@@ -430,8 +427,6 @@ SITE_OPS = {
     "wy_full_right": "gemm",
     "bulge": "copy",
     "back_transform": "gemm",
-    "bulge.wavefront.left": "gemm_batched",
-    "bulge.wavefront.syr2k": "syr2k",
 }
 
 

@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError
-from repro.eig import bulge_chase, householder_tridiagonalize
+from scipy.linalg import cython_lapack
+
+import repro.eig.bulge as bulge_mod
+from repro.errors import ConfigurationError, NumericalBreakdownError, ShapeError
+from repro.eig import bulge_chase, householder_tridiagonalize, tridiag_eig_dc
 from repro.la import bandwidth_of, extract_band, tridiag_to_dense
-from tests.conftest import random_symmetric
+from tests.conftest import eig_banded_spectrum, random_symmetric
 
 
 class TestBulgeChase:
@@ -73,6 +76,70 @@ class TestBulgeChase:
         np.testing.assert_allclose(
             q @ tridiag_to_dense(d, e) @ q.T, ab, atol=1e-4
         )
+
+
+class TestLapackErrorPaths:
+    def test_sbtrd_info_raises_breakdown(self, rng, monkeypatch):
+        monkeypatch.setattr(bulge_mod, "_sbtrd",
+                            lambda ab, want_q: (None, None, None, 3))
+        ab = extract_band(random_symmetric(16, rng), 3)
+        with pytest.raises(NumericalBreakdownError) as ei:
+            bulge_chase(ab, 3)
+        assert ei.value.detector == "lapack"
+        assert ei.value.site == "bulge_chase"
+
+    def test_wrong_capsule_signature_raises_configuration_error(
+            self, rng, monkeypatch):
+        # dgeqrf's capsule stands in for a dsbtrd whose C signature
+        # changed under a different scipy.
+        monkeypatch.setitem(cython_lapack.__pyx_capi__, "dsbtrd",
+                            cython_lapack.__pyx_capi__["dgeqrf"])
+        bulge_mod._sbtrd_routine.cache_clear()
+        try:
+            with pytest.raises(ConfigurationError, match="dsbtrd"):
+                bulge_chase(extract_band(random_symmetric(16, rng), 3), 3)
+        finally:
+            monkeypatch.undo()
+            bulge_mod._sbtrd_routine.cache_clear()
+
+
+#: Band scales per precision: under- and overflow territory plus unit.
+SCALES = {np.float64: (1e-300, 1.0, 1e300), np.float32: (1e-30, 1.0, 1e30)}
+#: (eigenvalue, orthogonality, similarity) bounds per precision, relative
+#: to the band scale — those of the tests above.
+BOUNDS = {np.float64: (1e-11, 1e-12, 1e-12), np.float32: (1e-4, 1e-4, 1e-4)}
+
+
+class TestStage2Differential:
+    """``bulge_chase`` + ``tridiag_eig_dc`` against ``eig_banded``.
+
+    Every n in [1, 3b] for each b, at the extremes of each precision's
+    range and at unit scale, with and without the transform.
+    """
+
+    @pytest.mark.parametrize("want_q", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("scale_idx", [0, 1, 2])
+    @pytest.mark.parametrize("b", [1, 2, 5, 16])
+    def test_matches_eig_banded(self, b, scale_idx, dtype, want_q):
+        scale = SCALES[dtype][scale_idx]
+        tol, orth, sim = BOUNDS[dtype]
+        rng = np.random.default_rng(b)
+        for n in range(1, 3 * b + 1):
+            unit = extract_band(random_symmetric(n, rng), b).astype(dtype)
+            ab = unit * dtype(scale)
+            d, e, q = bulge_chase(ab, b, want_q=want_q)
+            assert d.dtype == dtype and e.shape == (n - 1,)
+            lam, _ = tridiag_eig_dc(d, e, want_vectors=False)
+            ref = eig_banded_spectrum(ab.astype(np.float64), b)
+            assert np.abs(lam - ref).max() / scale <= tol, n
+            if not want_q:
+                assert q is None
+                continue
+            q64 = q.astype(np.float64)
+            t = tridiag_to_dense(d, e).astype(np.float64) / scale
+            assert np.abs(q64.T @ q64 - np.eye(n)).max() <= orth, n
+            assert np.abs(q64 @ t @ q64.T - unit).max() <= sim, n
 
 
 class TestHouseholderTridiagonalize:

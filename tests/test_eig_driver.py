@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -95,6 +97,19 @@ class TestSyevd2Stage:
         assert res.sbr is not None and res.sbr.bandwidth == 4
         d, e = res.tridiagonal
         assert d.shape == (48,) and e.shape == (47,)
+
+    def test_call_leaves_no_cyclic_garbage(self, rng):
+        # A reference cycle would keep the engine and its workspace arena
+        # alive until the next GC pass, so peak memory would grow with the
+        # call rate instead of staying flat.
+        a = random_symmetric(64, rng)
+        gc.collect()
+        gc.disable()
+        try:
+            syevd_2stage(a, b=8, nb=16, want_vectors=True)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_eigh_agreement_with_vectors_subspace(self, rng):
         # For well-separated eigenvalues, eigenvectors match LAPACK's up to

@@ -1,4 +1,4 @@
-"""Tests for the tridiagonal eigensolvers: QL, secular/D&C, Sturm bisection."""
+"""Tests for the tridiagonal eigensolvers: QL, LAPACK D&C, Sturm bisection."""
 
 from __future__ import annotations
 
@@ -7,13 +7,9 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import repro.eig.dc as dc_mod
-from conftest import random_symmetric
-from repro import obs, syevd_2stage
 from repro.errors import ConvergenceError, ShapeError, ValidationError
 from repro.eig import (
     eigvals_bisect,
-    secular_eig,
-    solve_secular,
     sturm_count,
     tridiag_eig_dc,
     tridiag_eig_ql,
@@ -79,70 +75,6 @@ class TestQL:
         np.testing.assert_allclose(np.sort(lam), np.sort(expected), atol=1e-12)
 
 
-class TestSecular:
-    def _problem(self, n, rng, *, min_gap=1e-8):
-        d = np.sort(rng.standard_normal(n))
-        while n > 1 and np.min(np.diff(d)) < min_gap:
-            d = np.sort(rng.standard_normal(n))
-        z = rng.standard_normal(n)
-        z[np.abs(z) < 1e-3] = 1e-3
-        return d, z
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 40, 150])
-    @pytest.mark.parametrize("rho", [0.5, 2.0, -0.75])
-    def test_eigendecomposition(self, rng, n, rho):
-        d, z = self._problem(n, rng)
-        m = np.diag(d) + rho * np.outer(z, z)
-        lam, v = secular_eig(d, z, rho)
-        np.testing.assert_allclose(lam, np.linalg.eigvalsh(m), atol=1e-11)
-        np.testing.assert_allclose(v.T @ v, np.eye(n), atol=1e-12)
-        np.testing.assert_allclose(m @ v, v * lam, atol=1e-9)
-
-    def test_interlacing(self, rng):
-        d, z = self._problem(20, rng)
-        lam, anchor, offset = solve_secular(d, z, 1.5)
-        assert np.all(lam[:-1] > d[:-1]) and np.all(lam[:-1] < d[1:])
-        assert lam[-1] > d[-1]
-        np.testing.assert_allclose(d[anchor] + offset, lam, rtol=0, atol=1e-12)
-
-    def test_tight_gaps(self, rng):
-        gaps = 10.0 ** rng.uniform(-12, 0, 39)
-        d = np.concatenate([[0.0], np.cumsum(gaps)])
-        z = rng.standard_normal(40)
-        m = np.diag(d) + np.outer(z, z)
-        lam, v = secular_eig(d, z, 1.0)
-        np.testing.assert_allclose(lam, np.linalg.eigvalsh(m), atol=1e-11)
-        np.testing.assert_allclose(v.T @ v, np.eye(40), atol=1e-11)
-
-    def test_rho_zero(self, rng):
-        d, z = self._problem(8, rng)
-        lam, v = secular_eig(d, z, 0.0)
-        np.testing.assert_array_equal(lam, d)
-        np.testing.assert_array_equal(v, np.eye(8))
-
-    def test_values_only(self, rng):
-        d, z = self._problem(10, rng)
-        lam, v = secular_eig(d, z, 1.0, want_vectors=False)
-        assert v is None
-        assert lam.shape == (10,)
-
-    def test_solve_secular_requires_positive_rho(self, rng):
-        d, z = self._problem(5, rng)
-        with pytest.raises(ShapeError):
-            solve_secular(d, z, -1.0)
-
-    def test_solve_secular_requires_sorted(self, rng):
-        with pytest.raises(ShapeError):
-            solve_secular(np.array([1.0, 0.0]), np.ones(2), 1.0)
-
-    def test_large_rho_dominates(self, rng):
-        # For huge rho the top eigenvalue tends to rho ||z||^2.
-        d, z = self._problem(10, rng)
-        rho = 1e6
-        lam, _ = secular_eig(d, z, rho, want_vectors=False)
-        assert lam[-1] == pytest.approx(rho * (z @ z), rel=1e-3)
-
-
 class TestDC:
     @pytest.mark.parametrize("n", [1, 2, 5, 31, 32, 33, 100, 257])
     def test_random(self, rng, n):
@@ -155,17 +87,6 @@ class TestDC:
         lam, v = tridiag_eig_dc(d, e, want_vectors=False)
         assert v is None
         _check_solution(d, e, lam, None)
-
-    @pytest.mark.parametrize("cutoff", [3, 8, 64])
-    def test_cutoff_invariance(self, rng, cutoff):
-        d, e = _random_tridiag(60, rng)
-        lam, v = tridiag_eig_dc(d, e, cutoff=cutoff)
-        _check_solution(d, e, lam, v)
-
-    def test_bad_cutoff(self, rng):
-        d, e = _random_tridiag(10, rng)
-        with pytest.raises(ShapeError):
-            tridiag_eig_dc(d, e, cutoff=2)
 
     def test_zero_offdiagonal_split(self, rng):
         d, e = _random_tridiag(64, rng)
@@ -225,7 +146,7 @@ class TestDCChecks:
     def test_nonfinite_names_global_index(self, rng, monkeypatch, want_vectors,
                                           where, value):
         monkeypatch.setattr(dc_mod, "_sterf", _fail_if_called)
-        monkeypatch.setattr(dc_mod, "_stev", _fail_if_called)
+        monkeypatch.setattr(dc_mod, "_stevd", _fail_if_called)
         d, e = _random_tridiag(40, rng)
         {"d": d, "e": e}[where][20] = value
         kind = "inf" if np.isinf(value) else "nan"
@@ -235,7 +156,7 @@ class TestDCChecks:
         assert ei.value.name == where
 
     @pytest.mark.parametrize("routine,want_vectors", [
-        ("_sterf", False), ("_stev", True),
+        ("_sterf", False), ("_stevd", True),
     ])
     def test_lapack_info_raises_convergence_error(self, rng, monkeypatch,
                                                   routine, want_vectors):
@@ -251,16 +172,6 @@ class TestDCChecks:
             tridiag_eig_dc(d, e, want_vectors=want_vectors)
         assert ei.value.phase == "tridiag_solve"
         assert ei.value.iterations == 3
-
-    def test_syevd_counts_secular_work_on_tridiag_span(self, rng):
-        a = random_symmetric(96, rng)
-        with obs.collect() as session:
-            syevd_2stage(a, b=8, nb=32, want_vectors=True)
-        (span,) = [s for s in session.spans if s.name == "tridiag_solve"]
-        # n=96 with 32-leaves: three merges (48 = 24+24 twice, then 96).
-        assert span.counters["secular_sweeps"] >= 3
-        assert 0 <= span.counters["secular_capped"] <= 3
-        assert 0 <= span.counters["deflated"] <= 96
 
 
 # Matrix classes of the differential grid, each an (n -> (d, e)) builder.
@@ -311,8 +222,8 @@ _GRID_CLASSES = {
 class TestDCDifferential:
     """D&C against scipy ``eigh_tridiagonal`` across sizes, classes, scales.
 
-    Sizes straddle the leaf cutoff (32) and its multiples; the scales
-    push the entries toward under- and overflow.  Bounds are in units of
+    Sizes straddle ``stedc``'s direct-solve threshold (25) and its
+    multiples; the scales push the entries toward under- and overflow.  Bounds are in units of
     ``n * eps``: eigenvalue error and residual relative to ``||T||_2``,
     orthogonality absolute.  The worst observed constant is about 1.
     """

@@ -162,7 +162,7 @@ class TestDcProperties:
         g = np.random.default_rng(seed)
         d = g.standard_normal(n)
         e = g.standard_normal(max(n - 1, 0))
-        lam, v = tridiag_eig_dc(d, e, cutoff=8)
+        lam, v = tridiag_eig_dc(d, e)
         t = tridiag_to_dense(d, e)
         assert np.allclose(lam, np.linalg.eigvalsh(t), atol=1e-10)
         assert np.allclose(v.T @ v, np.eye(n), atol=1e-10)

@@ -539,7 +539,7 @@ class TestSoakHarness:
 
 class TestBulgeVariantServing:
     def test_wavefront_job_end_to_end(self, rng, tmp_path):
-        # Stage 2 of every job is the engine-routed wavefront chase; the
+        # Stage 2 of every job is the one LAPACK band reduction; the
         # manifest line carries neither a variant nor a solver knob.
         a = random_symmetric(24, rng)
         with _service(tmp_path) as svc:

@@ -128,50 +128,7 @@ class TestTraceStructure:
 
 
 class TestWavefrontTraceFidelity:
-    """The stage-2 wavefront launch schedule, pinned record for record.
-
-    Stronger than the SBR multiset checks: the wavefront executor's
-    engine stream must equal the symbolic trace *in order* — same
-    shapes, tags, ops, and batch counts — because the batched launch
-    schedule (who rides in which anti-diagonal group) is itself the
-    artifact under test.
-    """
-
-    @pytest.mark.parametrize(
-        "n,b", [(24, 3), (40, 5), (33, 7), (12, 11), (65, 16)]
-    )
-    @pytest.mark.parametrize("want_q", [False, True])
-    def test_schedule_matches_recorded(self, rng, n, b, want_q):
-        from repro.eig.bulge import bulge_chase
-        from repro.gemm.symbolic import trace_bulge_wavefront
-        from repro.la import extract_band
-
-        ab = extract_band(random_symmetric(n, rng), b)
-        eng = Fp64Engine(record=True)
-        bulge_chase(ab, b, want_q=want_q, engine=eng)
-        rec = [
-            (r.m, r.n, r.k, r.tag, r.op, r.batch)
-            for r in _recorded_algorithm_trace(eng).records
-        ]
-        sym = [
-            (r.m, r.n, r.k, r.tag, r.op, r.batch)
-            for r in trace_bulge_wavefront(n, b, want_q=want_q).records
-        ]
-        assert rec == sym
-
-    def test_flops_match(self, rng):
-        from repro.eig.bulge import bulge_chase
-        from repro.gemm.symbolic import trace_bulge_wavefront
-        from repro.la import extract_band
-
-        n, b = 48, 6
-        ab = extract_band(random_symmetric(n, rng), b)
-        eng = Fp64Engine(record=True)
-        bulge_chase(ab, b, engine=eng)
-        assert (
-            _recorded_algorithm_trace(eng).total_flops
-            == trace_bulge_wavefront(n, b, want_q=True).total_flops
-        )
+    """The modeled stage-2 trace's tags stay registered algorithm tags."""
 
     def test_bulge_svd_tags_registered(self):
         from repro.gemm.symbolic import BULGE_SVD_TAGS
