@@ -10,12 +10,15 @@ LAPACK behind two layer functions:
 - :mod:`~repro.eig.dc` — the symmetric tridiagonal eigenproblem by
   LAPACK ``sterf`` (eigenvalues only) or ``stevd`` (divide & conquer,
   with eigenvectors).
-- :mod:`~repro.eig.qliter` — implicit-shift QL iteration (EISPACK
-  ``tql2``-style), the tridiagonal tests' reference.
+- :mod:`~repro.eig.qliter` — implicit QL/QR iteration (LAPACK
+  ``?stev``), the tridiagonal tests' reference.
 - :mod:`~repro.eig.sturm` — Sturm-sequence eigenvalue counting and
-  bisection (selected eigenvalues, verification).
+  bisection (LAPACK ``?stebz``; selected eigenvalues, verification).
+- :mod:`~repro.eig.inverse_iteration` — eigenvectors for selected
+  eigenvalues (LAPACK ``?stein``).
 - :mod:`~repro.eig.tridiag_direct` — classic one-stage Householder
-  tridiagonalization (the 50%-BLAS2 baseline of paper §3.1).
+  tridiagonalization (LAPACK ``?sytrd``; the 50%-BLAS2 baseline of
+  paper §3.1).
 - :mod:`~repro.eig.driver` — ``syevd_2stage`` (SBR → band to tridiagonal →
   tridiagonal eigensolver → back-transformation) and ``syevd_1stage``.
 """

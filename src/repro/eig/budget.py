@@ -1,7 +1,7 @@
 """Wall-clock budget guard for iterative solvers.
 
-The iterative solvers (QL iteration, inverse iteration, QDWH, LOBPCG)
-bound their *iteration counts*, but a pathological input can still make
+The Python-loop iterative solvers (QDWH, LOBPCG) bound their
+*iteration counts*, but a pathological input can still make
 each iteration arbitrarily slow, or drive a retry loop that restarts the
 counter.  :class:`WallClockBudget` adds the orthogonal guard a serving
 deployment needs: a hard wall-clock ceiling, checked once per iteration,
@@ -32,9 +32,9 @@ class WallClockBudget:
 
     Construct at solver entry, call :meth:`check` once per iteration::
 
-        budget = WallClockBudget(max_seconds, phase="ql_iteration")
-        for sweep in ...:
-            budget.check(iterations=sweep)
+        budget = WallClockBudget(max_seconds, phase="lobpcg")
+        for its in ...:
+            budget.check(iterations=its)
 
     One clock read per check — negligible next to any real iteration.
     """

@@ -63,17 +63,17 @@ def tridiag_eig_dc(
         return d.copy(), (np.ones((1, 1)) if want_vectors else None)
     if not want_vectors:
         lam, info = _sterf(d, e)
-        _check_info(info, "sterf")
+        check_info(info, "sterf")
         return lam, None
     lam, v, info = _stevd(d, e, compute_v=1)
-    _check_info(info, "stevd")
+    check_info(info, "stevd")
     return lam, v
 
 
-def _check_info(info: int, routine: str) -> None:
+def check_info(info: int, routine: str, *, phase: str = "tridiag_solve") -> None:
     """Map a LAPACK ``info`` flag to a structured error."""
     if info != 0:
         raise ConvergenceError(
             f"LAPACK {routine} failed with info={info}",
-            iterations=int(info), phase="tridiag_solve",
+            iterations=int(info), phase=phase,
         )

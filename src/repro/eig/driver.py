@@ -71,6 +71,7 @@ from ..sbr.zy import sbr_zy
 from ..validation import as_symmetric_matrix, check_blocksizes, check_finite_matrix
 from .bulge import bulge_chase
 from .dc import tridiag_eig_dc
+from .inverse_iteration import tridiag_inverse_iteration
 # Not called here: bench/test_bench.py reads it off this module.
 from .qliter import tridiag_eig_ql  # noqa: F401
 from .sturm import eigvals_bisect
@@ -570,7 +571,9 @@ def syevd_1stage(
 ) -> EvdResult:
     """One-stage eigendecomposition: direct Householder tridiagonalization.
 
-    The conventional ``sytrd``-based path (float64), kept as the
+    The conventional path (float64): LAPACK ``?sytrd`` straight to
+    tridiagonal form (:func:`~repro.eig.tridiag_direct.householder_tridiagonalize`),
+    then the same tridiagonal solve as :func:`syevd_2stage`.  Kept as the
     correctness baseline the two-stage driver is validated against.  The
     resilience layer here is detect-and-report only — the whole path is
     already float64, so there is no safer precision to escalate to and
@@ -627,10 +630,10 @@ def syevd_selected(
     The query styles the paper's related work attributes to bisection
     methods ("the largest/smallest 100, or all eigenvalues in [a, b]"),
     composed from the library's pieces: stage-1 band reduction under the
-    chosen precision, bulge chasing, Sturm bisection for the selected
-    eigenvalues, tridiagonal inverse iteration for their vectors, and the
-    two back-transformations.  Cost scales with the *number of selected
-    pairs* after the O(n^2 b) reduction.
+    chosen precision, bulge chasing, bisection (LAPACK ``?stebz``) for the
+    selected eigenvalues, inverse iteration (``?stein``) for their
+    vectors, and the two back-transformations.  Cost scales with the
+    *number of selected pairs* after the O(n^2 b) reduction.
 
     Parameters
     ----------
@@ -646,8 +649,6 @@ def syevd_selected(
     EvdResult
         ``eigenvalues``/``eigenvectors`` hold only the selected pairs.
     """
-    from .inverse_iteration import tridiag_inverse_iteration
-
     a = np.asarray(a)
     if check_input and check_finite and a.ndim == 2 and a.size:
         check_finite_matrix(a)
@@ -683,12 +684,7 @@ def syevd_selected(
         x = None
         if want_vectors and lam.size:
             with obs.span("inverse_iteration"):
-                try:
-                    v_tri = tridiag_inverse_iteration(d, e, lam)
-                except ConvergenceError as exc:
-                    if exc.phase is None:
-                        exc.phase = "inverse_iteration"
-                    raise
+                v_tri = tridiag_inverse_iteration(d, e, lam)
             with obs.span("back_transform"):
                 x = _back_transform(ctx, sbr.q, q2, v_tri, False)
         elif want_vectors:

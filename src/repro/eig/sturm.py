@@ -1,32 +1,56 @@
-"""Sturm-sequence eigenvalue counting and bisection.
+"""Sturm-sequence eigenvalue counting and bisection (LAPACK ``?stebz``).
 
 The Sturm count ``nu(x)`` — the number of eigenvalues of a symmetric
 tridiagonal matrix strictly below ``x`` — is computed by the standard
-``LDL^T`` pivot recurrence.  On top of it, :func:`eigvals_bisect` brackets
-and bisects individual eigenvalues to a requested tolerance, supporting
-the "largest/smallest k" and "all in [a, b]" query styles the paper's
+``LDL^T`` pivot recurrence, vectorized over the shifts.
+:func:`eigvals_bisect` hands bisection to LAPACK ``dstebz``, supporting
+the "largest/smallest k" and "all in (a, b]" query styles the paper's
 related-work section attributes to bisection methods.
 
-The recurrence is vectorized over shifts: counting at ``m`` shifts costs
-one O(n·m) NumPy pass, so full-spectrum bisection is O(n² log(1/tol))
-with small constants.
+Neither the recurrence nor ``?stebz`` scales its input, so both run on
+``(d, e)`` multiplied by one power of two that brings ``max(|d|, |e|)``
+into LAPACK's safe range (the ``?stevx`` recipe,
+:func:`scale_to_safe_range`); inverse iteration shares the helper.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from ..errors import ShapeError
+from ..validation import check_tridiagonal
+from .dc import check_info
 
 __all__ = ["sturm_count", "eigvals_bisect"]
 
+_stebz = get_lapack_funcs("stebz", dtype=np.float64)
 
-def _validate_de(d, e) -> tuple[np.ndarray, np.ndarray]:
-    d = np.asarray(d, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    if d.ndim != 1 or e.ndim != 1 or e.size != max(d.size - 1, 0):
-        raise ShapeError(f"need d (n,) and e (n-1,), got {d.shape} and {e.shape}")
-    return d, e
+_SAFMIN = float(np.finfo(np.float64).tiny)
+_SMLNUM = _SAFMIN / float(np.finfo(np.float64).eps)
+#: ``?stevx``'s safe range for ``max(|d|, |e|)``: squares neither
+#: overflow nor underflow inside it.
+_RMIN = float(np.sqrt(_SMLNUM))
+_RMAX = float(min(np.sqrt(1.0 / _SMLNUM), 1.0 / np.sqrt(np.sqrt(_SAFMIN))))
+
+
+def scale_to_safe_range(d: np.ndarray, e: np.ndarray):
+    """Scale ``(d, e)`` by a power of two into LAPACK's safe range.
+
+    Returns ``(s*d, s*e, s)``; ``s`` is 1.0 when ``max(|d|, |e|)`` is
+    zero or already inside ``[_RMIN, _RMAX]``.  Being a power of two,
+    ``s`` changes no bits unless an entry leaves the normal range.  For
+    ``n == 1`` the scaled ``e`` is one zero: scipy's ``?stebz`` /
+    ``?stein`` wrappers reject an empty off-diagonal.
+    """
+    tnrm = max(float(np.abs(d).max()), float(np.abs(e).max(initial=0.0)))
+    if tnrm == 0.0 or _RMIN <= tnrm <= _RMAX:
+        s = 1.0
+    elif tnrm < _RMIN:
+        s = 2.0 ** np.ceil(np.log2(_RMIN / tnrm))
+    else:
+        s = 2.0 ** np.floor(np.log2(_RMAX / tnrm))
+    return d * s, (e * s if e.size else np.zeros(1)), s
 
 
 def sturm_count(d, e, shifts) -> np.ndarray:
@@ -35,7 +59,8 @@ def sturm_count(d, e, shifts) -> np.ndarray:
     Parameters
     ----------
     d, e : array_like
-        Tridiagonal entries.
+        Tridiagonal entries (validated by
+        :func:`~repro.validation.check_tridiagonal`).
     shifts : array_like
         Query points (scalar or 1-D).
 
@@ -43,16 +68,15 @@ def sturm_count(d, e, shifts) -> np.ndarray:
     -------
     counts : ndarray of int, same shape as ``shifts``.
     """
-    d, e = _validate_de(d, e)
-    x = np.atleast_1d(np.asarray(shifts, dtype=np.float64))
-    n = d.size
+    d, e, s = scale_to_safe_range(*check_tridiagonal(d, e))
+    x = np.atleast_1d(np.asarray(shifts, dtype=np.float64)) * s
     tiny = np.finfo(np.float64).tiny
 
     # LDL^T pivot recurrence, vectorized over the shift axis.
     count = np.zeros(x.shape, dtype=np.int64)
     q = np.full(x.shape, 1.0)
     e2 = np.concatenate([[0.0], e * e])
-    for i in range(n):
+    for i in range(d.size):
         # q_i = d_i - x - e_{i-1}^2 / q_{i-1}
         denom = np.where(np.abs(q) < tiny, np.copysign(tiny, q), q)
         q = (d[i] - x) - e2[i] / denom
@@ -69,14 +93,13 @@ def eigvals_bisect(
     select: "tuple[int, int] | None" = None,
     interval: "tuple[float, float] | None" = None,
     tol: float = 0.0,
-    max_iter: int = 128,
 ) -> np.ndarray:
-    """Eigenvalues of tridiag(d, e) by Sturm bisection.
+    """Eigenvalues of tridiag(d, e) by bisection (LAPACK ``?stebz``).
 
     Parameters
     ----------
     d, e : array_like
-        Tridiagonal entries.
+        Tridiagonal entries; ``n == 0`` returns an empty array.
     select : (lo, hi), optional
         Index range of eigenvalues to compute (0-based, ascending,
         half-open).  Default: all.
@@ -84,60 +107,45 @@ def eigvals_bisect(
         Instead of indices, compute all eigenvalues in the half-open
         interval ``(a, b]``.
     tol : float
-        Absolute convergence tolerance (default: ~4 ulp of the spectrum
-        radius).
+        Absolute convergence tolerance; ``<= 0`` (the default) uses
+        LAPACK's ``ulp * ||T||``.
 
     Returns
     -------
     lam : ndarray
         Selected eigenvalues, ascending.
+
+    Raises
+    ------
+    ShapeError
+        Malformed or non-finite ``(d, e)``, both selectors given, or an
+        empty / out-of-range selection bound.
+    ConvergenceError
+        ``?stebz`` reported ``info != 0`` (``phase="bisect"``).
     """
-    d, e = _validate_de(d, e)
-    n = d.size
-    if n == 0:
+    if np.size(d) == 0 and np.size(e) == 0:
         return np.empty(0)
-
-    # Gershgorin bounds.
-    pad = np.concatenate([[0.0], np.abs(e)]) + np.concatenate([np.abs(e), [0.0]])
-    lo = float(np.min(d - pad))
-    hi = float(np.max(d + pad))
-    radius = max(hi - lo, abs(hi), abs(lo), 1e-300)
-    if tol <= 0.0:
-        tol = 4.0 * np.finfo(np.float64).eps * radius
-    lo -= 2.0 * tol
-    hi += 2.0 * tol
-
+    d, e, s = scale_to_safe_range(*check_tridiagonal(d, e))
+    n = d.size
     if select is not None and interval is not None:
         raise ShapeError("pass either select or interval, not both")
     if interval is not None:
-        a, bnd = interval
-        if not a <= bnd:
+        a, b = interval
+        if not a <= b:
             raise ShapeError(
                 f"interval must have lo <= hi, got interval={interval!r}"
             )
-        i_lo = int(sturm_count(d, e, a))
-        i_hi = int(sturm_count(d, e, np.nextafter(bnd, np.inf)))
-        select = (i_lo, i_hi)
-    if select is None:
-        select = (0, n)
-    i0, i1 = select
-    if not (0 <= i0 <= i1 <= n):
-        raise ShapeError(f"select out of range: {select} for n={n}")
-    k = i1 - i0
-    if k == 0:
-        return np.empty(0)
-
-    # One bracketing [lo_j, hi_j] per requested eigenvalue, bisected in
-    # lockstep (vectorized Sturm counts at all midpoints per iteration).
-    lo_v = np.full(k, lo)
-    hi_v = np.full(k, hi)
-    idx = np.arange(i0, i1)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo_v + hi_v)
-        counts = sturm_count(d, e, mid)
-        go_left = counts > idx  # eigenvalue idx_j is below mid
-        hi_v = np.where(go_left, mid, hi_v)
-        lo_v = np.where(go_left, lo_v, mid)
-        if float(np.max(hi_v - lo_v)) <= tol:
-            break
-    return 0.5 * (lo_v + hi_v)
+        if a == b:
+            return np.empty(0)
+        # Range "V": eigenvalues in (vl, vu].
+        m, w, _, _, info = _stebz(d, e, 1, a * s, b * s, 0, 0, tol * s, "E")
+    else:
+        i0, i1 = (0, n) if select is None else select
+        if not (0 <= i0 <= i1 <= n):
+            raise ShapeError(f"select out of range: {select} for n={n}")
+        if i0 == i1:
+            return np.empty(0)
+        # Range "I": the il-th through iu-th eigenvalues, 1-based.
+        m, w, _, _, info = _stebz(d, e, 2, 0.0, 0.0, i0 + 1, i1, tol * s, "E")
+    check_info(info, "stebz", phase="bisect")
+    return w[:m] / s

@@ -1,4 +1,4 @@
-"""Classic one-stage Householder tridiagonalization (LAPACK ``sytrd`` shape).
+"""Classic one-stage Householder tridiagonalization (LAPACK ``?sytrd``).
 
 The baseline the paper's §3.1 argues against: each column's reflector is
 applied two-sidedly as a symmetric rank-2 update,
@@ -9,15 +9,17 @@ applied two-sidedly as a symmetric rank-2 update,
 
 which is irreducibly BLAS2 for ~50% of the flops (the ``A v`` products
 cannot be blocked away) — the paper observes this unblocked work
-dominating >90% of MAGMA's ``ssytrd`` time.  Used here as a correctness
-reference and a baseline in the device-model comparisons.
+dominating >90% of MAGMA's ``ssytrd`` time.  Here LAPACK ``?sytrd``
+runs it (blocked ``?latrd`` + ``?syr2k``), and ``?orgqr`` forms ``Q``.
+Used as a correctness reference, by ``syevd_1stage`` and by the serving
+layer's coalesced small-matrix path.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
-from ..la.householder import make_reflector
 from ..validation import as_symmetric_matrix
 
 __all__ = ["householder_tridiagonalize"]
@@ -30,6 +32,8 @@ def householder_tridiagonalize(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Reduce a symmetric matrix directly to tridiagonal form.
 
+    Runs in the input's floating dtype (``ssytrd`` for float32).
+
     Returns
     -------
     d : ndarray, shape (n,)
@@ -41,34 +45,15 @@ def householder_tridiagonalize(
     """
     a = as_symmetric_matrix(a)
     n = a.shape[0]
-    dtype = a.dtype
-    A = np.array(a, copy=True)
-    vs: list[tuple[int, np.ndarray, float]] = []
-
-    for j in range(n - 2):
-        v, beta, alpha = make_reflector(A[j + 1 :, j])
-        A[j + 1, j] = dtype.type(alpha)
-        A[j + 2 :, j] = 0
-        A[j, j + 1] = dtype.type(alpha)
-        A[j, j + 2 :] = 0
-        if beta == 0.0:
-            continue
-        sub = A[j + 1 :, j + 1 :]
-        p = dtype.type(beta) * (sub @ v)
-        w = p - dtype.type(0.5 * beta * float(p @ v)) * v
-        sub -= np.multiply.outer(v, w)
-        sub -= np.multiply.outer(w, v)
-        vs.append((j + 1, v, beta))
-
-    d = np.diagonal(A).copy()
-    e = np.diagonal(A, offset=-1).copy() if n > 1 else np.empty(0, dtype=dtype)
-
-    q = None
-    if want_q:
-        q = np.eye(n, dtype=dtype)
-        # Apply reflectors backward: Q = H_1 H_2 ... H_{n-2}.
-        for off, v, beta in reversed(vs):
-            block = q[off:, off:]
-            wrow = v @ block
-            block -= np.multiply.outer(v * dtype.type(beta), wrow)
+    sytrd, sytrd_lwork, orgqr = get_lapack_funcs(
+        ("sytrd", "sytrd_lwork", "orgqr"), (a,))
+    lwork, _ = sytrd_lwork(n, lower=1)
+    c, d, e, tau, _ = sytrd(a, lower=1, lwork=int(lwork))
+    if not want_q:
+        return d, e, None
+    # ?orgtr for lower storage: the reflectors sit below the subdiagonal
+    # and Q's first row and column are those of the identity.
+    q = np.eye(n, dtype=c.dtype)
+    if n > 1:
+        q[1:, 1:], _, _ = orgqr(c[1:, :-1], tau)
     return d, e, q

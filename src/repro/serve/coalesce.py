@@ -4,12 +4,12 @@ Small EVDs are launch-bound, not flop-bound — the fix the paper's
 tensor-core pipeline applies everywhere is the same one that helps here:
 fewer, fatter GEMM launches.  The coalescer groups same-shape
 eigenvalue+vector requests that opted in (``coalescible=True``) and runs
-them as a stack: per-matrix tridiagonalization and divide & conquer
-tridiagonal solve (the drivers' default), then **one** ``gemm_batched``
-call for the back-transform ``X_i = Q1_i @ Vtri_i`` — the dominant
-O(n^3) step — through the shared engine, so the batch lands in the perf
-model, the GEMM telemetry stream, and the live registry as a single
-batched launch.
+them as a stack: per-matrix LAPACK ``?sytrd`` tridiagonalization and
+``stevd`` divide & conquer tridiagonal solve (the drivers' default),
+then **one** ``gemm_batched`` call for the back-transform
+``X_i = Q1_i @ Vtri_i`` — the dominant O(n^3) step — through the
+shared engine, so the batch lands in the perf model, the GEMM
+telemetry stream, and the live registry as a single batched launch.
 """
 
 from __future__ import annotations

@@ -131,10 +131,11 @@ def check_tridiagonal(d, e, *, check_finite: bool = True):
 
     ``d`` must be a non-empty 1-D diagonal, ``e`` its 1-D off-diagonal of
     length ``len(d) - 1``; both must be finite.  Returns the pair as
-    float64 arrays.  The QL and D&C tridiagonal solvers gate on this
-    before their first sweep or LAPACK call, and inverse iteration behind
-    its ``check_input=`` knob, instead of failing mid-sweep on a NaN
-    rotation.
+    float64 arrays.  Every tridiagonal routine (Sturm counts, bisection,
+    QL, D&C, and inverse iteration's finiteness check behind its
+    ``check_input=`` knob) gates on this before its LAPACK call or
+    recurrence, so a NaN raises here instead of coming back as NaN
+    eigenvalues or garbage counts.
     """
     d = np.asarray(d, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)

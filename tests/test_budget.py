@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.eig.budget import WallClockBudget
-from repro.eig.inverse_iteration import tridiag_inverse_iteration
 from repro.eig.lobpcg import lobpcg
 from repro.eig.qdwh import qdwh_eig, qdwh_polar
 from repro.eig.qliter import tridiag_eig_ql
@@ -64,12 +63,11 @@ class TestWallClockBudget:
         assert err.budget == 0.5 and err.elapsed > 0.5
         assert "wall-clock budget" in str(err)
 
-    def test_generous_budget_never_trips(self, tridiag):
-        d, e = tridiag
+    def test_generous_budget_never_trips(self, rng):
+        a = random_symmetric(30, rng)
         with obs.collect(clock=FakeClock(step=1e-9)):
-            lam, _ = tridiag_eig_ql(d, e, max_seconds=60.0)
-        t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        np.testing.assert_allclose(lam, np.linalg.eigvalsh(t), atol=1e-10)
+            lam, _, _ = lobpcg(a, 3, max_seconds=60.0)
+        np.testing.assert_allclose(lam, np.linalg.eigvalsh(a)[:3], atol=1e-6)
 
 
 class TestSolverBudgets:
@@ -80,17 +78,6 @@ class TestSolverBudgets:
         assert ei.value.phase == phase
         assert ei.value.budget == kw["max_seconds"]
         assert ei.value.elapsed > kw["max_seconds"]
-
-    def test_ql_iteration(self, tridiag):
-        d, e = tridiag
-        self.expect_trip("ql_iteration", tridiag_eig_ql, d, e, max_seconds=0.5)
-
-    def test_inverse_iteration(self, tridiag):
-        d, e = tridiag
-        t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        lam = np.linalg.eigvalsh(t)
-        self.expect_trip("inverse_iteration", tridiag_inverse_iteration,
-                         d, e, lam, max_seconds=0.5)
 
     def test_qdwh_polar(self, rng):
         a = random_symmetric(16, rng) + 20.0 * np.eye(16)

@@ -1,24 +1,38 @@
-"""Tests for the tridiagonal eigensolvers: QL, LAPACK D&C, Sturm bisection."""
+"""Tests for the tridiagonal eigensolvers: QL, D&C, bisection, inverse iteration."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
 
 import repro.eig.dc as dc_mod
+import repro.eig.inverse_iteration as inverse_iteration_mod
+import repro.eig.qliter as qliter_mod
+import repro.eig.sturm as sturm_mod
 from repro.errors import ConvergenceError, ShapeError, ValidationError
 from repro.eig import (
     eigvals_bisect,
     sturm_count,
+    syevd_selected,
     tridiag_eig_dc,
     tridiag_eig_ql,
+    tridiag_inverse_iteration,
 )
 from repro.la import tridiag_to_dense
+
+from conftest import random_symmetric
 
 
 def _random_tridiag(n, rng):
     return rng.standard_normal(n), rng.standard_normal(max(n - 1, 0))
+
+
+def _tridiag_matvec(d, e, v):
+    tv = d[:, None] * v
+    tv[:-1] += e[:, None] * v[1:]
+    tv[1:] += e[:, None] * v[:-1]
+    return tv
 
 
 def _check_solution(d, e, lam, v, *, atol=1e-12):
@@ -247,10 +261,7 @@ class TestDCDifferential:
         if not want_vectors:
             assert v is None
             return
-        tv = d[:, None] * v
-        tv[:-1] += e[:, None] * v[1:]
-        tv[1:] += e[:, None] * v[:-1]
-        assert np.abs(tv - v * lam).max() <= tol * tnorm
+        assert np.abs(_tridiag_matvec(d, e, v) - v * lam).max() <= tol * tnorm
         assert np.abs(v.T @ v - np.eye(n)).max() <= tol
 
 
@@ -313,3 +324,141 @@ class TestSturm:
 
     def test_single_element(self):
         np.testing.assert_allclose(eigvals_bisect([4.0], []), [4.0], atol=1e-12)
+
+    def test_bisect_empty_matrix(self):
+        assert eigvals_bisect([], []).size == 0
+
+    @pytest.mark.parametrize("call", [
+        lambda d, e: sturm_count(d, e, 0.0),
+        lambda d, e: eigvals_bisect(d, e),
+    ])
+    @pytest.mark.parametrize("where,value", [("d", np.inf), ("e", np.nan)])
+    def test_nonfinite_raises_validation_error(self, rng, call, where, value):
+        d, e = _random_tridiag(12, rng)
+        {"d": d, "e": e}[where][5] = value
+        with pytest.raises(ValidationError) as ei:
+            call(d, e)
+        assert ei.value.field == "finite"
+        assert ei.value.name == where
+
+
+class TestScaleDifferential:
+    """Bisection, inverse iteration and QL against scipy at range extremes.
+
+    None of ``?stebz``, ``?stein`` or the Sturm recurrence scales its
+    input, so these pin the power-of-two scaling in front of them.
+    Bounds are in units of ``n * eps`` as in :class:`TestDCDifferential`.
+    """
+
+    C = 8.0
+
+    @staticmethod
+    def _case(n, scale):
+        rng = np.random.default_rng(n)
+        d, e = rng.standard_normal(n) * scale, rng.standard_normal(n - 1) * scale
+        ref = eigh_tridiagonal(d, e, eigvals_only=True) if n > 1 else d.copy()
+        tnorm = float(np.abs(ref).max())
+        # Points strictly between consecutive eigenvalues, plus one on
+        # either side of the spectrum.
+        mids = np.concatenate(
+            [[ref[0] - tnorm], (ref[1:] + ref[:-1]) / 2, [ref[-1] + tnorm]])
+        return d, e, ref, tnorm, mids, n * np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160, 1e300])
+    @pytest.mark.parametrize("n", [1, 2, 5, 33])
+    def test_sturm_count(self, n, scale):
+        d, e, _, _, mids, _ = self._case(n, scale)
+        np.testing.assert_array_equal(sturm_count(d, e, mids), np.arange(n + 1))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160, 1e300])
+    @pytest.mark.parametrize("n", [1, 2, 5, 33])
+    def test_bisect(self, n, scale):
+        d, e, ref, tnorm, mids, tol = self._case(n, scale)
+        lo, hi = n // 3, n - n // 3
+        by_index = eigvals_bisect(d, e, select=(lo, hi))
+        by_value = eigvals_bisect(d, e, interval=(mids[lo], mids[hi]))
+        for lam in (by_index, by_value):
+            assert lam.shape == (hi - lo,)
+            assert np.abs(lam - ref[lo:hi]).max() <= self.C * tol * tnorm
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160, 1e300])
+    @pytest.mark.parametrize("n", [1, 2, 5, 33])
+    def test_inverse_iteration(self, n, scale):
+        d, e, ref, tnorm, _, tol = self._case(n, scale)
+        v = tridiag_inverse_iteration(d, e, ref)
+        assert np.abs(_tridiag_matvec(d, e, v) - v * ref).max() <= self.C * tol * tnorm
+        assert np.abs(v.T @ v - np.eye(n)).max() <= self.C * tol
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160, 1e300])
+    @pytest.mark.parametrize("n", [1, 2, 5, 33])
+    def test_ql(self, n, scale):
+        d, e, ref, tnorm, _, tol = self._case(n, scale)
+        lam, v = tridiag_eig_ql(d, e)
+        assert np.abs(lam - ref).max() <= self.C * tol * tnorm
+        assert np.abs(_tridiag_matvec(d, e, v) - v * lam).max() <= self.C * tol * tnorm
+        assert np.abs(v.T @ v - np.eye(n)).max() <= self.C * tol
+
+    def test_inverse_iteration_shuffled_clusters(self):
+        # Two clusters of ten eigenvalues ~1e-9 apart, passed in shuffled
+        # order: each column must be the eigenvector of its own input
+        # eigenvalue (a neighbour's leaves a residual of the gap, far
+        # above the bound) and the columns orthonormal.
+        n = 20
+        d = np.repeat([1.0, 5.0], 10) + 1e-9 * np.tile(np.arange(10.0), 2)
+        e = np.full(n - 1, 1e-10)
+        lam = eigh_tridiagonal(d, e, eigvals_only=True)
+        perm = np.random.default_rng(0).permutation(n)
+        v = tridiag_inverse_iteration(d, e, lam[perm])
+        tol = self.C * n * np.finfo(np.float64).eps
+        assert np.abs(_tridiag_matvec(d, e, v) - v * lam[perm]).max() <= tol * 5.0
+        assert np.abs(v.T @ v - np.eye(n)).max() <= tol
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150])
+    def test_syevd_selected_fp64_tiny_norm(self, scale):
+        # The fp64 bounds of TestSyevdSelected, relative to ||A||.
+        a = random_symmetric(64, np.random.default_rng(0)) * scale
+        res = syevd_selected(a, select=(10, 20), b=8, nb=32, precision="fp64")
+        ref = eigh(a, eigvals_only=True)[10:20]
+        x = res.eigenvectors
+        assert np.abs(res.eigenvalues - ref).max() <= 1e-9 * scale
+        assert np.abs(x.T @ x - np.eye(10)).max() <= 1e-8
+        assert np.abs((a / scale) @ x - x * (res.eigenvalues / scale)).max() <= 1e-8
+
+
+class TestLapackErrorPaths:
+    """``info != 0`` from each LAPACK routine becomes a ConvergenceError."""
+
+    @staticmethod
+    def _failing(mod, name, monkeypatch, info=3):
+        real = getattr(mod, name)
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, info)
+
+        monkeypatch.setattr(mod, name, failing)
+
+    @pytest.mark.parametrize("kw", [{}, {"select": (2, 5)}, {"interval": (-1.0, 1.0)}])
+    def test_stebz(self, rng, monkeypatch, kw):
+        self._failing(sturm_mod, "_stebz", monkeypatch)
+        d, e = _random_tridiag(20, rng)
+        with pytest.raises(ConvergenceError) as ei:
+            eigvals_bisect(d, e, **kw)
+        assert ei.value.iterations == 3
+
+    def test_stein(self, rng, monkeypatch):
+        self._failing(inverse_iteration_mod, "_stein", monkeypatch)
+        d, e = _random_tridiag(20, rng)
+        lam = eigh_tridiagonal(d, e, eigvals_only=True)[:4]
+        with pytest.raises(ConvergenceError) as ei:
+            tridiag_inverse_iteration(d, e, lam)
+        assert ei.value.iterations == 3
+        assert ei.value.phase == "inverse_iteration"
+
+    @pytest.mark.parametrize("want_vectors", [False, True])
+    def test_stev(self, rng, monkeypatch, want_vectors):
+        self._failing(qliter_mod, "_stev", monkeypatch)
+        d, e = _random_tridiag(20, rng)
+        with pytest.raises(ConvergenceError) as ei:
+            tridiag_eig_ql(d, e, want_vectors=want_vectors)
+        assert ei.value.iterations == 3
