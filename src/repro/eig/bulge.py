@@ -33,7 +33,7 @@ from scipy.linalg import cython_lapack
 
 from ..errors import ConfigurationError, NumericalBreakdownError, ShapeError
 from ..obs import spans as obs
-from ..validation import as_symmetric_matrix
+from ..validation import Validated, as_square_matrix, as_symmetric_matrix
 
 __all__ = ["bulge_chase", "reduce_bandwidth"]
 
@@ -64,7 +64,8 @@ def bulge_chase(
     ----------
     a : array_like, (n, n) symmetric
         Band matrix with semi-bandwidth ``b`` (entries outside the band
-        are assumed zero and ignored).
+        are assumed zero and ignored).  Checked as in
+        :func:`repro.sbr.wy.sbr_wy`.
     b : int
         Semi-bandwidth of ``a``; ``b == 1`` returns the tridiagonal
         entries directly.
@@ -88,12 +89,15 @@ def bulge_chase(
     ConfigurationError
         scipy's ``?sbtrd`` capsule does not have the expected signature.
     """
-    a = as_symmetric_matrix(a, rtol=1e-3, atol=1e-4)
+    if isinstance(a, Validated):
+        a = a.array
+    else:
+        _check_finite(as_square_matrix(a))  # a breakdown, not a bad request
+        a = as_symmetric_matrix(a)
+        if b < 1:
+            raise ShapeError(f"bandwidth must be >= 1, got {b}")
     n = a.shape[0]
-    if b < 1:
-        raise ShapeError(f"bandwidth must be >= 1, got {b}")
     dtype = a.dtype if a.dtype in (np.float32, np.float64) else np.dtype(np.float64)
-    _check_finite(a)
     kd = min(b, n - 1)
     if kd <= 1:
         d = np.diagonal(a).astype(dtype)
@@ -233,7 +237,7 @@ def reduce_bandwidth(
     q : ndarray (n, n) or None
         Accumulated orthogonal transform (``None`` if not requested).
     """
-    a = as_symmetric_matrix(a, rtol=1e-3, atol=1e-4)
+    a = as_symmetric_matrix(a)
     n = a.shape[0]
     if b < 1:
         raise ShapeError(f"bandwidth must be >= 1, got {b}")

@@ -68,7 +68,7 @@ from ..resilience.policy import EscalationLadder, ResilienceReport
 from ..sbr.types import SbrResult, pack_wy_blocks, unpack_wy_blocks
 from ..sbr.wy import sbr_wy
 from ..sbr.zy import sbr_zy
-from ..validation import as_symmetric_matrix, check_blocksizes, check_finite_matrix
+from ..validation import Validated, as_symmetric_matrix, check_blocksizes
 from .bulge import bulge_chase
 from .dc import tridiag_eig_dc
 from .inverse_iteration import tridiag_inverse_iteration
@@ -249,10 +249,11 @@ def _resilient_bulge(ctx, band64, b, want_q):
     exhausts the budget and propagates/degrades per the context mode.
     The fault-injection site ``"bulge"`` corrupts the band copy handed to
     the chase; the pre-chase detectors (non-finite, magnitude, symmetry)
-    catch it before the chase runs.
+    catch it before the chase runs.  Stage 1 returns the band exactly
+    symmetric, so it goes to the chase as ``Validated``.
     """
     if ctx is None:
-        return bulge_chase(band64, b, want_q=want_q)
+        return bulge_chase(Validated(band64), b, want_q=want_q)
     attempt = 0
     while True:
         try:
@@ -264,7 +265,7 @@ def _resilient_bulge(ctx, band64, b, want_q):
                 band_in = ctx.guard_copy("bulge", band_in, band64)
                 ctx.check_array(band_in, site="bulge_band")
                 ctx.check_symmetry(band_in, precision=Precision.FP64)
-                d, e, q2 = bulge_chase(band_in, b, want_q=want_q)
+                d, e, q2 = bulge_chase(Validated(band_in), b, want_q=want_q)
                 ctx.check_array(d, site="bulge_d")
                 if e.size:
                     ctx.check_array(e, site="bulge_e")
@@ -323,7 +324,6 @@ def syevd_2stage(
     faults: "FaultInjector | None" = None,
     abft: "str | None" = None,
     checkpoint: "CheckpointConfig | CheckpointManager | str | None" = None,
-    check_finite: bool = True,
     check_input: bool = True,
     live=None,
     trace: "TraceContext | dict | None" = None,
@@ -389,18 +389,14 @@ def syevd_2stage(
         checkpoint to a bitwise-identical result.  Checkpoints are
         CRC- and ABFT-checksummed; a torn or corrupted one raises
         :class:`~repro.errors.CheckpointCorruptionError` at load.
-    check_finite : bool
-        Reject NaN/Inf inputs up front with a clear error (cheap
-        ``np.isfinite`` gate; skippable for pre-validated inputs).
     check_input : bool
-        Master up-front validation gate (default on): non-square,
-        non-symmetric, and (together with ``check_finite``) non-finite
-        inputs raise a structured
-        :class:`~repro.errors.ValidationError` whose ``field``
-        attribute names the failed check (``"square"``, ``"symmetry"``,
-        ``"finite"``, ...) instead of breaking deep inside SBR.
-        ``check_input=False`` skips the symmetry/finite comparisons for
-        pre-validated inputs (shape coercion still happens).
+        Run the input contract (:func:`repro.validation.as_symmetric_matrix`)
+        once, up front (default on): non-square, non-finite and
+        non-symmetric (beyond ``sqrt(u) * max|A|``) inputs raise a
+        structured :class:`~repro.errors.ValidationError` whose ``field``
+        names the failed check instead of breaking deep inside SBR.
+        ``False`` skips the checks in every layer for pre-validated input
+        (shape coercion and the exact symmetrization still happen).
     live : bool, str, LiveConfig, MetricsRegistry, or LiveSession, optional
         Live monitoring for this run (:mod:`repro.obs.live`).  ``True``
         or a directory path starts the full stack — metrics registry,
@@ -424,9 +420,6 @@ def syevd_2stage(
     -------
     EvdResult
     """
-    a = np.asarray(a)
-    if check_input and check_finite and a.ndim == 2 and a.size:
-        check_finite_matrix(a)
     a = as_symmetric_matrix(a, check=check_input)
     n = a.shape[0]
     if nb is None:
@@ -489,15 +482,13 @@ def syevd_2stage(
                 sbr = _sbr_from_checkpoint(band_ck, b)
             elif method == "wy":
                 sbr = sbr_wy(
-                    a, b, nb, engine=sbr_eng, want_q=want_vectors,
+                    Validated(a), b, nb, engine=sbr_eng, want_q=want_vectors,
                     workspace=ws, resilience=ctx, checkpoint=ck,
-                    check_finite=False,
                 )
             else:
                 sbr = sbr_zy(
-                    a, b, engine=sbr_eng, want_q=want_vectors,
+                    Validated(a), b, engine=sbr_eng, want_q=want_vectors,
                     workspace=ws, resilience=ctx, checkpoint=ck,
-                    check_finite=False,
                 )
             if ck is not None and band_ck is None:
                 arrays, offsets = pack_wy_blocks(sbr.blocks)
@@ -566,7 +557,6 @@ def syevd_1stage(
     *,
     want_vectors: bool = True,
     on_breakdown: "str | None" = "escalate",
-    check_finite: bool = True,
     check_input: bool = True,
 ) -> EvdResult:
     """One-stage eigendecomposition: direct Householder tridiagonalization.
@@ -578,16 +568,14 @@ def syevd_1stage(
     resilience layer here is detect-and-report only — the whole path is
     already float64, so there is no safer precision to escalate to and
     any detected breakdown propagates (``on_breakdown`` values behave
-    alike apart from ``None``, which disables detection).
+    alike apart from ``None``, which disables detection).  ``check_input``
+    runs the input contract as in :func:`syevd_2stage`.
     """
-    a = np.asarray(a)
-    if check_input and check_finite and a.ndim == 2 and a.size:
-        check_finite_matrix(a)
     a = as_symmetric_matrix(a, dtype=np.float64, check=check_input)
     ctx = _make_context(on_breakdown, None, None, None)
     with obs.span("syevd_1stage", n=a.shape[0]):
         with obs.span("tridiagonalize"):
-            d, e, q1 = householder_tridiagonalize(a, want_q=want_vectors)
+            d, e, q1 = householder_tridiagonalize(Validated(a), want_q=want_vectors)
             if ctx is not None:
                 with ctx.unit("tridiagonalize"):
                     ctx.check_array(d, site="tridiag_d")
@@ -622,7 +610,6 @@ def syevd_selected(
     on_breakdown: "str | None" = "escalate",
     faults: "FaultInjector | None" = None,
     abft: "str | None" = None,
-    check_finite: bool = True,
     check_input: bool = True,
 ) -> EvdResult:
     """Selected eigenpairs: band reduction + bisection + inverse iteration.
@@ -649,9 +636,6 @@ def syevd_selected(
     EvdResult
         ``eigenvalues``/``eigenvectors`` hold only the selected pairs.
     """
-    a = np.asarray(a)
-    if check_input and check_finite and a.ndim == 2 and a.size:
-        check_finite_matrix(a)
     a = as_symmetric_matrix(a, check=check_input)
     n = a.shape[0]
     if nb is None:
@@ -666,13 +650,13 @@ def syevd_selected(
         with obs.span("sbr"):
             if method == "wy":
                 sbr = sbr_wy(
-                    a, b, nb, engine=sbr_eng, want_q=want_vectors,
-                    resilience=ctx, check_finite=False,
+                    Validated(a), b, nb, engine=sbr_eng,
+                    want_q=want_vectors, resilience=ctx,
                 )
             else:
                 sbr = sbr_zy(
-                    a, b, engine=sbr_eng, want_q=want_vectors,
-                    resilience=ctx, check_finite=False,
+                    Validated(a), b, engine=sbr_eng, want_q=want_vectors,
+                    resilience=ctx,
                 )
 
         with obs.span("bulge"):

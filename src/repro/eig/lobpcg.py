@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, ConvergenceError, ShapeError
 from ..gemm.engine import GemmEngine, PlainEngine
-from ..validation import as_symmetric_matrix, check_finite_matrix
+from ..validation import as_symmetric_matrix
 from .budget import WallClockBudget
 
 __all__ = ["lobpcg"]
@@ -77,8 +77,8 @@ def lobpcg(
         Wall-clock budget; exceeding it raises a structured
         :class:`~repro.errors.BudgetExceededError` (phase ``"lobpcg"``).
     check_input : bool
-        Reject non-square/non-symmetric/non-finite ``a`` up front with
-        a structured :class:`~repro.errors.ValidationError`; default on.
+        Run the input contract (:func:`repro.validation.as_symmetric_matrix`)
+        on ``a`` up front; default on.
 
     Returns
     -------
@@ -89,9 +89,6 @@ def lobpcg(
     iterations : int
         Iterations performed.
     """
-    a = np.asarray(a)
-    if check_input and a.ndim == 2 and a.size:
-        check_finite_matrix(a)
     a = as_symmetric_matrix(a, dtype=np.float64, check=check_input)
     n = a.shape[0]
     if not isinstance(k, (int, np.integer)) or k < 1 or 3 * k > n:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import qr as scipy_qr
 
 from ..errors import ConvergenceError, ShapeError
-from ..validation import as_square_matrix, as_symmetric_matrix, check_finite_matrix
+from ..validation import as_square_matrix, as_symmetric_matrix
 from .budget import WallClockBudget
 
 __all__ = ["qdwh_polar", "qdwh_eig"]
@@ -153,9 +153,8 @@ def qdwh_eig(
         :class:`~repro.errors.BudgetExceededError` (phase
         ``"qdwh_eig"``).
     check_input : bool
-        Reject non-square/non-symmetric/non-finite ``a`` up front with
-        a structured :class:`~repro.errors.ValidationError`; default on
-        (recursive subproblems skip it automatically).
+        Run the input contract (:func:`repro.validation.as_symmetric_matrix`)
+        on ``a`` up front; default on (subproblems and leaf solves skip it).
 
     Returns
     -------
@@ -164,11 +163,7 @@ def qdwh_eig(
     v : ndarray (n, n)
         Orthonormal eigenvectors.
     """
-    a = np.asarray(a)
-    gate = check_input and _depth == 0
-    if gate and a.ndim == 2 and a.size:
-        check_finite_matrix(a)
-    a = as_symmetric_matrix(a, dtype=np.float64, check=gate)
+    a = as_symmetric_matrix(a, dtype=np.float64, check=check_input and _depth == 0)
     n = a.shape[0]
     budget = _budget if _budget is not None else WallClockBudget(
         max_seconds, phase="qdwh_eig"
@@ -177,7 +172,7 @@ def qdwh_eig(
     if n <= max(min_size, 2) or _depth > 60:
         from .driver import syevd_1stage
 
-        res = syevd_1stage(a)
+        res = syevd_1stage(a, check_input=False)
         return res.eigenvalues, res.eigenvectors
 
     lam_lo, lam_hi = _gershgorin(a)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from ..validation import as_symmetric_matrix
+from ..validation import Validated, as_symmetric_matrix
 
 __all__ = ["householder_tridiagonalize"]
 
@@ -32,7 +32,8 @@ def householder_tridiagonalize(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Reduce a symmetric matrix directly to tridiagonal form.
 
-    Runs in the input's floating dtype (``ssytrd`` for float32).
+    Runs in the input's floating dtype (``ssytrd`` for float32).  ``a`` is
+    checked as in :func:`repro.sbr.wy.sbr_wy`.
 
     Returns
     -------
@@ -43,7 +44,7 @@ def householder_tridiagonalize(
     q : ndarray (n, n) or None
         Orthogonal transform with ``A ≈ Q T Q^T``.
     """
-    a = as_symmetric_matrix(a)
+    a = a.array if isinstance(a, Validated) else as_symmetric_matrix(a)
     n = a.shape[0]
     sytrd, sytrd_lwork, orgqr = get_lapack_funcs(
         ("sytrd", "sytrd_lwork", "orgqr"), (a,))

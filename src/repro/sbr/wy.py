@@ -82,7 +82,7 @@ from ..gemm.symbolic import full_update_col_blocks
 from ..obs import spans as obs
 from ..perf import Workspace, resolve_workspace
 from ..resilience.context import ResilienceContext
-from ..validation import as_symmetric_matrix, check_blocksizes, check_finite_matrix
+from ..validation import Validated, as_symmetric_matrix, check_blocksizes
 from .ckptio import restore_resilience_state, save_wy_panel
 from .formw import form_q_from_blocks
 from .panel import factor_panel
@@ -170,14 +170,14 @@ def sbr_wy(
     workspace=None,
     resilience: ResilienceContext | None = None,
     checkpoint=None,
-    check_finite: bool = True,
 ) -> SbrResult:
     """Reduce a symmetric matrix to band form with the WY-based Algorithm 1.
 
     Parameters
     ----------
     a : array_like, (n, n) symmetric
-        Input matrix.
+        Input matrix, checked by :func:`repro.validation.as_symmetric_matrix`
+        unless a driver passes it as :class:`~repro.validation.Validated`.
     b : int
         Target (semi-)bandwidth.
     nb : int
@@ -205,9 +205,6 @@ def sbr_wy(
         is committed as a ``"sbr_panel"`` checkpoint, and a previously
         interrupted reduction resumes from its newest verified one —
         possibly mid-big-block — to a bitwise-identical band.
-    check_finite : bool
-        Reject NaN/Inf inputs up front (cheap gate; disable only when the
-        caller already validated).
 
     Returns
     -------
@@ -225,17 +222,16 @@ def sbr_wy(
     ctx = resilience
     if ctx is not None:
         eng = ctx.wrap_engine(eng)
-    a = np.asarray(a)
-    if check_finite and a.ndim == 2 and a.size:
-        # Before the symmetry check: a NaN fails allclose and would be
-        # misreported as asymmetry.
-        check_finite_matrix(a)
-    a = as_symmetric_matrix(a, dtype=eng.working_dtype)
+    if isinstance(a, Validated):
+        a = a.array  # the driver ran the contract and checked the block sizes
+    else:
+        a = as_symmetric_matrix(a, dtype=eng.working_dtype)
+        check_blocksizes(a.shape[0], b, nb)
     n = a.shape[0]
-    check_blocksizes(n, b, nb)
 
     dtype = eng.working_dtype
-    A = np.array(a, dtype=dtype, copy=True)
+    a = np.asarray(a, dtype=dtype)
+    A = a.copy()
     blocks: list[WYBlock] = []
     norm_baseline = float(np.abs(A).max()) if ctx is not None else 0.0
 

@@ -42,7 +42,7 @@ from ..gemm.engine import GemmEngine, SgemmEngine
 from ..obs import spans as obs
 from ..perf import resolve_workspace
 from ..resilience.context import ResilienceContext
-from ..validation import as_symmetric_matrix, check_blocksizes, check_finite_matrix
+from ..validation import Validated, as_symmetric_matrix, check_blocksizes
 from .ckptio import restore_resilience_state, save_zy_panel
 from .panel import factor_panel
 from .types import SbrResult, WYBlock, unpack_wy_blocks
@@ -60,14 +60,14 @@ def sbr_zy(
     workspace=None,
     resilience: ResilienceContext | None = None,
     checkpoint=None,
-    check_finite: bool = True,
 ) -> SbrResult:
     """Reduce a symmetric matrix to band form with the ZY-based algorithm.
 
     Parameters
     ----------
     a : array_like, (n, n) symmetric
-        Input matrix.
+        Input matrix, checked by :func:`repro.validation.as_symmetric_matrix`
+        unless a driver passes it as :class:`~repro.validation.Validated`.
     b : int
         Target (semi-)bandwidth.
     engine : GemmEngine, optional
@@ -93,9 +93,6 @@ def sbr_zy(
         resilience-ladder position) is committed as a ``"sbr_panel"``
         checkpoint, and an interrupted reduction resumes from its newest
         verified one to a bitwise-identical band.
-    check_finite : bool
-        Reject NaN/Inf inputs up front (cheap gate; disable only when the
-        caller already validated).
 
     Returns
     -------
@@ -109,17 +106,16 @@ def sbr_zy(
     ctx = resilience
     if ctx is not None:
         eng = ctx.wrap_engine(eng)
-    a = np.asarray(a)
-    if check_finite and a.ndim == 2 and a.size:
-        # Before the symmetry check: a NaN fails allclose and would be
-        # misreported as asymmetry.
-        check_finite_matrix(a)
-    a = as_symmetric_matrix(a, dtype=eng.working_dtype)
+    if isinstance(a, Validated):
+        a = a.array  # the driver ran the contract and checked the block sizes
+    else:
+        a = as_symmetric_matrix(a, dtype=eng.working_dtype)
+        check_blocksizes(a.shape[0], b)
     n = a.shape[0]
-    check_blocksizes(n, b)
 
     dtype = eng.working_dtype
-    A = np.array(a, dtype=dtype, copy=True)
+    a = np.asarray(a, dtype=dtype)
+    A = a.copy()
     q = np.eye(n, dtype=dtype) if want_q else None
     blocks: list[WYBlock] = []
     norm_baseline = float(np.abs(A).max()) if ctx is not None else 0.0

@@ -20,6 +20,7 @@ from ..eig.dc import tridiag_eig_dc
 from ..eig.tridiag_direct import householder_tridiagonalize
 from ..gemm.engine import make_engine
 from ..obs import spans as obs
+from ..validation import Validated
 
 __all__ = ["Coalescer", "evd_stack"]
 
@@ -29,7 +30,8 @@ def evd_stack(mats, *, engine=None, want_vectors: bool = True):
 
     Returns a list of ``(eigenvalues, eigenvectors_or_None)`` aligned
     with ``mats``.  All matrices must share one shape; the back-transform
-    runs as a single ``gemm_batched`` launch.
+    runs as a single ``gemm_batched`` launch.  The service validated each
+    matrix at submission, so nothing here checks them again.
     """
     mats = [np.asarray(m, dtype=np.float64) for m in mats]
     if not mats:
@@ -44,7 +46,7 @@ def evd_stack(mats, *, engine=None, want_vectors: bool = True):
     with obs.span("serve.evd_stack", batch=len(mats), n=n):
         lams, q1s, vts = [], [], []
         for m in mats:
-            d, e, q1 = householder_tridiagonalize(m, want_q=want_vectors)
+            d, e, q1 = householder_tridiagonalize(Validated(m), want_q=want_vectors)
             lam, v_tri = tridiag_eig_dc(d, e, want_vectors=want_vectors)
             lams.append(lam)
             q1s.append(q1)

@@ -34,7 +34,7 @@ from ..obs.analytics.benchstore import (
 from ..obs.live.health import Heartbeat
 from ..obs.live.registry import MetricsRegistry, install, uninstall
 from ..obs.live.sinks import render_prometheus
-from ..validation import as_symmetric_matrix, check_finite_matrix
+from ..validation import as_symmetric_matrix
 from .coalesce import Coalescer
 from .degrade import DegradationPolicy
 from .job import PRIORITIES, Job, JobResult, JobSpec, RetryPolicy
@@ -243,11 +243,9 @@ class EvdService:
             raise AdmissionError(
                 "retry.max_attempts must be >= 1", reason="invalid",
             )
-        # Validate the matrix once here; workers run check_input=False.
-        a64 = np.asarray(spec.a, dtype=np.float64)
-        if a64.ndim == 2 and a64.size:
-            check_finite_matrix(a64)
-        spec.a = as_symmetric_matrix(a64)
+        # Validate the matrix once here, in the dtype the client sent,
+        # then cast; workers run check_input=False.
+        spec.a = as_symmetric_matrix(spec.a, dtype=np.float64)
         # Fit the block sizes to the matrix so a small request never
         # bounces off the driver's blocksize validation (clients rarely
         # tune b/nb per matrix in a serving setting).

@@ -204,15 +204,13 @@ def low_rank_approx(
     ``method="evd"`` (symmetric input) truncates :func:`randomized_eig`'s
     exhaustive cousin via the full two-stage eigensolver.
     """
-    a = np.asarray(a, dtype=np.float64)
     if method == "randomized":
         u, s, vt = randomized_svd(a, k, **kwargs)
         return (u * s) @ vt
     if method == "evd":
         from ..eig.driver import syevd_2stage
 
-        sym = as_symmetric_matrix(a)
-        res = syevd_2stage(sym, **kwargs) if kwargs else syevd_2stage(sym, b=8)
+        res = syevd_2stage(a, **kwargs) if kwargs else syevd_2stage(a, b=8)
         lam, v = res.eigenvalues, res.eigenvectors
         order = np.argsort(np.abs(lam))[::-1][:k]
         vk = np.asarray(v[:, order], dtype=np.float64)

@@ -1,9 +1,13 @@
 """Input validation helpers shared across the library.
 
-These are deliberately cheap: validation is O(n) or O(n^2) on already-dense
-inputs and is skipped inside inner loops.  Public entry points validate once
-and then call private kernels that trust their inputs, following the usual
-HPC-library layering.
+The input contract for a symmetric matrix is one function,
+:func:`as_symmetric_matrix`: shape, then finiteness (so a NaN is never
+reported as asymmetry), then symmetry within ``sqrt(u) * max|A|`` for the
+unit roundoff ``u`` of the caller's dtype, then an exact symmetrization.
+The skew part moves eigenvalues only at second order, and the rule is
+relative, so the verdict does not depend on the scale of ``A``.  Every
+entry point runs it once; the drivers hand the layers they call a
+:class:`Validated` array, which the layer front doors take unchecked.
 
 Every rejection raises a structured
 :class:`~repro.errors.ValidationError` subclass whose ``field`` attribute
@@ -16,6 +20,8 @@ parsing message strings.  The drivers expose the gates behind a
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import NotSymmetricError, ShapeError
@@ -24,6 +30,7 @@ __all__ = [
     "as_matrix",
     "as_square_matrix",
     "as_symmetric_matrix",
+    "Validated",
     "check_finite_matrix",
     "check_finite_vector",
     "check_tridiagonal",
@@ -69,25 +76,41 @@ def as_square_matrix(a, *, name: str = "a", dtype=None) -> np.ndarray:
 
 
 def as_symmetric_matrix(
-    a, *, name: str = "a", dtype=None, rtol: float = 1e-5, atol: float = 1e-6,
-    check: bool = True,
+    a, *, name: str = "a", dtype=None, check: bool = True,
 ) -> np.ndarray:
-    """Return ``a`` as a symmetric square ndarray.
+    """Run the input contract (module docstring); return ``a`` exactly symmetric.
 
-    Symmetry is checked up to a tolerance scaled for single-precision inputs;
-    the returned matrix is explicitly symmetrized (``(A + A.T) / 2``) so
-    downstream two-sided updates see an exactly symmetric operand.
-    ``check=False`` skips the tolerance comparison (the symmetrization
-    still runs) for callers that already validated the input.
+    The result is a new array whose strict upper triangle mirrors the lower
+    one, as LAPACK's ``uplo='L'`` reads it: finite for every finite input,
+    where ``(A + A^T) / 2`` can overflow, and bitwise equal to an exactly
+    symmetric input.  Integer input becomes float64 (its ``u`` too), and
+    ``dtype`` casts only after the checks.  ``check=False`` skips the
+    finiteness and symmetry checks for input the caller already validated.
     """
-    arr = as_square_matrix(a, name=name, dtype=dtype)
-    if check and not np.allclose(arr, arr.T, rtol=rtol, atol=atol):
-        raise NotSymmetricError(
-            f"{name} is not symmetric within tolerance", name=name
-        )
-    # Exact symmetrization: two-sided updates assume A == A.T bitwise.
-    sym = (arr + arr.T) * arr.dtype.type(0.5)
-    return np.ascontiguousarray(sym)
+    arr = as_square_matrix(a, name=name)
+    if not np.issubdtype(arr.dtype, np.inexact):
+        arr = arr.astype(np.float64)
+    if check:
+        hi, lo = arr.max(), arr.min()
+        if not (np.isfinite(hi) and np.isfinite(lo)):  # max/min propagate NaN
+            check_finite_matrix(arr, name=name)
+        tol = (float(np.finfo(arr.dtype).eps) / 2) ** 0.5 * max(float(hi), -float(lo))
+        with np.errstate(over="ignore"):
+            skew = float((arr - arr.T).max())  # antisymmetric: max is max |.|
+        if skew > tol:
+            raise NotSymmetricError(f"{name} is not symmetric: max|A - A^T| = {skew:.3g}"
+                                    f" > sqrt(u) * max|A| = {tol:.3g}", name=name)
+    sym = arr.astype(arr.dtype if dtype is None else dtype)
+    np.copyto(sym, arr.T, where=~np.tri(arr.shape[0], dtype=bool))
+    return sym
+
+
+@dataclass(frozen=True, eq=False)
+class Validated:
+    """An array the drivers validated (or built exactly symmetric, like the
+    stage-1 band): the layer front doors take ``.array`` unchecked."""
+
+    array: np.ndarray
 
 
 def check_finite_matrix(arr: np.ndarray, *, name: str = "a") -> np.ndarray:
@@ -107,7 +130,7 @@ def check_finite_matrix(arr: np.ndarray, *, name: str = "a") -> np.ndarray:
         raise ShapeError(
             f"{name} contains {bad.shape[0]} non-finite entr"
             f"{'y' if bad.shape[0] == 1 else 'ies'} (first: {kind} at "
-            f"[{i}, {j}]); pass check_finite=False to skip this gate",
+            f"[{i}, {j}]); pass check_input=False to skip this gate",
             field="finite", name=name,
         )
     return arr

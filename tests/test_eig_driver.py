@@ -42,7 +42,7 @@ class TestSyevd2Stage:
         assert keywords == [
             "b", "nb", "method", "precision", "engine", "want_vectors", "record_trace", "workspace", "on_breakdown",
             "ladder", "detectors", "faults", "abft", "checkpoint",
-            "check_finite", "check_input", "live", "trace",
+            "check_input", "live", "trace",
         ]
 
     def test_bad_method(self, rng):

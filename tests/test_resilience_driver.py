@@ -275,11 +275,13 @@ class TestInputValidation:
             sbr_zy(self.make_bad(rng), 4)
 
     def test_gate_skippable(self, rng):
-        # check_finite=False hands the NaN to the solver (which then
-        # reports breakdown through the resilience layer instead).
-        with pytest.raises(ReproError):
+        # check_input=False hands the NaN to the solver: no layer checks
+        # again, so the TSQR panel's detector is the first to see it.
+        with pytest.raises(NumericalBreakdownError) as ei:
             syevd_2stage(self.make_bad(rng), b=4, nb=16,
-                         check_finite=False, on_breakdown="raise")
+                         check_input=False, on_breakdown="raise")
+        assert ei.value.detector == "nonfinite"
+        assert ei.value.site == "tsqr"
 
     def test_error_message_counts_and_locates(self, rng):
         a = random_symmetric(16, rng)
