@@ -26,6 +26,7 @@ import json
 import os
 import sys
 
+from ..eig.driver import SBR_METHODS
 from ..errors import CheckpointCorruptionError, ConfigurationError, SimulatedCrashError
 from ..ioutils import sigterm_as_interrupt
 from ..resilience.crash import CrashInjector, parse_kill_site
@@ -174,7 +175,7 @@ def main(argv: "list[str] | None" = None) -> int:
     p_run.add_argument("--n", type=int, default=96)
     p_run.add_argument("--b", type=int, default=8)
     p_run.add_argument("--nb", type=int, default=None)
-    p_run.add_argument("--method", choices=("wy", "zy"), default="wy")
+    p_run.add_argument("--method", choices=SBR_METHODS, default="wy")
     p_run.add_argument("--precision", default="fp32")
     p_run.add_argument("--no-vectors", action="store_true")
     p_run.add_argument("--seed", type=int, default=0)

@@ -61,8 +61,7 @@ from ..obs.live import phase_plan, resolve_live
 from ..obs.tracing import TraceContext
 from ..perf import resolve_workspace
 from ..precision.modes import Precision
-from ..resilience.context import ResilienceContext
-from ..resilience.detectors import DetectorConfig
+from ..resilience.context import ResilienceContext, run_unit
 from ..resilience.faults import FaultInjector
 from ..resilience.policy import EscalationLadder, ResilienceReport
 from ..sbr.types import SbrResult, pack_wy_blocks, unpack_wy_blocks
@@ -152,7 +151,6 @@ def _solve_tridiagonal_with_context(d, e, want_vectors):
 def _make_context(
     on_breakdown: "str | None",
     ladder: "EscalationLadder | None",
-    detectors: "DetectorConfig | None",
     faults: "FaultInjector | None",
     abft=None,
 ) -> "ResilienceContext | None":
@@ -170,8 +168,7 @@ def _make_context(
             )
         return None
     return ResilienceContext(
-        on_breakdown=on_breakdown, ladder=ladder,
-        detectors=detectors, injector=faults, abft=abft,
+        on_breakdown=on_breakdown, ladder=ladder, injector=faults, abft=abft,
     )
 
 
@@ -240,7 +237,35 @@ def _resumed_result(ck, result_ck, b, eng, sbr_eng, ctx) -> "EvdResult":
     )
 
 
-def _resilient_bulge(ctx, band64, b, want_q):
+#: Stage-1 band-reduction methods (:func:`_band_reduce`); the drivers, the
+#: ``--method`` choices of the obs/ckpt CLIs and manifest attribution read it.
+SBR_METHODS = ("wy", "zy")
+
+
+def _prepare(a, b, nb, method, check_input):
+    """The two-stage drivers' front: input contract, ``nb`` default, checks."""
+    a = as_symmetric_matrix(a, check=check_input)
+    if nb is None:
+        nb = 4 * b
+    check_blocksizes(a.shape[0], b, nb if method == "wy" else None)
+    if method not in SBR_METHODS:
+        raise ConfigurationError(f"method must be 'wy' or 'zy', got {method!r}")
+    return a, nb
+
+
+def _band_reduce(method, a, b, nb, **kwargs) -> SbrResult:
+    """Stage 1 on the validated ``a`` by ``method`` (one of :data:`SBR_METHODS`).
+
+    ``sbr_wy``/``sbr_zy`` are looked up on every call, not kept in a
+    table built at import: the bench tracer times the layer by replacing
+    these module attributes.
+    """
+    if method == "wy":
+        return sbr_wy(Validated(a), b, nb, **kwargs)
+    return sbr_zy(Validated(a), b, **kwargs)
+
+
+def _bulge(ctx, band64, b, want_q):
     """Bulge chasing as a retryable unit.
 
     Stage 2 is float64 work, so there is no precision to escalate —
@@ -254,29 +279,24 @@ def _resilient_bulge(ctx, band64, b, want_q):
     """
     if ctx is None:
         return bulge_chase(Validated(band64), b, want_q=want_q)
-    attempt = 0
-    while True:
-        try:
-            with ctx.unit("bulge"):
-                band_in = ctx.inject("bulge", band64)
-                # ABFT copy guard: the pristine band is still in memory,
-                # so corruption of the copy localizes (and, in correct
-                # mode, patches) exactly.
-                band_in = ctx.guard_copy("bulge", band_in, band64)
-                ctx.check_array(band_in, site="bulge_band")
-                ctx.check_symmetry(band_in, precision=Precision.FP64)
-                d, e, q2 = bulge_chase(Validated(band_in), b, want_q=want_q)
-                ctx.check_array(d, site="bulge_d")
-                if e.size:
-                    ctx.check_array(e, site="bulge_e")
-            ctx.note_precision("bulge", Precision.FP64)
-            return d, e, q2
-        except NumericalBreakdownError as exc:
-            if not ctx.handle_breakdown(
-                exc, engine=None, attempt=attempt, phase="bulge"
-            ):
-                raise
-            attempt += 1
+
+    def step():
+        band_in = ctx.inject("bulge", band64)
+        # ABFT copy guard: the pristine band is still in memory, so
+        # corruption of the copy localizes (and, in correct mode,
+        # patches) exactly.
+        band_in = ctx.guard_copy("bulge", band_in, band64)
+        ctx.check_array(band_in, site="bulge_band")
+        ctx.check_symmetry(band_in, precision=Precision.FP64)
+        d, e, q2 = bulge_chase(Validated(band_in), b, want_q=want_q)
+        ctx.check_array(d, site="bulge_d")
+        if e.size:
+            ctx.check_array(e, site="bulge_e")
+        return d, e, q2
+
+    out = run_unit(ctx, "bulge", step)
+    ctx.note_precision("bulge", Precision.FP64)
+    return out
 
 
 def _back_transform(ctx, q_sbr, q2, v_tri, record_trace):
@@ -286,25 +306,20 @@ def _back_transform(ctx, q_sbr, q2, v_tri, record_trace):
     through a guarded float64 engine (tag ``"back_transform"``) so the
     launches are verified/injectable like the stage-1 stream; the plain
     path stays a bare ``@`` chain — bitwise identical, zero overhead.
-    Retries mirror :func:`_resilient_bulge`: the inputs are immutable,
-    so a re-run heals transient corruption without precision changes.
+    The guarded products are one retryable unit with no snapshot: the
+    inputs are immutable, so a re-run heals transient corruption
+    without precision changes.
     """
     q64 = np.asarray(q_sbr, dtype=np.float64)
     if ctx is None or (ctx.abft is None and ctx.injector is None):
         return q64 @ (q2 @ v_tri)
     bt_eng = ctx.wrap_engine(make_engine(Precision.FP64, record=record_trace))
-    attempt = 0
-    while True:
-        try:
-            with ctx.unit("back_transform"):
-                t = bt_eng.gemm(q2, v_tri, tag="back_transform")
-                return bt_eng.gemm(q64, t, tag="back_transform")
-        except NumericalBreakdownError as exc:
-            if not ctx.handle_breakdown(
-                exc, engine=None, attempt=attempt, phase="back_transform"
-            ):
-                raise
-            attempt += 1
+
+    def step():
+        t = bt_eng.gemm(q2, v_tri, tag="back_transform")
+        return bt_eng.gemm(q64, t, tag="back_transform")
+
+    return run_unit(ctx, "back_transform", step)
 
 
 def syevd_2stage(
@@ -314,13 +329,11 @@ def syevd_2stage(
     nb: int | None = None,
     method: str = "wy",
     precision: "Precision | str" = Precision.FP32,
-    engine: GemmEngine | None = None,
     want_vectors: bool = True,
     record_trace: bool = False,
     workspace=None,
     on_breakdown: "str | None" = "escalate",
     ladder: "EscalationLadder | None" = None,
-    detectors: "DetectorConfig | None" = None,
     faults: "FaultInjector | None" = None,
     abft: "str | None" = None,
     checkpoint: "CheckpointConfig | CheckpointManager | str | None" = None,
@@ -344,9 +357,7 @@ def syevd_2stage(
         ZY-based reduction.  Both factor every panel with the paper's
         TSQR + Householder reconstruction (:mod:`repro.sbr.panel`).
     precision : Precision or str
-        Stage-1 arithmetic policy (ignored when ``engine`` is given).
-    engine : GemmEngine, optional
-        Explicit stage-1 engine (overrides ``precision``).
+        Stage-1 arithmetic policy.
     want_vectors : bool
         Whether to form eigenvectors (adds the two back-transformations).
     record_trace : bool
@@ -362,8 +373,6 @@ def syevd_2stage(
         disables the resilience layer.
     ladder : EscalationLadder, optional
         Retry budget / widening / stickiness policy.
-    detectors : DetectorConfig, optional
-        Which invariant monitors run and how strict they are.
     faults : FaultInjector, optional
         Deterministic fault injection (test harness).
     abft : {"off", "detect", "correct"} or AbftPolicy, optional
@@ -420,15 +429,10 @@ def syevd_2stage(
     -------
     EvdResult
     """
-    a = as_symmetric_matrix(a, check=check_input)
+    a, nb = _prepare(a, b, nb, method, check_input)
     n = a.shape[0]
-    if nb is None:
-        nb = 4 * b
-    check_blocksizes(n, b, nb if method == "wy" else None)
-    if method not in ("wy", "zy"):
-        raise ConfigurationError(f"method must be 'wy' or 'zy', got {method!r}")
-    ctx = _make_context(on_breakdown, ladder, detectors, faults, abft)
-    eng = engine if engine is not None else make_engine(precision, record=record_trace)
+    ctx = _make_context(on_breakdown, ladder, faults, abft)
+    eng = make_engine(precision, record=record_trace)
     sbr_eng = ctx.wrap_engine(eng) if ctx is not None else eng
     ws = resolve_workspace(workspace)
 
@@ -480,14 +484,9 @@ def syevd_2stage(
         with obs.span("sbr"):
             if band_ck is not None:
                 sbr = _sbr_from_checkpoint(band_ck, b)
-            elif method == "wy":
-                sbr = sbr_wy(
-                    Validated(a), b, nb, engine=sbr_eng, want_q=want_vectors,
-                    workspace=ws, resilience=ctx, checkpoint=ck,
-                )
             else:
-                sbr = sbr_zy(
-                    Validated(a), b, engine=sbr_eng, want_q=want_vectors,
+                sbr = _band_reduce(
+                    method, a, b, nb, engine=sbr_eng, want_q=want_vectors,
                     workspace=ws, resilience=ctx, checkpoint=ck,
                 )
             if ck is not None and band_ck is None:
@@ -511,7 +510,7 @@ def syevd_2stage(
                 q2 = tridiag_ck.arrays.get("q2")
             else:
                 band64 = np.asarray(sbr.band, dtype=np.float64)
-                d, e, q2 = _resilient_bulge(ctx, band64, b, want_vectors)
+                d, e, q2 = _bulge(ctx, band64, b, want_vectors)
                 if ck is not None:
                     ck.save("tridiag", {"d": d, "e": e, "q2": q2}, {
                         "resilience": resilience_snapshot(ctx, sbr_eng),
@@ -572,7 +571,7 @@ def syevd_1stage(
     runs the input contract as in :func:`syevd_2stage`.
     """
     a = as_symmetric_matrix(a, dtype=np.float64, check=check_input)
-    ctx = _make_context(on_breakdown, None, None, None)
+    ctx = _make_context(on_breakdown, None, None)
     with obs.span("syevd_1stage", n=a.shape[0]):
         with obs.span("tridiagonalize"):
             d, e, q1 = householder_tridiagonalize(Validated(a), want_q=want_vectors)
@@ -636,32 +635,21 @@ def syevd_selected(
     EvdResult
         ``eigenvalues``/``eigenvectors`` hold only the selected pairs.
     """
-    a = as_symmetric_matrix(a, check=check_input)
+    a, nb = _prepare(a, b, nb, method, check_input)
     n = a.shape[0]
-    if nb is None:
-        nb = 4 * b
-    check_blocksizes(n, b, nb if method == "wy" else None)
-    if method not in ("wy", "zy"):
-        raise ConfigurationError(f"method must be 'wy' or 'zy', got {method!r}")
-    ctx = _make_context(on_breakdown, None, None, faults, abft)
+    ctx = _make_context(on_breakdown, None, faults, abft)
     eng = make_engine(precision)
     sbr_eng = ctx.wrap_engine(eng) if ctx is not None else eng
     with obs.span("syevd_selected", n=n, b=b, nb=nb, method=method):
         with obs.span("sbr"):
-            if method == "wy":
-                sbr = sbr_wy(
-                    Validated(a), b, nb, engine=sbr_eng,
-                    want_q=want_vectors, resilience=ctx,
-                )
-            else:
-                sbr = sbr_zy(
-                    Validated(a), b, engine=sbr_eng, want_q=want_vectors,
-                    resilience=ctx,
-                )
+            sbr = _band_reduce(
+                method, a, b, nb, engine=sbr_eng, want_q=want_vectors,
+                resilience=ctx,
+            )
 
         with obs.span("bulge"):
             band64 = np.asarray(sbr.band, dtype=np.float64)
-            d, e, q2 = _resilient_bulge(ctx, band64, b, want_vectors)
+            d, e, q2 = _bulge(ctx, band64, b, want_vectors)
         with obs.span("bisect"):
             lam = eigvals_bisect(d, e, select=select, interval=interval)
 

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 
+from ..eig.driver import SBR_METHODS
 from .analytics import (
     SUITES,
     attribute_manifest,
@@ -212,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--n", type=int, default=256, help="matrix size")
     p_run.add_argument("--b", type=int, default=16, help="stage-1 bandwidth")
     p_run.add_argument("--nb", type=int, default=None, help="WY big-block size (default 4*b)")
-    p_run.add_argument("--method", choices=("wy", "zy"), default="wy")
+    p_run.add_argument("--method", choices=SBR_METHODS, default="wy")
     p_run.add_argument(
         "--precision", default="fp32",
         help="stage-1 precision policy (fp64/fp32/fp16_tc/bf16_tc/tf32_tc/fp16_ec_tc)",

@@ -148,10 +148,12 @@ def _analytic_flops(man: RunManifest, measured_flops: int) -> dict | None:
     config; returns None (silently) otherwise — attribution still works
     on arbitrary sessions.
     """
+    from ...eig.driver import SBR_METHODS
+
     config = man.meta.get("config") or {}
     matrix = man.meta.get("matrix") or {}
     n, b, method = matrix.get("n"), config.get("b"), config.get("method")
-    if not (isinstance(n, int) and isinstance(b, int) and method in ("wy", "zy")):
+    if not (isinstance(n, int) and isinstance(b, int) and method in SBR_METHODS):
         return None
     want_q = bool(config.get("want_vectors", False))
     try:

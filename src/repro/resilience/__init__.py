@@ -21,7 +21,8 @@ degrade gracefully instead of returning silently-wrong eigenpairs:
   budget and exponential widening, plus the per-run
   :class:`ResilienceReport`.
 - :mod:`repro.resilience.context` — the per-run orchestrator: wraps GEMM
-  engines, drives per-panel checkpoint/retry in the SBR drivers, and
+  engines, runs every retryable unit (SBR panel, form-Q, bulge chase,
+  back-transform) through one snapshot/retry loop, ``run_unit``, and
   emits every detection/escalation as obs spans.
 - :mod:`repro.resilience.faults` — the deterministic fault-injection
   harness tests use to prove every detector fires and every fallback

@@ -16,11 +16,13 @@ One :class:`ResilienceContext` lives for one driver invocation.  It owns
   zero-duration ``resilience.detect`` / ``resilience.escalate`` span so
   it lands in run manifests next to the phase timeline.
 
-Drivers use it via the *unit protocol*: wrap each retryable unit (a
-panel plus its trailing update, a stage) in :meth:`unit`, checkpoint the
-mutable state first, and on :class:`NumericalBreakdownError` ask
-:meth:`handle_breakdown` whether to restore + retry (possibly at an
-escalated precision) or to propagate.
+Drivers run every retryable unit (a panel plus its trailing update,
+form-Q, a stage) through one loop, :func:`run_unit`: it snapshots the
+unit's mutable state once, runs the unit inside :meth:`unit`, and on a
+breakdown asks :meth:`handle_breakdown` whether to restore + retry
+(possibly at an escalated precision) or to propagate.  The same snapshot
+rolls the state back on ``KeyboardInterrupt`` before the caller's
+interrupt flush runs.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ import weakref
 
 import numpy as np
 
-from ..errors import ConfigurationError, NumericalBreakdownError, SdcError
+from ..errors import (
+    ConfigurationError, NumericalBreakdownError, SdcError, SingularMatrixError,
+)
 from ..gemm.engine import GemmEngine, make_engine
 from ..gemm.trace import GemmRecord
 from ..obs import spans as obs
@@ -41,7 +45,7 @@ from .detectors import DetectorBank, DetectorConfig
 from .faults import FaultInjector
 from .policy import DetectionRecord, EscalationLadder, EscalationRecord, ResilienceReport
 
-__all__ = ["BREAKDOWN_MODES", "ResilientEngine", "ResilienceContext"]
+__all__ = ["BREAKDOWN_MODES", "ResilientEngine", "ResilienceContext", "run_unit"]
 
 BREAKDOWN_MODES = ("raise", "escalate", "best_effort")
 
@@ -435,3 +439,44 @@ class ResilienceContext:
         if not self.ladder.sticky:
             for eng in self._engines:
                 eng.restore_base()
+
+
+def run_unit(ctx: "ResilienceContext | None", phase: str, step, *,
+             engine: "ResilientEngine | None" = None, panel: "int | None" = None,
+             snapshot=None, on_interrupt=None):
+    """Run ``step()`` as one retryable unit and return its result.
+
+    ``snapshot()`` saves the state ``step`` may write and returns a
+    callable restoring it; it is called once, and only when the state can
+    be needed — a retrying ``ctx`` or an ``on_interrupt`` flush — so runs
+    without resilience or under ``"raise"`` copy nothing.  A breakdown
+    (``NumericalBreakdownError`` or a singular reconstruction) goes to
+    :meth:`ResilienceContext.handle_breakdown`: retry from the restored
+    state, possibly on an escalated ``engine``, or propagate.  A
+    ``KeyboardInterrupt`` restores the state, calls ``on_interrupt()``
+    (a checkpoint flush) and re-raises.  ``ctx=None`` runs ``step`` once.
+    """
+    restore = None
+    if snapshot is not None and (
+            on_interrupt is not None or (ctx is not None and ctx.can_retry)):
+        restore = snapshot()
+    attempt = 0
+    while True:
+        try:
+            if ctx is None:
+                return step()
+            with ctx.unit(phase, panel=panel):
+                return step()
+        except (NumericalBreakdownError, SingularMatrixError) as exc:
+            if ctx is None or not ctx.handle_breakdown(
+                    exc, engine=engine, attempt=attempt, phase=phase, panel=panel):
+                raise
+            if restore is not None:
+                restore()
+            attempt += 1
+        except KeyboardInterrupt:
+            if restore is not None:
+                restore()
+            if on_interrupt is not None:
+                on_interrupt()
+            raise

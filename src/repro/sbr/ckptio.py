@@ -2,18 +2,17 @@
 
 Thin adapters between the SBR loop state and the generic
 :class:`repro.ckpt.store.CheckpointManager`: pack the live arrays and
-loop indices of one driver into a ``"sbr_panel"`` checkpoint, and restore
-the resilience-ladder position on resume.  Kept out of the drivers so
-both :mod:`repro.sbr.wy` and :mod:`repro.sbr.zy` serialize through one
-code path (one schema to keep stable).
+loop indices of one driver into a ``"sbr_panel"`` checkpoint.  Kept out
+of the drivers so both :mod:`repro.sbr.wy` and :mod:`repro.sbr.zy`
+serialize through one code path (one schema to keep stable).
 """
 
 from __future__ import annotations
 
-from ..ckpt.store import resilience_snapshot, restore_resilience
+from ..ckpt.store import resilience_snapshot
 from .types import pack_wy_blocks
 
-__all__ = ["save_wy_panel", "save_zy_panel", "restore_resilience_state"]
+__all__ = ["save_wy_panel", "save_zy_panel"]
 
 
 def save_wy_panel(
@@ -68,7 +67,3 @@ def save_zy_panel(
         "resilience": resilience_snapshot(ctx, eng),
     })
 
-
-def restore_resilience_state(ctx, eng, snap) -> None:
-    """Re-arm the resilience context/engine from a checkpoint snapshot."""
-    restore_resilience(ctx, eng, snap)

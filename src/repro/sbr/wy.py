@@ -58,14 +58,17 @@ O(eps) difference from the previous both-triangles formulation.
 
 Resilience
 ----------
-When a :class:`repro.resilience.ResilienceContext` is passed, each panel
-iteration — panel QR, (W, Y) extension, and its deferred trailing update
-— is a *retryable unit*: the affected region ``A[i:, i:]`` is
-checkpointed before the step (the arena-backed ``W``/``Y``/``OAW`` are
-rolled back by resetting the column counter — a failed step only wrote
-columns past it), detectors run on every GEMM output and on the panel's
-Q factor, and a detected breakdown restores the checkpoint and re-runs
-the panel at the ladder's next-safer precision.
+Each panel iteration — panel QR, (W, Y) extension, and its deferred
+trailing update — and the final form-Q run as *retryable units* through
+:func:`repro.resilience.context.run_unit`.  When a
+:class:`repro.resilience.ResilienceContext` is passed, detectors run on
+every GEMM output and on the panel's Q factor, and a detected breakdown
+restores the pre-step state and re-runs the panel at the ladder's
+next-safer precision.  That state is one copy of ``A[i:, i:]`` (the
+arena-backed ``W``/``Y``/``OAW`` roll back by resetting the column
+counter — a failed step only wrote columns past it), taken only when a
+retry or the checkpoint's interrupt flush can need it; the flush commits
+the restored pre-step state on ``KeyboardInterrupt``.
 
 GEMM tags: ``form_w``, ``wy_oaw``, ``wy_right``, ``wy_left``,
 ``wy_full_right``, ``wy_full_left``, the panel's tags (see
@@ -76,14 +79,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NumericalBreakdownError, SingularMatrixError
+from ..ckpt.store import restore_resilience
 from ..gemm.engine import GemmEngine, SgemmEngine
 from ..gemm.symbolic import full_update_col_blocks
 from ..obs import spans as obs
 from ..perf import Workspace, resolve_workspace
-from ..resilience.context import ResilienceContext
+from ..resilience.context import ResilienceContext, run_unit
 from ..validation import Validated, as_symmetric_matrix, check_blocksizes
-from .ckptio import restore_resilience_state, save_wy_panel
+from .ckptio import save_wy_panel
 from .formw import form_q_from_blocks
 from .panel import factor_panel
 from .types import SbrResult, WYBlock, unpack_wy_blocks
@@ -257,7 +260,7 @@ def sbr_wy(
                     np.ascontiguousarray(rck.arrays["OAW"]),
                     int(s["r_next"]),
                 )
-            restore_resilience_state(ctx, eng, s.get("resilience"))
+            restore_resilience(ctx, eng, s.get("resilience"))
             ck.mark_resumed(rck)
 
     while n - j0 - b >= 2:
@@ -287,30 +290,24 @@ def sbr_wy(
             m = n - i - b  # panel rows
             if m < 2:
                 break
-            if ck is not None:
-                # Interrupt-flush snapshot: a KeyboardInterrupt/SIGTERM
-                # landing mid-step leaves A[i:, i:] half-updated, so the
-                # pre-step state is kept restorable until the step
-                # commits.  Same region the resilience retry snapshots.
-                flush_snap = A[i:, i:].copy()
-                flush_k = st.k
-            try:
-                status = _resilient_panel_step(
+            status = run_unit(
+                ctx, "sbr.panel",
+                lambda: _panel_step(
                     A, OA, st, eng, ctx, ws,
                     b=b, nb=nb, j0=j0, r=r, n=n,
                     panel_index=panel_index, norm_baseline=norm_baseline,
                     oa_op=oa_op,
-                )
-            except KeyboardInterrupt:
-                if ck is not None:
-                    A[i:, i:] = flush_snap
-                    st.k = flush_k
-                    _flush_interrupt_checkpoint(
+                ),
+                engine=eng, panel=panel_index,
+                snapshot=lambda: _snapshot_step(A, st, i),
+                on_interrupt=None if ck is None else (
+                    lambda: _flush_interrupt_checkpoint(
                         ck, A=A, blocks=blocks, ctx=ctx, eng=eng,
                         j0=j0, r=r, st=st, panel_index=panel_index,
                         norm_baseline=norm_baseline, OA=OA,
                     )
-                raise
+                ),
+            )
             panel_index += 1
             if ck is not None and status == "advance" \
                     and ck.should_save_panel(panel_index):
@@ -344,7 +341,9 @@ def sbr_wy(
     q = None
     if want_q:
         with obs.span("sbr.form_q", method=q_method):
-            q = _resilient_form_q(blocks, n, eng, ctx, q_method, dtype)
+            q = run_unit(ctx, "sbr.form_q", lambda: form_q_from_blocks(
+                blocks, n, engine=eng, method=q_method, dtype=dtype,
+            ), engine=eng)
     if ctx is not None:
         ctx.note_precision("sbr", eng.precision)
         if q is not None:
@@ -384,68 +383,20 @@ def _flush_interrupt_checkpoint(
         )
 
 
-def _resilient_panel_step(
-    A, OA, st, eng, ctx, ws,
-    *, b, nb, j0, r, n, panel_index, norm_baseline, oa_op,
-):
-    """Run one panel step, retrying from a checkpoint on breakdown.
+def _snapshot_step(A, st, i):
+    """Save what a panel step may write; return the callable restoring it.
 
-    The checkpoint is the region the step may write — ``A[i:, i:]`` —
-    plus the pre-step column counter of the arena state (a failed step
-    only wrote columns past it, which resetting the counter discards).
+    That is the region ``A[i:, i:]`` plus the arena state's column
+    counter: a failed step only wrote ``W``/``Y``/``OAW`` columns past
+    it, which resetting the counter discards.
     """
-    if ctx is None:
-        return _panel_step(
-            A, OA, st, eng, None, ws,
-            b=b, nb=nb, j0=j0, r=r, n=n,
-            panel_index=panel_index, norm_baseline=norm_baseline,
-            oa_op=oa_op,
-        )
-    i = j0 + r
-    snapshot = A[i:, i:].copy() if ctx.can_retry else None
-    k_before = st.k
-    attempt = 0
-    while True:
-        try:
-            with ctx.unit("sbr.panel", panel=panel_index):
-                return _panel_step(
-                    A, OA, st, eng, ctx, ws,
-                    b=b, nb=nb, j0=j0, r=r, n=n,
-                    panel_index=panel_index, norm_baseline=norm_baseline,
-                    oa_op=oa_op,
-                )
-        except (NumericalBreakdownError, SingularMatrixError) as exc:
-            if not ctx.handle_breakdown(
-                exc, engine=eng, attempt=attempt,
-                phase="sbr.panel", panel=panel_index,
-            ):
-                raise
-            A[i:, i:] = snapshot
-            st.k = k_before
-            attempt += 1
+    region, k = A[i:, i:].copy(), st.k
 
+    def restore():
+        A[i:, i:] = region
+        st.k = k
 
-def _resilient_form_q(blocks, n, eng, ctx, q_method, dtype):
-    """Assemble Q, retrying at escalated precision on breakdown.
-
-    ``form_q_from_blocks`` is pure in its inputs (the immutable block
-    list), so the retry needs no checkpoint.
-    """
-    if ctx is None:
-        return form_q_from_blocks(blocks, n, engine=eng, method=q_method, dtype=dtype)
-    attempt = 0
-    while True:
-        try:
-            with ctx.unit("sbr.form_q"):
-                return form_q_from_blocks(
-                    blocks, n, engine=eng, method=q_method, dtype=dtype
-                )
-        except NumericalBreakdownError as exc:
-            if not ctx.handle_breakdown(
-                exc, engine=eng, attempt=attempt, phase="sbr.form_q"
-            ):
-                raise
-            attempt += 1
+    return restore
 
 
 def _panel_step(

@@ -13,10 +13,12 @@ symmetric rank-2b update is two independent outer-product GEMMs.  Every
 trailing GEMM here has inner dimension ``b`` (tall and skinny), which is
 what starves Tensor Cores and motivates the WY-based Algorithm 1.
 
-When a :class:`repro.resilience.ResilienceContext` is passed, each panel
-(QR + trailing update + Q accumulation) is a retryable unit: the trailing
-region ``A[i:, i:]`` and the touched Q columns are checkpointed, and a
-detected breakdown re-runs the panel at the ladder's next-safer
+Each panel (QR + trailing update + Q accumulation) is a retryable unit
+run through :func:`repro.resilience.context.run_unit`: the trailing
+region ``A[i:, i:]`` and the touched Q columns are copied once when a
+retry or the checkpoint's interrupt flush can need them, and under a
+:class:`repro.resilience.ResilienceContext` a detected breakdown
+restores them and re-runs the panel at the ladder's next-safer
 precision.  The ZY trailing update's two independent outer products leave
 genuine rounding asymmetry, so the symmetry-drift detector is live here
 (it is trivially satisfied on the WY path, which symmetrizes exactly).
@@ -37,13 +39,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NumericalBreakdownError, SingularMatrixError
+from ..ckpt.store import restore_resilience
 from ..gemm.engine import GemmEngine, SgemmEngine
 from ..obs import spans as obs
 from ..perf import resolve_workspace
-from ..resilience.context import ResilienceContext
+from ..resilience.context import ResilienceContext, run_unit
 from ..validation import Validated, as_symmetric_matrix, check_blocksizes
-from .ckptio import restore_resilience_state, save_zy_panel
+from .ckptio import save_zy_panel
 from .panel import factor_panel
 from .types import SbrResult, WYBlock, unpack_wy_blocks
 
@@ -135,35 +137,28 @@ def sbr_zy(
             panel_index = int(s["panel_index"])
             if ctx is not None:
                 norm_baseline = float(s.get("norm_baseline", norm_baseline))
-            restore_resilience_state(ctx, eng, s.get("resilience"))
+            restore_resilience(ctx, eng, s.get("resilience"))
             ck.mark_resumed(rck)
 
     while n - i - b >= 2:
-        if ck is not None:
-            # Interrupt-flush snapshot: restore the pre-step state on
-            # KeyboardInterrupt/SIGTERM and commit it, so an interrupted
-            # run resumes from the interrupted panel, not the last
-            # cadence checkpoint (same regions the resilience retry
-            # snapshots: the trailing block and the live Q columns).
-            flush_a = A[i:, i:].copy()
-            flush_q = q[:, i + b:].copy() if q is not None else None
-        try:
-            w, y = _resilient_zy_panel(
+        w, y = run_unit(
+            ctx, "sbr.panel",
+            lambda: _zy_panel_step(
                 A, q, eng, ctx,
                 b=b, i=i, n=n, use_syr2k=use_syr2k,
                 panel_index=panel_index, norm_baseline=norm_baseline,
-            )
-        except KeyboardInterrupt:
-            if ck is not None:
-                A[i:, i:] = flush_a
-                if flush_q is not None:
-                    q[:, i + b:] = flush_q
-                save_zy_panel(
+            ),
+            engine=eng, panel=panel_index,
+            snapshot=lambda: _snapshot_step(A, q, i, b),
+            # Commit the restored pre-step state on an interrupt, so a
+            # resume starts at this panel, not the last cadence checkpoint.
+            on_interrupt=None if ck is None else (
+                lambda: save_zy_panel(
                     ck, A=A, q=q, blocks=blocks, ctx=ctx, eng=eng,
-                    i=i, panel_index=panel_index,
-                    norm_baseline=norm_baseline,
+                    i=i, panel_index=panel_index, norm_baseline=norm_baseline,
                 )
-            raise
+            ),
+        )
         blocks.append(WYBlock(offset=i + b, w=w, y=y))
         panel_index += 1
         i += b
@@ -187,38 +182,17 @@ def sbr_zy(
     return SbrResult(band=A, bandwidth=b, q=q, blocks=blocks, workspace=ws)
 
 
-def _resilient_zy_panel(
-    A, q, eng, ctx,
-    *, b, i, n, use_syr2k, panel_index, norm_baseline,
-):
-    """One ZY panel as a retryable unit (checkpoint: A[i:, i:], Q[:, i+b:])."""
-    if ctx is None:
-        return _zy_panel_step(
-            A, q, eng, None,
-            b=b, i=i, n=n, use_syr2k=use_syr2k,
-            panel_index=panel_index, norm_baseline=norm_baseline,
-        )
-    snap_a = A[i:, i:].copy() if ctx.can_retry else None
-    snap_q = q[:, i + b :].copy() if (ctx.can_retry and q is not None) else None
-    attempt = 0
-    while True:
-        try:
-            with ctx.unit("sbr.panel", panel=panel_index):
-                return _zy_panel_step(
-                    A, q, eng, ctx,
-                    b=b, i=i, n=n, use_syr2k=use_syr2k,
-                    panel_index=panel_index, norm_baseline=norm_baseline,
-                )
-        except (NumericalBreakdownError, SingularMatrixError) as exc:
-            if not ctx.handle_breakdown(
-                exc, engine=eng, attempt=attempt,
-                phase="sbr.panel", panel=panel_index,
-            ):
-                raise
-            A[i:, i:] = snap_a
-            if snap_q is not None:
-                q[:, i + b :] = snap_q
-            attempt += 1
+def _snapshot_step(A, q, i, b):
+    """Save what a ZY panel may write (``A[i:, i:]``, ``Q[:, i+b:]``)."""
+    region = A[i:, i:].copy()
+    cols = q[:, i + b :].copy() if q is not None else None
+
+    def restore():
+        A[i:, i:] = region
+        if cols is not None:
+            q[:, i + b :] = cols
+
+    return restore
 
 
 def _zy_panel_step(

@@ -38,6 +38,7 @@ from repro.ioutils import (
     file_crc32,
     sweep_orphans,
 )
+from repro.resilience import FaultInjector, FaultSpec
 from repro.resilience.crash import CrashFaultSpec, CrashInjector, parse_kill_site
 
 from conftest import random_symmetric
@@ -589,7 +590,7 @@ class TestInterruptFlush:
         kw = dict(b=4, nb=8, precision="fp64", want_vectors=True)
         expected = reference_digest(a, **kw)
         self._interrupt_at(
-            monkeypatch, "repro.sbr.wy", "_resilient_panel_step", nth=4)
+            monkeypatch, "repro.sbr.wy", "_panel_step", nth=4)
         with pytest.raises(KeyboardInterrupt):
             syevd_2stage(a, checkpoint=str(tmp_path / "run"), **kw)
         monkeypatch.undo()
@@ -604,12 +605,37 @@ class TestInterruptFlush:
         kw = dict(b=4, method="zy", precision="fp64", want_vectors=True)
         expected = reference_digest(a, **kw)
         self._interrupt_at(
-            monkeypatch, "repro.sbr.zy", "_resilient_zy_panel", nth=3)
+            monkeypatch, "repro.sbr.zy", "_zy_panel_step", nth=3)
         with pytest.raises(KeyboardInterrupt):
             syevd_2stage(a, checkpoint=str(tmp_path / "run"), **kw)
         monkeypatch.undo()
         res = resume(str(tmp_path / "run"))
         assert result_digest(res) == expected
+
+    def test_interrupt_after_escalated_retry_resumes_identically(
+            self, tmp_path, monkeypatch):
+        # One snapshot serves both the retry and the flush: a NaN at the
+        # second wy_right launch (panel 2; panel 1 ends the first big
+        # block with a full update) retries that panel at an escalated
+        # precision, and an interrupt in the next panel must flush a
+        # checkpoint that resumes to the uninterrupted faulted run.
+        a = small_problem(48, seed=13)
+        kw = dict(b=4, nb=8, precision="fp32", want_vectors=True)
+
+        def faults():
+            return FaultInjector(FaultSpec(site="wy_right", kind="nan", call_index=1))
+
+        ref = syevd_2stage(a, faults=faults(), checkpoint=str(tmp_path / "ref"), **kw)
+        assert [e.panel for e in ref.resilience_report.escalations] == [2]
+        # _panel_step calls: panels 0, 1, 2, the retry of 2, then panel 3.
+        self._interrupt_at(monkeypatch, "repro.sbr.wy", "_panel_step", nth=5)
+        with pytest.raises(KeyboardInterrupt):
+            syevd_2stage(a, faults=faults(), checkpoint=str(tmp_path / "run"), **kw)
+        monkeypatch.undo()
+        res = resume(str(tmp_path / "run"))
+        assert result_digest(res) == result_digest(ref)
+        assert len(res.resilience_report.escalations) == len(
+            ref.resilience_report.escalations)
 
     def test_sigterm_context_converts_to_interrupt(self):
         import os

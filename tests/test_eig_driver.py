@@ -10,7 +10,6 @@ from scipy.linalg import eigh
 
 from repro.errors import ConfigurationError
 from repro.eig import syevd_1stage, syevd_2stage
-from repro.gemm import Fp64Engine
 from repro.matrices import generate_symmetric
 from repro.metrics import eigenvalue_error
 from tests.conftest import random_symmetric
@@ -40,9 +39,9 @@ class TestSyevd2Stage:
         params = inspect.signature(syevd_2stage).parameters
         keywords = [n for n, p in params.items() if p.kind is p.KEYWORD_ONLY]
         assert keywords == [
-            "b", "nb", "method", "precision", "engine", "want_vectors", "record_trace", "workspace", "on_breakdown",
-            "ladder", "detectors", "faults", "abft", "checkpoint",
-            "check_input", "live", "trace",
+            "b", "nb", "method", "precision", "want_vectors", "record_trace",
+            "workspace", "on_breakdown", "ladder", "faults", "abft",
+            "checkpoint", "check_input", "live", "trace",
         ]
 
     def test_bad_method(self, rng):
@@ -77,14 +76,6 @@ class TestSyevd2Stage:
             lam_true, syevd_2stage(a, b=8, nb=32, precision="fp16_tc", want_vectors=False).eigenvalues
         )
         assert err_ec < err_tc / 10
-
-    def test_explicit_engine_overrides_precision(self, rng):
-        a = random_symmetric(48, rng)
-        eng = Fp64Engine(record=True)
-        res = syevd_2stage(a, b=4, nb=16, engine=eng, precision="fp16_tc")
-        assert res.engine is eng
-        assert len(eng.trace) > 0
-        np.testing.assert_allclose(res.eigenvalues, np.linalg.eigvalsh(a), atol=1e-11)
 
     def test_record_trace(self, rng):
         a = random_symmetric(48, rng)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, NumericalBreakdownError
+from repro.gemm.engine import make_engine
 from repro.precision.modes import Precision
 from repro.resilience import (
     DetectorBank,
@@ -24,6 +25,7 @@ from repro.resilience.detectors import (
     residual_probe,
     symmetry_defect,
 )
+from repro.resilience.context import run_unit
 
 from conftest import random_symmetric
 
@@ -403,6 +405,89 @@ class TestReportAndContext:
         assert ctx.report.best_effort == ["p"]
         # The suppressed final pass failing again must not loop forever.
         assert not ctx.handle_breakdown(exc, engine=None, attempt=1, phase="p")
+
+
+class _Unit:
+    """A unit's mutable state plus a step that writes it and may fail."""
+
+    def __init__(self, failures=0, exc=NumericalBreakdownError):
+        self.x = np.zeros(3)
+        self.failures = failures
+        self.exc = exc
+        self.snapshots = 0
+        self.seen = []  # state at the start of each attempt
+
+    def snapshot(self):
+        self.snapshots += 1
+        saved = self.x.copy()
+
+        def restore():
+            self.x[...] = saved
+
+        return restore
+
+    def step(self, engine=None):
+        self.seen.append((self.x.copy(), engine and engine.precision))
+        self.x += 1.0
+        if len(self.seen) <= self.failures:
+            raise self.exc("injected")
+        return "done"
+
+
+class TestRunUnit:
+    """The one retry loop every retryable unit runs through."""
+
+    def test_no_snapshot_without_resilience_or_flush(self):
+        u = _Unit()
+        assert run_unit(None, "p", u.step, snapshot=u.snapshot) == "done"
+        assert u.snapshots == 0
+
+    def test_no_snapshot_under_raise(self):
+        u = _Unit(failures=1)
+        ctx = ResilienceContext(on_breakdown="raise")
+        with pytest.raises(NumericalBreakdownError):
+            run_unit(ctx, "p", u.step, snapshot=u.snapshot)
+        assert u.snapshots == 0 and ctx.report.retries == 0
+
+    def test_snapshot_taken_once_across_attempts(self):
+        u = _Unit(failures=2)
+        ctx = ResilienceContext(ladder=EscalationLadder(max_retries=3))
+        assert run_unit(ctx, "p", u.step, snapshot=u.snapshot) == "done"
+        assert u.snapshots == 1 and len(u.seen) == 3
+        assert ctx.report.retries == 2
+
+    def test_retry_restores_then_reruns_escalated(self):
+        ctx = ResilienceContext()
+        eng = ctx.wrap_engine(make_engine("fp16_tc"))
+        u = _Unit(failures=1)
+        run_unit(ctx, "sbr.panel", lambda: u.step(eng), engine=eng, panel=2,
+                 snapshot=u.snapshot)
+        (x0, p0), (x1, p1) = u.seen
+        np.testing.assert_array_equal(x1, x0)  # rolled back before the rerun
+        assert p0 is Precision.FP16_TC
+        assert p1 is ctx.ladder.escalate(Precision.FP16_TC, 1)
+        esc = ctx.report.escalations
+        assert [(e.phase, e.panel) for e in esc] == [("sbr.panel", 2)]
+
+    def test_exhausted_budget_propagates(self):
+        u = _Unit(failures=10)
+        ctx = ResilienceContext(ladder=EscalationLadder(max_retries=1))
+        with pytest.raises(NumericalBreakdownError):
+            run_unit(ctx, "p", u.step, snapshot=u.snapshot)
+        assert len(u.seen) == 2 and ctx.report.retries == 1
+
+    @pytest.mark.parametrize("mode", [None, "raise", "escalate"])
+    def test_interrupt_restores_flushes_once_and_reraises(self, mode):
+        u = _Unit(failures=1, exc=KeyboardInterrupt)
+        ctx = None if mode is None else ResilienceContext(on_breakdown=mode)
+        flushed = []
+        with pytest.raises(KeyboardInterrupt):
+            run_unit(ctx, "p", u.step, snapshot=u.snapshot,
+                     on_interrupt=lambda: flushed.append(u.x.copy()))
+        assert u.snapshots == 1 and len(u.seen) == 1
+        assert len(flushed) == 1
+        np.testing.assert_array_equal(flushed[0], np.zeros(3))
+        np.testing.assert_array_equal(u.x, np.zeros(3))
 
 
 class TestBackoff:
