@@ -25,9 +25,9 @@ Table 4 checks exactly that).
 Graceful degradation
 --------------------
 The drivers run numerical-failure detectors by default
-(``on_breakdown="escalate"``): NaN/Inf and overflow scans on every GEMM
-output, panel-Q orthogonality drift, trailing-norm growth, and symmetry
-probes (:mod:`repro.resilience`).  On detection the failed unit — one
+(``on_breakdown="escalate"``): one NaN/Inf, overflow and norm-growth scan
+of what each retryable unit wrote, panel-Q orthogonality drift, and
+symmetry probes (:mod:`repro.resilience`).  On detection the failed unit — one
 panel and its trailing update, or one stage — is retried from a
 lightweight checkpoint at the next-safer precision on the ladder
 ``FP16_TC -> FP16_EC_TC -> TF32_TC -> FP32 -> FP64``.
@@ -317,7 +317,9 @@ def _back_transform(ctx, q_sbr, q2, v_tri, record_trace):
 
     def step():
         t = bt_eng.gemm(q2, v_tri, tag="back_transform")
-        return bt_eng.gemm(q64, t, tag="back_transform")
+        x = bt_eng.gemm(q64, t, tag="back_transform")
+        ctx.check_array(x, site="back_transform")
+        return x
 
     return run_unit(ctx, "back_transform", step)
 

@@ -81,9 +81,11 @@ class TestResilientEngineShape:
 class TestDriverLaunchPath:
     def test_escalated_launches_keep_the_recorded_stream(self):
         # A NaN in the second wy_right launch escalates panel 1 from
-        # fp16_tc to fp16_ec_tc.  The stream keeps the first ten tc
-        # launches (panel 0 plus the failed attempt), then re-runs from
-        # the start of panel 1 under the escalated engine's name; the
+        # fp16_tc to fp16_ec_tc.  The step's outputs are scanned once,
+        # at its end, so the failed attempt runs its two wy_left
+        # launches too: the stream keeps the first twelve tc launches
+        # (panel 0 plus the whole failed attempt), then re-runs from the
+        # start of panel 1 under the escalated engine's name; the
         # escalation is sticky, so every later stage-1 launch is ectc.
         a = _symmetric(64)
         clean = syevd_2stage(a, b=8, precision="fp16_tc", record_trace=True,
@@ -94,11 +96,12 @@ class TestDriverLaunchPath:
         base = _stream(clean.engine.trace)
         got = _stream(res.engine.trace)
         assert len(base) == 49 and {r[0] for r in base} == {"tc"}
-        assert len(got) == 54
-        assert [r[0] for r in got] == ["tc"] * 10 + ["ectc"] * 44
-        assert got == base[:10] + [("ectc",) + r[1:] for r in base[5:]]
+        assert len(got) == 56
+        assert [r[0] for r in got] == ["tc"] * 12 + ["ectc"] * 44
+        assert got == base[:12] + [("ectc",) + r[1:] for r in base[5:]]
         assert got[9] == ("tc", "gemm", 56, 8, 16, "wy_right")
-        assert got[10] == ("ectc", "gemm", 48, 8, 8, "panel_reconstruct")
+        assert [r[5] for r in got[10:12]] == ["wy_left", "wy_left"]
+        assert got[12] == ("ectc", "gemm", 48, 8, 8, "panel_reconstruct")
 
     def test_default_path_hands_the_run_arena_to_the_stage1_engine(self):
         a = _symmetric(96)
@@ -133,10 +136,13 @@ def _calls_per_launch(fn) -> float:
 
 
 class TestPerLaunchCost:
-    # Python calls per launch (profiled calls / 1000, minus the lambda)
-    # before the launch path was merged.  The merged path must not pay
-    # more on any entry point, guarded or not.
-    BOUNDS = {"bare": (15, 13, 10), "guarded": (25, 23, 20)}
+    # Python calls per launch (profiled calls / 1000, minus the lambda).
+    # "bare" is the count before the launch path was merged; the merged
+    # path must not pay more on any entry point.  "guarded" is a
+    # ResilienceContext with neither ABFT nor faults: its launches skip
+    # the guard (the unit scans its outputs once), costing one call over
+    # the bare engine's.
+    BOUNDS = {"bare": (15, 13, 10), "guarded": (14, 12, 10)}
 
     @pytest.mark.parametrize("kind", ["bare", "guarded"])
     def test_calls_per_launch_do_not_grow(self, rng, kind):

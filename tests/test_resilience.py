@@ -251,15 +251,26 @@ class TestDetectorBank:
 
     def test_norm_growth(self):
         bank = DetectorBank(DetectorConfig(norm_growth_factor=10.0))
-        bank.check_norm_growth(
-            np.full(4, 5.0), 1.0, phase=None, panel=None, precision=Precision.FP32
+        bank.check_output(
+            np.full(4, 5.0), baseline=1.0, site="s", phase=None, panel=None,
+            precision=Precision.FP32,
         )
         with pytest.raises(NumericalBreakdownError) as ei:
-            bank.check_norm_growth(
-                np.full(4, 50.0), 1.0, phase=None, panel=None,
-                precision=Precision.FP32,
+            bank.check_output(
+                np.full(4, 50.0), baseline=1.0, site="s", phase=None,
+                panel=None, precision=Precision.FP32,
             )
         assert ei.value.detector == "norm_growth"
+        assert ei.value.value == 50.0 and ei.value.threshold == 10.0
+        # Magnitude outranks growth, and without a baseline the same
+        # array is only judged against the overflow guard.
+        with pytest.raises(NumericalBreakdownError) as ei:
+            bank.check_output(
+                np.array([1e30]), baseline=1.0, site="s", phase=None,
+                panel=None, precision=Precision.FP32,
+            )
+        assert ei.value.detector == "magnitude"
+        assert self._verdict(bank, np.full(4, 50.0)) is None
 
     def test_symmetry_drift(self, rng):
         bank = DetectorBank()

@@ -21,9 +21,12 @@ from repro.errors import (
     ShapeError,
     SingularMatrixError,
 )
+from repro.gemm.engine import make_engine
 from repro.matrices import generate_symmetric
 from repro.precision.modes import Precision
-from repro.resilience import EscalationLadder, FaultInjector, FaultSpec
+from repro.resilience import (
+    EscalationLadder, FaultInjector, FaultSpec, ResilienceContext,
+)
 from repro.sbr.wy import sbr_wy
 from repro.sbr.zy import sbr_zy
 
@@ -54,6 +57,14 @@ class TestHealthyRuns:
     def test_layer_can_be_disabled(self, sym96):
         res = syevd_2stage(sym96, b=8, nb=32, on_breakdown=None)
         assert res.resilience_report is None
+
+    @pytest.mark.parametrize("method", ["wy", "zy"])
+    def test_tiny_norm_run_is_clean(self, sym96, method):
+        # The growth bound scales with max|A|; the scale-free W, Y and Q
+        # a unit writes must not be held to it.
+        res = syevd_2stage(sym96 * 1e-150, b=8, nb=32, method=method,
+                           precision="fp64")
+        assert res.resilience_report.empty, res.resilience_report.summary()
 
     def test_resilient_run_matches_unprotected_run(self, sym96):
         protected = syevd_2stage(sym96, b=8, nb=32, precision="fp32")
@@ -146,6 +157,88 @@ class TestEscalateRecovery:
         rep = res.resilience_report
         assert any(d.detector == "orthogonality" for d in rep.detections)
         assert eig_error(res, sym96) < 5e3 * Precision.FP32.machine_eps * 96
+
+
+# ---------------------------------------------------------------------------
+# Per-unit detection: every stage-1 GEMM site is caught in its own unit
+# ---------------------------------------------------------------------------
+
+
+UNIT_SITES = [("wy", s) for s in (
+    "panel_tsqr", "panel_reconstruct", "form_w", "wy_oaw", "wy_right",
+    "wy_left", "wy_full_right", "wy_full_left", "form_q",
+)] + [("zy", s) for s in ("zy_aw", "zy_wtaw", "zy_z", "zy_syr2k", "form_q")]
+
+
+@pytest.fixture(scope="module")
+def sym288():
+    # Panels of 280 rows span two TSQR leaves, so panel_tsqr launches.
+    return random_symmetric(288, np.random.default_rng(5))
+
+
+def _sbr(method, a, site, ctx):
+    eng = make_engine("fp32", record=True)
+    if method == "wy":
+        return sbr_wy(a, 8, 32, engine=eng, resilience=ctx), eng
+    return sbr_zy(a, 8, engine=eng, resilience=ctx,
+                  use_syr2k=site == "zy_syr2k"), eng
+
+
+def _first_unit(method, trace, site):
+    """(phase, panel) of the unit running the first launch tagged ``site``.
+
+    Every panel launches exactly one ``panel_reconstruct``; its TSQR
+    launches come before it, everything else after it.  WY forms Q in
+    its own unit after the panels.
+    """
+    if method == "wy" and site == "form_q":
+        return "sbr.form_q", None
+    seen = 0
+    for rec in trace:
+        if rec.tag == site:
+            before = site in ("panel_tsqr", "panel_reconstruct")
+            return "sbr.panel", seen if before else seen - 1
+        seen += rec.tag == "panel_reconstruct"
+    raise AssertionError(f"{site} never launched")
+
+
+class TestPerUnitDetection:
+    """Output detectors scan each retry unit once, not every launch.
+
+    That is safe only if a fault in any launch is caught before its unit
+    returns: a one-shot NaN or overflow at any stage-1 GEMM site must be
+    detected, and retried, in the unit that launched it.
+    """
+
+    @pytest.mark.parametrize("method,site", UNIT_SITES,
+                             ids=[f"{m}-{s}" for m, s in UNIT_SITES])
+    @pytest.mark.parametrize("kind", ["nan", "overflow"])
+    def test_fault_is_caught_in_its_own_unit(self, sym288, method, site, kind):
+        _, clean = _sbr(method, sym288, site, None)
+        phase, panel = _first_unit(method, clean.trace, site)
+
+        ctx = ResilienceContext(injector=FaultInjector(FaultSpec(site=site, kind=kind)))
+        res, _ = _sbr(method, sym288, site, ctx)
+        rep = ctx.report
+        assert len(rep.faults_injected) == 1
+        assert [(e.phase, e.panel) for e in rep.escalations] == [(phase, panel)]
+        assert all((d.phase, d.panel) == (phase, panel) for d in rep.detections)
+        lam = np.linalg.eigvalsh(res.band.astype(np.float64))
+        ref = np.linalg.eigvalsh(sym288)
+        assert np.abs(lam - ref).max() < 5e3 * Precision.FP32.machine_eps * 288
+
+        ctx = ResilienceContext(
+            on_breakdown="raise",
+            injector=FaultInjector(FaultSpec(site=site, kind=kind)),
+        )
+        with pytest.raises((NumericalBreakdownError, SingularMatrixError)) as ei:
+            _sbr(method, sym288, site, ctx)
+        exc = ei.value
+        assert exc.panel == panel
+        if isinstance(exc, NumericalBreakdownError):
+            assert exc.phase == phase
+        else:  # a NaN pivot, raised by the panel's reconstruction
+            assert phase == "sbr.panel" and f"panel {panel}" in str(exc)
 
 
 # ---------------------------------------------------------------------------
