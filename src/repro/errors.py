@@ -198,7 +198,7 @@ class NumericalBreakdownError(ReproError, ArithmeticError):
     """A numerical-invariant monitor detected breakdown mid-computation.
 
     Raised by the detectors of :mod:`repro.resilience` when a monitored
-    invariant fails — NaN/Inf in a GEMM output, panel-Q orthogonality
+    invariant fails — NaN/Inf in a unit's output, panel-Q orthogonality
     drift, trailing-matrix norm explosion, symmetry drift, or a failed
     residual probe.  Carries enough context for the precision-escalation
     ladder to retry the failed unit.
