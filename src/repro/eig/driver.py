@@ -357,7 +357,7 @@ def syevd_2stage(
     method : {"wy", "zy"}
         Stage-1 algorithm: the paper's Algorithm 1 or the conventional
         ZY-based reduction.  Both factor every panel with the paper's
-        TSQR + Householder reconstruction (:mod:`repro.sbr.panel`).
+        TSQR panel (:mod:`repro.sbr.panel`).
     precision : Precision or str
         Stage-1 arithmetic policy.
     want_vectors : bool

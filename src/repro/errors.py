@@ -95,17 +95,23 @@ class SingularMatrixError(ReproError, ValueError):
     panel : int or None
         Panel index within the enclosing band reduction, attached by the
         SBR drivers when the failure happened inside a panel factorization.
+    phase : str or None
+        Phase in which the failure occurred (``"sbr.panel"`` for a panel
+        factorization), attached with ``panel``.
     """
 
     def __init__(self, message: str = "", *, column: int | None = None,
-                 panel: int | None = None) -> None:
+                 panel: int | None = None, phase: str | None = None) -> None:
         super().__init__(message)
         self.column = column
         self.panel = panel
+        self.phase = phase
 
     def __str__(self) -> str:
         msg = super().__str__()
         parts = []
+        if self.phase is not None:
+            parts.append(f"phase={self.phase}")
         if self.panel is not None:
             parts.append(f"panel {self.panel}")
         if self.column is not None:

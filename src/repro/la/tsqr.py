@@ -20,46 +20,118 @@ the Q back-propagation shows in a GEMM trace.
 
 The output is an **explicit Q** — downstream band reduction needs
 Householder vectors, which :func:`repro.la.reconstruct.reconstruct_wy`
-recovers via non-pivoted LU (Algorithm 3 of the paper).
+recovers via non-pivoted LU (Algorithm 3 of the paper).  Only a tree
+needs that: :func:`leaf_bounds` is the one leaf rule, and a matrix it
+keeps in one leaf is one Householder QR, whose compact WY form
+:func:`leaf_wy` returns directly (LAPACK ``geqrt``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_lapack_funcs, lapack
 
 from ..errors import NumericalBreakdownError, ShapeError
 from ..gemm.engine import GemmEngine, PlainEngine
 from ..obs import spans as obs
 
-__all__ = ["tsqr"]
+__all__ = ["leaf_bounds", "leaf_wy", "tsqr"]
+
+#: LAPACK compact-WY QR by working dtype, resolved once at import.
+_GEQRT = {np.dtype(np.float32): lapack.sgeqrt, np.dtype(np.float64): lapack.dgeqrt}
+
+
+def leaf_bounds(m: int, n: int, leaf_rows: int | None = None) -> list[tuple[int, int]]:
+    """Row ranges ``[(lo, hi), ...]`` of the TSQR leaves of an m×n matrix.
+
+    The one leaf rule: :func:`tsqr` factors these blocks, and a panel
+    with a single leaf skips TSQR for :func:`leaf_wy`.  Raises
+    :class:`~repro.errors.ShapeError` when ``m < n`` or ``leaf_rows < n``.
+    """
+    if m < n:
+        raise ShapeError(f"tsqr requires m >= n, got shape {(m, n)}")
+    if leaf_rows is None:
+        # A GPU TSQR wants many small leaves for occupancy (the paper's
+        # 4n); this emulation runs its leaves one after another, so each
+        # extra leaf only adds a LAPACK call pair and merge GEMMs —
+        # default to taller leaves.  Any leaf_rows >= n is numerically
+        # valid — this only moves work between the leaf and tree stages.
+        leaf_rows = max(16 * n, 256)
+    if leaf_rows < n:
+        raise ShapeError(f"leaf_rows={leaf_rows} must be >= n={n}")
+    splits = list(range(0, m, leaf_rows))
+    # Merge a too-short trailing leaf into its predecessor.
+    if len(splits) > 1 and m - splits[-1] < n:
+        splits.pop()
+    return [(s, (splits[i + 1] if i + 1 < len(splits) else m)) for i, s in enumerate(splits)]
+
+
+def _check_finite(block: np.ndarray) -> None:
+    # LAPACK propagates a NaN/Inf silently: report it the way the
+    # resilience layer expects.
+    if not np.isfinite(block).all():
+        raise NumericalBreakdownError(
+            "non-finite entry in a TSQR block", detector="nonfinite", site="tsqr",
+        )
+
+
+def _lapack_failed(m: int, n: int, info: int) -> NumericalBreakdownError:
+    return NumericalBreakdownError(
+        f"LAPACK QR of a {m}x{n} TSQR block failed (info={info})",
+        detector="lapack", site="tsqr", value=float(info),
+    )
 
 
 def _householder_qr(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Explicit thin Q and R of one tall block: LAPACK ``geqrf`` + ``orgqr``.
 
-    The TSQR leaves and tree merges both run through here.  LAPACK
-    propagates a NaN/Inf silently, so a non-finite block is reported the
-    way the resilience layer expects (``detector="nonfinite"``), and a
-    nonzero ``info`` becomes a structured error too.
+    The TSQR leaves and tree merges both run through here.  A non-finite
+    block and a nonzero ``info`` become structured errors.
     """
     m, n = block.shape
-    if not np.isfinite(block).all():
-        raise NumericalBreakdownError(
-            "non-finite entry in a TSQR block", detector="nonfinite", site="tsqr",
-        )
+    _check_finite(block)
     geqrf, orgqr = get_lapack_funcs(("geqrf", "orgqr"), (block,))
     qr, tau, _, info = geqrf(block)
     if info == 0:
         r = np.triu(qr[:n])
         q, _, info = orgqr(qr, tau, overwrite_a=1)
     if info != 0:
-        raise NumericalBreakdownError(
-            f"LAPACK QR of a {m}x{n} TSQR block failed (info={info})",
-            detector="lapack", site="tsqr", value=float(info),
-        )
+        raise _lapack_failed(m, n, info)
     return q, r
+
+
+def leaf_wy(block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compact WY QR of one TSQR leaf: LAPACK ``geqrt`` with block size n.
+
+    Returns ``(y, t, r)`` with ``block = (I - Y T Y^T)[:, :n] @ R``:
+    ``y`` (m×n) unit lower trapezoidal, ``t`` and ``r`` n×n upper
+    triangular — the reflectors a Householder QR computes, kept instead
+    of being formed into an explicit Q.  Runs in float32 for float32
+    input, else float64.  For ``m == n`` the last reflector is the
+    identity (``?larfg`` of one entry), so ``t``'s last column is zero.
+    The contract is a one-leaf :func:`tsqr`'s: a non-finite block raises
+    ``NumericalBreakdownError(detector="nonfinite", site="tsqr")``, and
+    ``m < n`` raises ``ShapeError``.
+    """
+    block = np.asarray(block)
+    m, n = block.shape
+    if m < n:
+        raise ShapeError(f"tsqr requires m >= n, got shape {block.shape}")
+    dtype = np.dtype(np.float32 if block.dtype == np.float32 else np.float64)
+    block = np.asarray(block, dtype=dtype)
+    _check_finite(block)
+    vr, t, info = _GEQRT[dtype](n, block)
+    if info != 0:
+        raise _lapack_failed(m, n, info)
+    # R sits on and above the diagonal of Y's top block; only that n×n
+    # block needs clearing.
+    y = np.ascontiguousarray(vr)
+    top = y[:n]
+    r = np.triu(top)
+    top -= r
+    np.fill_diagonal(top, 1)
+    return y, t, r
 
 
 def tsqr(
@@ -76,9 +148,9 @@ def tsqr(
     a : array_like, shape (m, n) with m >= n
         The tall matrix to factor.
     leaf_rows : int, optional
-        Row count per leaf block, default ``max(16 * n, 256)``.  Each
-        leaf must have at least ``n`` rows; the last leaf absorbs the
-        remainder.
+        Row count per leaf block, default ``max(16 * n, 256)``
+        (:func:`leaf_bounds`).  Each leaf must have at least ``n`` rows;
+        the last leaf absorbs the remainder.
     engine : GemmEngine, optional
         Engine used for the Q back-propagation GEMMs (tagged ``tag``).
 
@@ -101,29 +173,12 @@ def tsqr(
     if a.ndim != 2:
         raise ShapeError(f"tsqr requires a 2-D matrix, got shape {a.shape}")
     m, n = a.shape
-    if m < n:
-        raise ShapeError(f"tsqr requires m >= n, got shape {a.shape}")
+    bounds = leaf_bounds(m, n, leaf_rows)
     dtype = a.dtype if a.dtype.kind == "f" else np.dtype(np.float64)
     a = np.ascontiguousarray(a, dtype=dtype)
     eng = engine if engine is not None else PlainEngine()
 
-    if leaf_rows is None:
-        # A GPU TSQR wants many small leaves for occupancy (the paper's
-        # 4n); this emulation runs its leaves one after another, so each
-        # extra leaf only adds a LAPACK call pair and merge GEMMs —
-        # default to taller leaves.  Any leaf_rows >= n is numerically
-        # valid — this only moves work between the leaf and tree stages.
-        leaf_rows = max(16 * n, 256)
-    if leaf_rows < n:
-        raise ShapeError(f"leaf_rows={leaf_rows} must be >= n={n}")
-
     # --- Leaf stage: independent QR of each row block. -------------------
-    splits = list(range(0, m, leaf_rows))
-    # Merge a too-short trailing leaf into its predecessor.
-    if len(splits) > 1 and m - splits[-1] < n:
-        splits.pop()
-    bounds = [(s, (splits[i + 1] if i + 1 < len(splits) else m)) for i, s in enumerate(splits)]
-
     with obs.span("tsqr.leaf", leaves=len(bounds), cols=n):
         leaves = [_householder_qr(a[lo:hi, :]) for lo, hi in bounds]
     q_blocks = [q for q, _ in leaves]

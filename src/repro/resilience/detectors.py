@@ -42,6 +42,8 @@ __all__ = [
     "residual_probe",
 ]
 
+_TINY = float(np.finfo(np.float64).tiny)
+
 
 def has_nonfinite(arr: np.ndarray) -> bool:
     """Whether ``arr`` contains any NaN or Inf entry (full scan)."""
@@ -158,7 +160,6 @@ class DetectorConfig:
     symmetry_sample: int = 64
     residual: bool = False
     residual_eps_factor: float = 1e4
-    probe_stride: int = 1  # run drift probes every k-th panel
 
     def orthogonality_tol(self, k: int, eps: float) -> float:
         return self.orthogonality_eps_factor * max(k, 1) * eps
@@ -205,7 +206,10 @@ class DetectorBank:
         limit = cfg.magnitude_limit if cfg.magnitude else np.inf
         growth = None
         if baseline is not None and cfg.norm_growth:
-            growth = cfg.norm_growth_factor * max(baseline, 1e-30)
+            # Floored only so that a zero matrix, whose outputs are zero,
+            # still passes: the bound scales with max|A| down to fp64's
+            # smallest normal number.
+            growth = cfg.norm_growth_factor * max(baseline, _TINY)
             limit = min(limit, growth)
         mx = float(np.abs(arr).max())
         if mx <= limit and mx < np.inf:

@@ -17,7 +17,7 @@ Reduces a dense symmetric matrix to symmetric band form ``A = Q B Q^T``
   (tree) W construction for the back-transformation.
 - :mod:`~repro.sbr.panel` — the panel factorization both reductions run:
   TSQR + Householder reconstruction by non-pivoted LU (paper §5.1–5.2,
-  Algorithm 3).
+  Algorithm 3), or the leaf's own compact WY when TSQR has one leaf.
 """
 
 from .panel import PanelFactorization, factor_panel

@@ -176,8 +176,8 @@ def sym288():
     return random_symmetric(288, np.random.default_rng(5))
 
 
-def _sbr(method, a, site, ctx):
-    eng = make_engine("fp32", record=True)
+def _sbr(method, a, site, ctx, precision="fp32"):
+    eng = make_engine(precision, record=True)
     if method == "wy":
         return sbr_wy(a, 8, 32, engine=eng, resilience=ctx), eng
     return sbr_zy(a, 8, engine=eng, resilience=ctx,
@@ -238,7 +238,24 @@ class TestPerUnitDetection:
         if isinstance(exc, NumericalBreakdownError):
             assert exc.phase == phase
         else:  # a NaN pivot, raised by the panel's reconstruction
-            assert phase == "sbr.panel" and f"panel {panel}" in str(exc)
+            assert exc.phase == phase == "sbr.panel" and f"panel {panel}" in str(exc)
+
+    def test_growth_is_caught_on_a_tiny_matrix(self, sym96):
+        # The growth bound scales with max|A| however small it is: an
+        # overflow by 1e8 on a 1e-150-scaled matrix is still growth.
+        a = sym96 * 1e-150
+        _, clean = _sbr("wy", a, "wy_right", None, precision="fp64")
+        unit = _first_unit("wy", clean.trace, "wy_right")
+        ctx = ResilienceContext(injector=FaultInjector(
+            FaultSpec(site="wy_right", kind="overflow", scale=1e8)))
+        res, _ = _sbr("wy", a, "wy_right", ctx, precision="fp64")
+        rep = ctx.report
+        assert [(d.detector, d.phase, d.panel) for d in rep.detections] == [
+            ("norm_growth", *unit)]
+        assert rep.retries == 1
+        lam = np.linalg.eigvalsh(res.band * 1e150)
+        ref = np.linalg.eigvalsh(sym96)
+        assert np.abs(lam - ref).max() < 5e3 * Precision.FP64.machine_eps * 96
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, NotSymmetricError, ShapeError
+from repro.errors import (
+    ConfigurationError, NotSymmetricError, NumericalBreakdownError, ShapeError,
+)
 from repro.gemm import Fp64Engine, SgemmEngine, TensorCoreEngine, EcTensorCoreEngine
-from repro.la import bandwidth_of, wy_matrix
+from repro.la import bandwidth_of, reconstruct_wy, tsqr, wy_matrix
+from repro.la.tsqr import leaf_bounds
 from repro.metrics import backward_error, orthogonality_error
 from repro.precision import FP16_EPS
-from repro.sbr import factor_panel, sbr_wy, sbr_zy
+from repro.sbr import factor_panel, panel as panel_mod, sbr_wy, sbr_zy
 from tests.conftest import eig_banded_spectrum, random_symmetric
 
 
@@ -43,6 +46,64 @@ class TestFactorPanel:
     def test_rejects_wide_panel(self, rng):
         with pytest.raises(ShapeError):
             self._factor(random_symmetric(12, rng), 8, 8)
+
+    @pytest.mark.parametrize("dtype,engine", [(np.float32, SgemmEngine),
+                                              (np.float64, Fp64Engine)])
+    @pytest.mark.parametrize("m,k", [(8, 8), (9, 8), (120, 8), (352, 32)])
+    def test_one_leaf_matches_tsqr_reconstruct(self, rng, dtype, engine, m, k):
+        # A one-leaf panel takes geqrt's compact WY; TSQR + Algorithm 3
+        # recovers the same reflectors from the explicit Q.
+        assert len(leaf_bounds(m, k)) == 1
+        A = random_symmetric(m + k, rng, dtype=dtype)
+        panel = A[k:, :k].copy()
+        pf = factor_panel(A, 0, k, k, engine=engine())
+        q, r = tsqr(panel)
+        w, y, s = reconstruct_wy(q)
+        r = r * s[:, np.newaxis]
+        eps = np.finfo(dtype).eps
+        if m == k:
+            # ?larfg leaves the last column unreflected (tau = 0), where
+            # the reconstruction reflects it: the last W column is zero
+            # and R's last row changes sign.
+            np.testing.assert_array_equal(pf.w[:, -1], 0)
+            np.testing.assert_allclose(np.abs(pf.r[-1]), np.abs(r[-1]),
+                                       rtol=0, atol=8 * eps * np.abs(r).max())
+            w, pf_w, r, pf_r = w[:, :-1], pf.w[:, :-1], r[:-1], pf.r[:-1]
+        else:
+            pf_w, pf_r = pf.w, pf.r
+        assert pf.y.dtype == pf.w.dtype == pf.r.dtype == dtype
+        np.testing.assert_allclose(pf.y, y, rtol=0, atol=8 * eps)
+        np.testing.assert_allclose(pf_w, w, rtol=0, atol=8 * eps)
+        np.testing.assert_allclose(pf_r, r, rtol=0, atol=8 * eps * np.abs(r).max())
+
+    def test_one_leaf_nonfinite_panel_raises(self, rng):
+        A = random_symmetric(48, rng)
+        A[20, 3] = A[3, 20] = np.nan
+        with pytest.raises(NumericalBreakdownError) as ei:
+            self._factor(A, 8, 8)
+        assert (ei.value.detector, ei.value.site) == ("nonfinite", "tsqr")
+
+    @staticmethod
+    def _count_reconstructions(monkeypatch, n, b, nb):
+        calls = []
+
+        def counted(q, **kw):
+            calls.append(q.shape)
+            return reconstruct_wy(q, **kw)
+
+        monkeypatch.setattr(panel_mod, "reconstruct_wy", counted)
+        sbr_wy(random_symmetric(n, np.random.default_rng(0)), b, nb, want_q=False)
+        return calls
+
+    def test_one_leaf_panels_skip_reconstruction(self, monkeypatch):
+        assert self._count_reconstructions(monkeypatch, 384, 32, 128) == []
+
+    def test_tree_panels_reconstruct(self, monkeypatch):
+        n, b = 1024, 32
+        split = [(n - i - b, b) for i in range(0, n - b - 1, b)
+                 if len(leaf_bounds(n - i - b, min(b, n - i - b))) > 1]
+        assert split  # the leaf rule splits the tallest panels
+        assert self._count_reconstructions(monkeypatch, n, b, 256) == split
 
 
 def _check_sbr(a, res, *, tol_back, tol_orth, tol_eig):
