@@ -14,6 +14,8 @@ import pytest
 from repro.eig import bulge_chase, tridiag_eig_dc, tridiag_eig_ql
 from repro.gemm import make_engine
 from repro.la import blocked_qr, extract_band, tsqr
+from repro.precision import round_fp16
+from repro.precision.rounding import split_fp16_into
 from repro.sbr import sbr_wy, sbr_zy
 from tests.conftest import random_symmetric
 
@@ -33,6 +35,20 @@ class TestPanelKernels:
         panel = rng.standard_normal((1024, 32)).astype(np.float32)
         v, b, r = benchmark(blocked_qr, panel)
         assert r.shape == (32, 32)
+
+
+class TestPrecisionKernels:
+    def test_ec_split(self, benchmark, rng):
+        # A trailing-block-sized operand with magnitudes spread over
+        # e^-12..1, so many residuals land in FP16's subnormal range: the
+        # case where NumPy's float16 cast is slowest.
+        shape = (992, 736)
+        x = (rng.standard_normal(shape) * np.exp(rng.uniform(-12, 0, shape)))
+        x = x.astype(np.float32)
+        hi, lo = np.empty_like(x), np.empty_like(x)
+        benchmark(split_fp16_into, x, hi, lo)
+        np.testing.assert_array_equal(hi, round_fp16(x))
+        np.testing.assert_array_equal(lo, round_fp16((x - hi) * np.float32(2048)))
 
 
 class TestSbrDrivers:

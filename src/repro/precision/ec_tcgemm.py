@@ -20,11 +20,13 @@ Cores.  Two refinements from the original method are modelled:
 The result matches a plain FP32 SGEMM to within a few FP32 ulps — property
 tests assert a relative error floor near ``2^-24`` rather than ``2^-11``.
 
-On the host the hi/lo split (a few elementwise passes per operand) costs
-as much as the three FP32 products, so an operand multiplied more than
-once is split once: :func:`ec_prepare` returns an :class:`EcOperand`
-handle, views of which multiply without re-splitting.  Every split
-counts its elements into the ``ec_split_elems`` span counter.
+On the host the hi/lo split runs in float32 arithmetic at a few ns per
+element (:func:`~repro.precision.rounding.split_fp16_into`), still a
+sizeable share of the three FP32 products for the thin operands SBR
+multiplies, so an operand multiplied more than once is split once:
+:func:`ec_prepare` returns an :class:`EcOperand` handle, views of which
+multiply without re-splitting.  Every split counts its elements into
+the ``ec_split_elems`` span counter.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ def _split(x, ws, name: str):
         return split_fp16(x)
     hi = ws.take(f"ec_{name}_hi", x.shape, np.float32)
     lo = ws.take(f"ec_{name}_lo", x.shape, np.float32)
-    f16 = ws.take(f"ec_{name}_f16", x.shape, np.float16)
-    return split_fp16_into(x, hi, lo, f16)
+    return split_fp16_into(x, hi, lo)
 
 
 def _hi_lo(x, ws, name: str):
@@ -55,7 +56,7 @@ def _hi_lo(x, ws, name: str):
     A handle's split goes to BLAS in the memory order a fresh split of
     the same view would have, so BLAS runs the same kernel and sums in
     the same order: the product is bitwise what the array would give.
-    A fresh split keeps the view's order without an arena (``astype``)
+    A fresh split keeps the view's order without an arena (``empty_like``)
     and is row-major in one (the arena's buffers), so through an arena a
     transposed view is copied to row-major (two copies, far cheaper than
     a split).
@@ -114,8 +115,7 @@ class EcOperand:
     def resplit(self) -> "EcOperand":
         """Re-split the source's current contents into ``hi``/``lo``, in place."""
         _obs.counter("ec_split_elems", self.array.size)
-        split_fp16_into(self.array, self.hi, self.lo,
-                        np.empty(self.array.shape, np.float16))
+        split_fp16_into(self.array, self.hi, self.lo)
         return self
 
 
@@ -135,7 +135,7 @@ def ec_prepare(a, *, ws=None, name: str = "prep", cols: int | None = None) -> Ec
     """
     a = np.asarray(a, dtype=np.float32)
     if ws is None:
-        # In the source's memory order, as a fresh split's ``astype``.
+        # In the source's memory order, as a fresh ``split_fp16``.
         hi = np.empty_like(a)
         lo = np.empty_like(a)
     else:
