@@ -29,6 +29,7 @@ from repro.resilience import (
 )
 from repro.sbr.wy import sbr_wy
 from repro.sbr.zy import sbr_zy
+from repro.validation import Validated
 
 from conftest import random_symmetric
 
@@ -392,6 +393,34 @@ class TestInputValidation:
                          check_input=False, on_breakdown="raise")
         assert ei.value.detector == "nonfinite"
         assert ei.value.site == "tsqr"
+
+    def nan_in_first_panel(self, rng):
+        a = random_symmetric(96, rng)
+        a[10, 0] = a[0, 10] = np.nan
+        return a
+
+    @pytest.mark.parametrize("mode", ["escalate", "raise"])
+    def test_unchecked_nan_names_its_unit(self, rng, mode):
+        # TSQR's own finiteness check raises outside the detectors; the
+        # retry unit it escapes from gives it the unit's phase and panel.
+        with pytest.raises(NumericalBreakdownError) as ei:
+            syevd_2stage(self.nan_in_first_panel(rng), b=8, nb=32,
+                         check_input=False, on_breakdown=mode)
+        assert (ei.value.detector, ei.value.site) == ("nonfinite", "tsqr")
+        assert (ei.value.phase, ei.value.panel) == ("sbr.panel", 0)
+        assert "phase=sbr.panel" in str(ei.value)
+
+    def test_unchecked_nan_is_recorded(self, rng):
+        ctx = ResilienceContext()
+        with pytest.raises(NumericalBreakdownError):
+            sbr_wy(Validated(self.nan_in_first_panel(rng)), 8, 32,
+                   resilience=ctx)
+        dets = ctx.report.detections
+        assert dets
+        assert {(d.detector, d.site, d.phase, d.panel) for d in dets} == {
+            ("nonfinite", "tsqr", "sbr.panel", 0)}
+        # One record per failed attempt: the first, then each retry.
+        assert len(dets) == ctx.report.retries + 1
 
     def test_error_message_counts_and_locates(self, rng):
         a = random_symmetric(16, rng)
