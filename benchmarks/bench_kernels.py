@@ -61,6 +61,18 @@ class TestSbrDrivers:
         )
         assert res.bandwidth == 16
 
+    def test_sbr_wy_fp16_tc_n1024(self, benchmark, rng):
+        # The paper's stage 1 at the bench's EC size on the FP16 engine:
+        # OA and the block's W/Y/OAW are rounded once (prepared operands),
+        # not in every GEMM that reads them.
+        a = random_symmetric(1024, rng, dtype=np.float32)
+        res = benchmark.pedantic(
+            sbr_wy, args=(a, 32, 256),
+            kwargs={"engine": make_engine("fp16_tc"), "want_q": False},
+            iterations=1, rounds=3,
+        )
+        assert res.bandwidth == 32
+
     def test_sbr_zy(self, benchmark, sym256):
         res = benchmark.pedantic(
             sbr_zy, args=(sym256, 16), kwargs={"want_q": False},

@@ -59,7 +59,7 @@ from ..gemm.engine import GemmEngine, make_engine
 from ..obs import spans as obs
 from ..obs.live import phase_plan, resolve_live
 from ..obs.tracing import TraceContext
-from ..perf import resolve_workspace
+from ..perf import call_arena
 from ..precision.modes import Precision
 from ..resilience.context import ResilienceContext, run_unit
 from ..resilience.faults import FaultInjector
@@ -105,7 +105,8 @@ class EvdResult:
         checkpointing was off; ``.resumed_from`` names the restart point
         of a resumed run).
     workspace : repro.perf.Workspace or None
-        The scratch arena the run used (``None`` when the driver ran
+        The stage-1 scratch arena the run used, emptied when stage 1
+        ended unless the caller passed it (``None`` when the driver ran
         without one, e.g. checkpoint-resumed results or the 1-stage
         path); its ``stats()`` become the run manifest's ``alloc`` line.
     metrics : dict or None
@@ -367,9 +368,10 @@ def syevd_2stage(
         tridiagonal solve are LAPACK calls and launch no GEMMs).
     workspace : repro.perf.Workspace, bool, or None
         Stage-1 scratch arena (see :func:`repro.sbr.wy.sbr_wy`).
-        ``None``/``True`` create one, ``False`` disables buffer reuse; the
-        arena's allocation counters are reported on ``EvdResult.workspace``
-        and in the run manifest's ``alloc`` line.
+        ``None``/``True`` create one, emptied when stage 1 ends;
+        ``False`` disables buffer reuse.  The arena's allocation counters
+        are reported on ``EvdResult.workspace`` and in the run manifest's
+        ``alloc`` line.
     on_breakdown : {"escalate", "raise", "best_effort"} or None
         Failure-detector response (see module docstring).  ``None``
         disables the resilience layer.
@@ -436,7 +438,6 @@ def syevd_2stage(
     ctx = _make_context(on_breakdown, ladder, faults, abft)
     eng = make_engine(precision, record=record_trace)
     sbr_eng = ctx.wrap_engine(eng) if ctx is not None else eng
-    ws = resolve_workspace(workspace)
 
     ck = _make_ckpt_manager(checkpoint)
     tctx = TraceContext.coerce(trace)
@@ -483,7 +484,8 @@ def syevd_2stage(
     if tctx is not None:
         root_meta.update(tctx.span_meta())
     with live_sess, obs.span("syevd", **root_meta):
-        with obs.span("sbr"):
+        # The arena serves stage 1 only, and is emptied when it ends.
+        with obs.span("sbr"), call_arena(workspace) as ws:
             if band_ck is not None:
                 sbr = _sbr_from_checkpoint(band_ck, b)
             else:

@@ -29,10 +29,11 @@ operand the engine transparently computes into a temporary and copies,
 so aliasing is safe (at the cost of the allocation being avoided).
 Engines constructed with a :class:`repro.perf.Workspace` reuse their
 kernels' internal scratch (EC split buffers, chunk accumulators) across
-calls, and :meth:`~GemmEngine.prepare_operand` amortizes an engine's
-operand transformation (the EC hi/lo split) across repeated multiplies
-against the same matrix, or against column blocks of a buffer that is
-re-prepared only where it was written.
+calls, and :meth:`~GemmEngine.prepare_operand` amortizes a Tensor-Core
+engine's operand transformation (the EC hi/lo split, the FP16/BF16/TF32
+rounding) across repeated multiplies against the same matrix, or against
+column blocks of a buffer that is re-prepared only where it was written
+(:mod:`repro.precision.prepared`).
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..obs import spans as _obs
-from ..precision.ec_tcgemm import EcOperand, ec_prepare, ec_tcgemm
+from ..precision.ec_tcgemm import ec_tcgemm
 from ..precision.modes import Precision
+from ..precision.prepared import PreparedOperand, prepare
 from ..precision.tcgemm import tcgemm
 from .trace import GemmRecord, GemmTrace
 
@@ -73,9 +75,11 @@ class GemmEngine(ABC):
     name: str = "abstract"
     #: The precision policy this engine implements.
     precision: Precision = Precision.FP32
-    #: Whether :meth:`_matmul` consumes :meth:`prepare_operand` handles
-    #: itself; other kernels are handed the handle's source array.
-    takes_prepared: bool = False
+    #: The format :meth:`prepare_operand` transforms operands into and
+    #: :meth:`_matmul` consumes handles of (``"ec"``, ``"fp16"``,
+    #: ``"bf16"``, ``"tf32"``); None for engines that transform nothing.
+    #: A kernel is handed a handle of another format as its source array.
+    prepared_format: "str | None" = None
 
     def __init__(self, *, record: bool = False, workspace=None) -> None:
         self.trace: GemmTrace | None = GemmTrace() if record else None
@@ -148,8 +152,9 @@ class GemmEngine(ABC):
         """Pre-process an operand for repeated :meth:`gemm` calls.
 
         Engines whose kernels transform operands before multiplying (the
-        EC engine's hi/lo FP16 split) return an opaque handle that
-        amortizes that transformation; all other engines return the
+        EC engine's hi/lo FP16 split, the Tensor-Core engines' rounding)
+        return a :class:`~repro.precision.prepared.PreparedOperand`
+        that amortizes that transformation; all other engines return the
         array unchanged.  The handle is valid while the source array's
         contents are unchanged and may be passed as either ``gemm``
         operand (not with ``ta``/``tb``; its views ``h[:, i:j]``,
@@ -163,9 +168,12 @@ class GemmEngine(ABC):
         refreshed while an escalated engine is active is current again
         when the handle's own engine is restored.
         """
-        if isinstance(a, EcOperand):
+        if isinstance(a, PreparedOperand):
             return a.resplit()
-        return np.asarray(a)
+        if self.prepared_format is None:
+            return np.asarray(a)
+        return prepare(a, self.prepared_format, ws=self.workspace, name=tag,
+                       cols=cols)
 
     def gemm(self, a, b, *, tag: str = "", out=None, ta: bool = False,
              tb: bool = False) -> np.ndarray:
@@ -191,8 +199,8 @@ class GemmEngine(ABC):
             materializing ``a.T``.  Not supported for prepared operands
             (pass the handle's ``.T`` view instead).
         """
-        prep_a = isinstance(a, EcOperand)
-        prep_b = isinstance(b, EcOperand)
+        prep_a = isinstance(a, PreparedOperand)
+        prep_b = isinstance(b, PreparedOperand)
         av = a.array if prep_a else np.asarray(a)
         bv = b.array if prep_b else np.asarray(b)
         if av.ndim != 2 or bv.ndim != 2:
@@ -213,10 +221,11 @@ class GemmEngine(ABC):
         n = bv.shape[1]
         direct, copy_back = self._resolve_out(out, (m, n), av, bv)
         rec = GemmRecord(m=m, n=n, k=k, tag=tag, engine=self.name)
+        fmt = self.prepared_format
         res = self._launch(
             rec, self._matmul,
-            a if prep_a and self.takes_prepared else av,
-            b if prep_b and self.takes_prepared else bv,
+            a if prep_a and a.fmt == fmt else av,
+            b if prep_b and b.fmt == fmt else bv,
             direct,
         )
         if copy_back:
@@ -397,6 +406,8 @@ class TensorCoreEngine(GemmEngine):
             "tf32": Precision.TF32_TC,
             "fp32": Precision.FP32,
         }[operand_format]
+        if operand_format != "fp32":
+            self.prepared_format = operand_format
 
     def _matmul(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         return tcgemm(
@@ -410,7 +421,7 @@ class EcTensorCoreEngine(GemmEngine):
 
     name = "ectc"
     precision = Precision.FP16_EC_TC
-    takes_prepared = True
+    prepared_format = "ec"
 
     def __init__(self, *, record: bool = False, workspace=None,
                  chunk_k: int | None = None) -> None:
@@ -424,11 +435,11 @@ class EcTensorCoreEngine(GemmEngine):
         its FP16 split (several full passes over an M×M array) is paid
         once per big block instead of once per panel, and the block's
         growing ``W``/``Y``/``OAW`` buffers (``cols=``) so each column
-        is split once, when it is written.
+        is split once, when it is written.  The handle is the one every
+        Tensor-Core engine prepares (:mod:`repro.precision.prepared`),
+        with ``fmt="ec"``.
         """
-        if isinstance(a, EcOperand):
-            return a.resplit()
-        return ec_prepare(a, ws=self.workspace, name=tag, cols=cols)
+        return super().prepare_operand(a, tag=tag, cols=cols)
 
     def _matmul(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         return ec_tcgemm(a, b, chunk_k=self.chunk_k, out=out, ws=self.workspace)

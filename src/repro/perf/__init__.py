@@ -9,6 +9,6 @@ allocation-free and overlappable without changing their numerics:
   ``alloc`` line of run manifests (see ``docs/performance.md``).
 """
 
-from .workspace import NullWorkspace, Workspace, resolve_workspace
+from .workspace import NullWorkspace, Workspace, call_arena, resolve_workspace
 
-__all__ = ["Workspace", "NullWorkspace", "resolve_workspace"]
+__all__ = ["Workspace", "NullWorkspace", "call_arena", "resolve_workspace"]

@@ -31,17 +31,33 @@ on/off allocation ratio in the manifest's ``alloc`` line measures what
 the arena saves.  While a telemetry span is active, each take also
 bumps a ``ws_hit``/``ws_miss`` counter on the innermost span, giving
 per-phase allocation counts in run manifests.
+
+Lifetime
+--------
+An arena lives for one driver call.  :func:`call_arena` is how a driver
+gets one: an arena the driver resolved itself (``workspace=None`` or
+``True``) is emptied when the call returns — the stage-1 operand store
+(``OA``, the block's ``W``/``Y``/``OAW``, their EC ``hi``/``lo`` splits
+and transposed twins) is several times the band it produces, and a
+result that kept it would hold it for as long as the result lives.  The
+emptied arena stays on the result, so its ``stats()`` still feed the
+manifest's ``alloc`` line.  An engine without an arena of its own is lent
+the call's arena and loses it again on return, so a reused engine never
+pins, or counts into, an earlier call's arena.  An arena the caller
+passed in is left as it is: the caller shares it across calls or stages
+and decides when to drop it.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 
 from ..obs import spans as obs
 
-__all__ = ["Workspace", "NullWorkspace", "resolve_workspace"]
+__all__ = ["Workspace", "NullWorkspace", "call_arena", "resolve_workspace"]
 
 
 class Workspace:
@@ -118,6 +134,11 @@ class Workspace:
         with self._lock:
             self._stats.clear()
 
+    def release(self) -> None:
+        """Free every buffer (the counters are kept)."""
+        with self._lock:
+            self._buffers.clear()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<{type(self).__name__} {len(self._buffers)} buffers, "
@@ -160,3 +181,24 @@ def resolve_workspace(workspace) -> Workspace:
     raise TypeError(
         f"workspace must be a Workspace, bool, or None, got {type(workspace).__name__}"
     )
+
+
+@contextmanager
+def call_arena(workspace, engine=None):
+    """The arena of one driver call (module docstring, *Lifetime*).
+
+    Resolves ``workspace`` (:func:`resolve_workspace`) and yields it,
+    lent to ``engine`` if that has no arena.  On exit, normal or not, the
+    engine's loan ends and an arena resolved here is emptied.
+    """
+    ws = resolve_workspace(workspace)
+    lend = engine is not None and getattr(engine, "workspace", False) is None
+    if lend:
+        engine.workspace = ws
+    try:
+        yield ws
+    finally:
+        if lend:
+            engine.workspace = None
+        if ws is not workspace:
+            ws.release()

@@ -24,9 +24,12 @@ On the host the hi/lo split runs in float32 arithmetic at a few ns per
 element (:func:`~repro.precision.rounding.split_fp16_into`), still a
 sizeable share of the three FP32 products for the thin operands SBR
 multiplies, so an operand multiplied more than once is split once:
-:func:`ec_prepare` returns an :class:`EcOperand` handle, views of which
-multiply without re-splitting.  Every split counts its elements into
-the ``ec_split_elems`` span counter.
+:func:`repro.precision.prepared.prepare` (``fmt="ec"``) returns a
+:class:`~repro.precision.prepared.PreparedOperand` handle, views of
+which multiply without re-splitting or copying.  A handle lives in the
+arena of the driver call that made it (:func:`repro.perf.call_arena`),
+so its ``hi``/``lo`` are freed when that call returns.  Every split counts its
+elements into the ``ec_split_elems`` span counter.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..obs import spans as _obs
+from .prepared import PreparedOperand
 from .rounding import OOTOMO_SCALE, split_fp16, split_fp16_into
 
-__all__ = ["EcOperand", "ec_prepare", "ec_tcgemm"]
+__all__ = ["ec_tcgemm"]
 
 
 def _split(x, ws, name: str):
@@ -57,93 +61,21 @@ def _hi_lo(x, ws, name: str):
     the same view would have, so BLAS runs the same kernel and sums in
     the same order: the product is bitwise what the array would give.
     A fresh split keeps the view's order without an arena (``empty_like``)
-    and is row-major in one (the arena's buffers), so through an arena a
-    transposed view is copied to row-major (two copies, far cheaper than
-    a split).
+    and is row-major in one (the arena's buffers).  The handles SBR
+    multiplies are row-major in every view they are used in (a growing
+    buffer's ``.T`` is its transposed twin); a transposed view of any
+    other handle is copied to row-major through the arena (two copies,
+    far cheaper than a split).
     """
-    if not isinstance(x, EcOperand):
-        return _split(x, ws, name)
+    if not isinstance(x, PreparedOperand) or x.fmt != "ec":
+        return _split(getattr(x, "array", x), ws, name)
     if ws is None or x.hi.strides[-1] == x.hi.itemsize:
         return x.hi, x.lo
-    hi = ws.take(f"ec_{name}_hi", x.shape, np.float32)
-    lo = ws.take(f"ec_{name}_lo", x.shape, np.float32)
+    hi = ws.take(f"ec_{name}_copy_hi", x.shape, np.float32)
+    lo = ws.take(f"ec_{name}_copy_lo", x.shape, np.float32)
     np.copyto(hi, x.hi)
     np.copyto(lo, x.lo)
     return hi, lo
-
-
-class EcOperand:
-    """A pre-split EC operand: the hi/lo FP16 decomposition, computed once.
-
-    The SBR big-block loop multiplies the *same* trailing matrix OA
-    against a fresh panel's W columns many times per block, and the
-    block's accumulated ``W``/``Y``/``OAW`` grow by one panel of columns
-    per step while every earlier column stays put; splitting them on
-    every call is pure overhead.  ``ec_prepare`` performs the split once
-    and :func:`ec_tcgemm` accepts the handle in place of the array.
-
-    Basic indexing (``h[:, :k]``, ``h[r:]``) and ``h.T`` return views:
-    handles whose ``array``, ``hi`` and ``lo`` are the same views of the
-    parent's buffers.  A handle is valid while its source's contents are
-    unchanged; after writing into the source, :meth:`resplit` the view
-    over the written region (the split is elementwise, so the refreshed
-    handle is bitwise what a fresh :func:`ec_prepare` would give).
-    """
-
-    __slots__ = ("array", "hi", "lo")
-
-    def __init__(self, array: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
-        self.array = array
-        self.hi = hi
-        self.lo = lo
-
-    @property
-    def shape(self) -> tuple:
-        return self.array.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.array.ndim
-
-    @property
-    def T(self) -> "EcOperand":
-        return EcOperand(self.array.T, self.hi.T, self.lo.T)
-
-    def __getitem__(self, key) -> "EcOperand":
-        return EcOperand(self.array[key], self.hi[key], self.lo[key])
-
-    def resplit(self) -> "EcOperand":
-        """Re-split the source's current contents into ``hi``/``lo``, in place."""
-        _obs.counter("ec_split_elems", self.array.size)
-        split_fp16_into(self.array, self.hi, self.lo)
-        return self
-
-
-def ec_prepare(a, *, ws=None, name: str = "prep", cols: int | None = None) -> EcOperand:
-    """Split ``a`` once for repeated use in :func:`ec_tcgemm`.
-
-    With a workspace the split lives in arena buffers under
-    ``ec_<name>_*`` tags — distinct from the per-call split tags, so
-    later unprepared calls through the same arena do not clobber the
-    handle.  A later ``ec_prepare`` with the same ``name`` reuses (and
-    overwrites) the buffers, invalidating the previous handle.
-
-    ``cols`` splits only the leading ``cols`` columns of a 2-D ``a``;
-    the rest of the handle holds arbitrary bytes until a view over them
-    is :meth:`~EcOperand.resplit` (a buffer that is filled column block
-    by column block pays each column's split once).
-    """
-    a = np.asarray(a, dtype=np.float32)
-    if ws is None:
-        # In the source's memory order, as a fresh ``split_fp16``.
-        hi = np.empty_like(a)
-        lo = np.empty_like(a)
-    else:
-        hi = ws.take(f"ec_{name}_hi", a.shape, np.float32)
-        lo = ws.take(f"ec_{name}_lo", a.shape, np.float32)
-    h = EcOperand(a, hi, lo)
-    (h if cols is None else h[:, :cols]).resplit()
-    return h
 
 
 def ec_tcgemm(
@@ -175,9 +107,9 @@ def ec_tcgemm(
     """
     from .tcgemm import tcgemm  # local import to avoid cycle at package init
 
-    if not isinstance(a, EcOperand):
+    if not isinstance(a, PreparedOperand):
         a = np.asarray(a, dtype=np.float32)
-    if not isinstance(b, EcOperand):
+    if not isinstance(b, PreparedOperand):
         b = np.asarray(b, dtype=np.float32)
     if a.ndim != b.ndim or a.ndim not in (2, 3):
         raise ShapeError(

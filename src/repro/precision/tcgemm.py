@@ -27,9 +27,26 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
+from .prepared import ROW_MAJOR, PreparedOperand
 from .rounding import round_to_format
 
 __all__ = ["tcgemm"]
+
+
+def _rounded(x, fmt: str) -> np.ndarray:
+    """``x`` rounded to ``fmt``: a matching handle's ``hi``, else rounded now.
+
+    A handle's ``hi`` reaches BLAS in the memory order the rounding would
+    have given the view (:mod:`repro.precision.prepared`): a transposed
+    view of a BF16/TF32 handle without a twin is copied to row-major.
+    """
+    if not isinstance(x, PreparedOperand):
+        return round_to_format(x, fmt)
+    if x.fmt != fmt:
+        return round_to_format(x.array, fmt)
+    if fmt in ROW_MAJOR and x.hi.strides[-1] != x.hi.itemsize:
+        return np.ascontiguousarray(x.hi)
+    return x.hi
 
 
 def tcgemm(
@@ -45,9 +62,12 @@ def tcgemm(
 
     Parameters
     ----------
-    a, b : array_like
+    a, b : array_like or PreparedOperand
         FP32 (or convertible) matrices with ``a.shape[-1] == b.shape[-2]``;
-        both 2-D, or both 3-D with an equal leading batch dimension.
+        both 2-D, or both 3-D with an equal leading batch dimension.  A
+        handle prepared in ``operand_format`` is multiplied as its
+        rounded ``hi`` (bitwise the same product); any other handle is
+        rounded from its source array.
     operand_format : str
         Low-precision operand format: ``"fp16"`` (default), ``"bf16"``,
         ``"tf32"`` or ``"fp32"`` (no operand rounding, useful for testing).
@@ -68,8 +88,10 @@ def tcgemm(
     numpy.ndarray
         FP32 result of shape ``a.shape[:-1] + (b.shape[-1],)``.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
+    if not isinstance(a, PreparedOperand):
+        a = np.asarray(a)
+    if not isinstance(b, PreparedOperand):
+        b = np.asarray(b)
     if a.ndim != b.ndim or a.ndim not in (2, 3):
         raise ShapeError(
             f"tcgemm requires both operands 2-D (or both 3-D batched), "
@@ -80,8 +102,8 @@ def tcgemm(
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
 
-    ar = round_to_format(a, operand_format)
-    br = round_to_format(b, operand_format)
+    ar = _rounded(a, operand_format)
+    br = _rounded(b, operand_format)
     k = a.shape[-1]
     out_shape = a.shape[:-1] + (b.shape[-1],)
 

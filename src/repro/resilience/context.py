@@ -43,7 +43,7 @@ from ..gemm.trace import GemmRecord
 from ..obs import spans as obs
 from ..precision.modes import Precision
 from .abft import AbftChecker, AbftPolicy, Syr2kPre
-from .detectors import DetectorBank, DetectorConfig
+from .detectors import DetectorBank, DetectorConfig, has_nonfinite
 from .faults import FaultInjector
 from .policy import DetectionRecord, EscalationLadder, EscalationRecord, ResilienceReport
 
@@ -80,7 +80,7 @@ class ResilientEngine(GemmEngine):
         self._active = engine
         self.name = engine.name
         self.precision = engine.precision
-        self.takes_prepared = engine.takes_prepared
+        self.prepared_format = engine.prepared_format
         self._matmul = engine._matmul
         self.prepare_operand = engine.prepare_operand
 
@@ -447,9 +447,12 @@ def run_unit(ctx: "ResilienceContext | None", phase: str, step, *,
     """Run ``step()`` as one retryable unit and return its result.
 
     ``snapshot()`` saves the state ``step`` may write and returns a
-    callable restoring it; it is called once, and only when the state can
-    be needed — a retrying ``ctx`` or an ``on_interrupt`` flush — so runs
-    without resilience or under ``"raise"`` copy nothing.  A breakdown
+    callable restoring it (and returning the restored input, or None); it
+    is called once, and only when the state can be needed — a retrying
+    ``ctx`` or an ``on_interrupt`` flush — so runs without resilience or
+    under ``"raise"`` copy nothing.  A ``nonfinite`` breakdown whose
+    restored input is itself non-finite propagates without a retry: no
+    precision heals a NaN in the input.  Only the failure path scans.  A breakdown
     (``NumericalBreakdownError`` or a singular reconstruction) goes to
     :meth:`ResilienceContext.handle_breakdown`, a ``NumericalBreakdownError``
     without a ``phase`` first given the unit's ``phase``/``panel`` and
@@ -480,10 +483,16 @@ def run_unit(ctx: "ResilienceContext | None", phase: str, step, *,
                 if exc.panel is None:
                     exc.panel = panel
                 ctx._record_detection(exc)
+            restored = None
+            if restore is not None and getattr(exc, "detector", None) == "nonfinite":
+                # A retry cannot heal a unit whose input is non-finite.
+                restored = restore()
+                if restored is not None and has_nonfinite(restored):
+                    raise
             if ctx is None or not ctx.handle_breakdown(
                     exc, engine=engine, attempt=attempt, phase=phase, panel=panel):
                 raise
-            if restore is not None:
+            if restore is not None and restored is None:
                 restore()
             attempt += 1
         except KeyboardInterrupt:

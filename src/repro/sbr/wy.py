@@ -37,16 +37,25 @@ Allocation-free hot path
 All per-iteration temporaries live in a :class:`repro.perf.Workspace`
 arena (``workspace=``).  ``W``/``Y``/``OAW`` grow *in place* inside
 preallocated ``(M, nb)`` buffers (leading dimension ``nb``, so the
-``[:, :k]`` views are BLAS-ready without packing copies), ``OA`` and the
-update scratch reuse arena buffers, and the engine-level workspace lets
-the EC Tensor-Core GEMMs reuse their operand-split buffers.  ``OA`` and
-the three growing buffers are passed to the GEMMs as prepared operands
-(:meth:`~repro.gemm.engine.GemmEngine.prepare_operand`): under the EC
-engine each column's hi/lo split is paid once per big block, when the
-column is written, instead of in every GEMM that reads it.  The arena is
-attached to the engine when the engine has none, so one arena serves both
-layers; pass ``workspace=False`` to disable reuse (every take allocates —
-the control arm the benchmarks and tests compare against).
+``[:, :k]`` views are BLAS-ready without packing copies), and ``OA`` and
+the update scratch reuse arena buffers.  ``OA`` and the three growing
+buffers are passed to the GEMMs as prepared operands
+(:meth:`~repro.gemm.engine.GemmEngine.prepare_operand`,
+:mod:`repro.precision.prepared`): under the EC engine each column's
+hi/lo split, and under the FP16/BF16/TF32 engines its rounding, is paid
+once per big block, when the column is written, instead of in every GEMM
+that reads it.  Where the engine hands BLAS row-major operands, the
+growing buffers also keep transposed ``(nb, M)`` twins of their prepared
+form, so ``W^T`` and ``Y_c^T`` reach BLAS without a copy and each
+written column block is prepared contiguously.
+
+The arena is lent to the engine when the engine has none, so one arena
+serves both layers, and it lives for the call: an arena ``sbr_wy``
+resolved itself is emptied on return and the engine's loan ends
+(:func:`repro.perf.call_arena`).  The result keeps the band, the WY
+blocks and the emptied arena's counters.  Pass ``workspace=False`` to
+disable reuse (every take allocates — the control arm the benchmarks and
+tests compare against).
 
 The block-boundary full update exploits symmetry: only the lower
 trapezoid of each column block of ``GA`` is computed and mirrored (first
@@ -84,7 +93,8 @@ from ..ckpt.store import restore_resilience
 from ..gemm.engine import GemmEngine, SgemmEngine
 from ..gemm.symbolic import full_update_col_blocks
 from ..obs import spans as obs
-from ..perf import Workspace, resolve_workspace
+from ..perf import Workspace, call_arena
+from ..precision.prepared import PreparedOperand
 from ..resilience.context import ResilienceContext, run_unit
 from ..validation import Validated, as_symmetric_matrix, check_blocksizes
 from .ckptio import save_wy_panel
@@ -104,9 +114,10 @@ class _BlockState:
     ``hoaw`` are the engine's prepared operands over the same buffers
     (the buffers themselves on engines that transform no operand), and
     the GEMMs take views of them.  A column written after the handles
-    were made is re-prepared once, by :meth:`refresh`, so the EC hi/lo
-    split of each column is paid once per big block, not once per GEMM.
-    ``live`` is the ``(W, Y, OAW)`` of a mid-block checkpoint resume.
+    were made is re-prepared once, by :meth:`refresh`, so each column's
+    transformation (EC split or rounding) is paid once per big block, not
+    once per GEMM.  ``live`` is the ``(W, Y, OAW)`` of a mid-block
+    checkpoint resume.
     """
 
     __slots__ = ("w", "y", "oaw", "hw", "hy", "hoaw", "k")
@@ -132,7 +143,7 @@ class _BlockState:
         every engine re-splits a handle, so the columns an escalated
         panel wrote are current when the base engine is restored.
         """
-        if self.hw is self.w:
+        if not isinstance(self.hw, PreparedOperand):
             return  # the engine prepared plain arrays: nothing to refresh
         for h in handles:
             eng.prepare_operand(h[:, k0:k1], tag=tag)
@@ -197,9 +208,10 @@ def sbr_wy(
         ``"tree"`` uses the recursive FormW merge (paper Algorithm 2).
     workspace : repro.perf.Workspace, bool, or None
         Scratch arena for the hot-loop temporaries (module docstring).
-        ``None``/``True`` create a fresh arena, ``False`` disables reuse
-        (a :class:`repro.perf.NullWorkspace` that allocates every take),
-        or pass an existing arena to share and inspect its counters.
+        ``None``/``True`` create a fresh arena, emptied on return;
+        ``False`` disables reuse (a :class:`repro.perf.NullWorkspace`
+        that allocates every take); or pass an existing arena to share,
+        which keeps its buffers.
     resilience : ResilienceContext, optional
         Per-run failure detection + per-panel precision-escalation retry.
     checkpoint : repro.ckpt.CheckpointManager, optional
@@ -214,16 +226,19 @@ def sbr_wy(
     -------
     SbrResult
         Band matrix, bandwidth, optional ``Q``, per-big-block WY blocks,
-        and the workspace arena (``result.workspace``) whose ``stats()``
+        and the call's arena (``result.workspace``) whose ``stats()``
         feed the run manifest's ``alloc`` line.
     """
     eng: "GemmEngine" = engine if engine is not None else SgemmEngine()
-    ws = resolve_workspace(workspace)
-    if isinstance(eng, GemmEngine) and eng.workspace is None:
-        # One arena serves both layers: SBR temporaries and the engine's
-        # precision-conversion scratch (EC operand splits, chunk buffers).
-        eng.workspace = ws
-    ctx = resilience
+    # One arena serves both layers for the call: SBR temporaries and the
+    # engine's operand store (prepared operands, per-launch splits).
+    with call_arena(workspace, eng) as ws:
+        return _reduce(a, b, nb, eng, ws, want_q=want_q, q_method=q_method,
+                       ctx=resilience, ck=checkpoint)
+
+
+def _reduce(a, b, nb, eng, ws, *, want_q, q_method, ctx, ck) -> SbrResult:
+    """:func:`sbr_wy`'s body, run inside the call's arena."""
     if ctx is not None:
         eng = ctx.wrap_engine(eng)
     if isinstance(a, Validated):
@@ -242,7 +257,6 @@ def sbr_wy(
     panel_index = 0
     j0 = 0
     pending = None  # mid-big-block resume state: (OA, W, Y, OAW, r_start)
-    ck = checkpoint
     if ck is not None:
         rck = ck.latest(steps=("sbr_panel",))
         if rck is not None:
@@ -338,7 +352,8 @@ def sbr_wy(
                 norm_baseline=norm_baseline,
             )
 
-    A = (A + A.T) * dtype.type(0.5)
+    # A is exactly symmetric here: every block of it was written together
+    # with its mirror, so no final symmetrization.
     q = None
     if want_q:
         def form_q():
@@ -394,13 +409,15 @@ def _snapshot_step(A, st, i):
 
     That is the region ``A[i:, i:]`` plus the arena state's column
     counter: a failed step only wrote ``W``/``Y``/``OAW`` columns past
-    it, which resetting the counter discards.
+    it, which resetting the counter discards.  The restorer returns the
+    region, the step's input, for ``run_unit``'s non-finite input check.
     """
     region, k = A[i:, i:].copy(), st.k
 
     def restore():
         A[i:, i:] = region
         st.k = k
+        return region
 
     return restore
 

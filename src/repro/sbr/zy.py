@@ -42,7 +42,7 @@ import numpy as np
 from ..ckpt.store import restore_resilience
 from ..gemm.engine import GemmEngine, SgemmEngine
 from ..obs import spans as obs
-from ..perf import resolve_workspace
+from ..perf import call_arena
 from ..resilience.context import ResilienceContext, run_unit
 from ..validation import Validated, as_symmetric_matrix, check_blocksizes
 from .ckptio import save_zy_panel
@@ -84,9 +84,10 @@ def sbr_zy(
         ablation of the paper's future-work section.  The fused form
         accumulates in place into the trailing view (no n² temporary).
     workspace : repro.perf.Workspace, bool, or None
-        Scratch arena attached to the engine so the precision-conversion
-        buffers (EC operand splits, chunk scratch) are reused across
-        panels.  ``None``/``True`` create one, ``False`` disables reuse.
+        Scratch arena lent to an engine without one for the call, so the
+        precision-conversion buffers (EC operand splits, chunk scratch)
+        are reused across panels.  ``None``/``True`` create one, emptied
+        on return; ``False`` disables reuse; a passed arena is kept.
     resilience : ResilienceContext, optional
         Per-run failure detection + per-panel precision-escalation retry.
     checkpoint : repro.ckpt.CheckpointManager, optional
@@ -102,10 +103,14 @@ def sbr_zy(
         Band matrix, bandwidth, optional ``Q``, and the per-panel WY blocks.
     """
     eng: "GemmEngine" = engine if engine is not None else SgemmEngine()
-    ws = resolve_workspace(workspace)
-    if isinstance(eng, GemmEngine) and eng.workspace is None:
-        eng.workspace = ws
-    ctx = resilience
+    # The engine's scratch lives in the call's arena (repro.perf.call_arena).
+    with call_arena(workspace, eng) as ws:
+        return _reduce(a, b, eng, ws, want_q=want_q, use_syr2k=use_syr2k,
+                       ctx=resilience, ck=checkpoint)
+
+
+def _reduce(a, b, eng, ws, *, want_q, use_syr2k, ctx, ck) -> SbrResult:
+    """:func:`sbr_zy`'s body, run inside the call's arena."""
     if ctx is not None:
         eng = ctx.wrap_engine(eng)
     if isinstance(a, Validated):
@@ -124,7 +129,6 @@ def sbr_zy(
 
     panel_index = 0
     i = 0
-    ck = checkpoint
     if ck is not None:
         rck = ck.latest(steps=("sbr_panel",))
         if rck is not None:
@@ -183,7 +187,8 @@ def sbr_zy(
 
 
 def _snapshot_step(A, q, i, b):
-    """Save what a ZY panel may write (``A[i:, i:]``, ``Q[:, i+b:]``)."""
+    """Save what a ZY panel may write (``A[i:, i:]``, ``Q[:, i+b:]``); the
+    restorer returns ``A[i:, i:]``, the panel's input."""
     region = A[i:, i:].copy()
     cols = q[:, i + b :].copy() if q is not None else None
 
@@ -191,6 +196,7 @@ def _snapshot_step(A, q, i, b):
         A[i:, i:] = region
         if cols is not None:
             q[:, i + b :] = cols
+        return region
 
     return restore
 

@@ -95,14 +95,42 @@ def as_symmetric_matrix(
         if not (np.isfinite(hi) and np.isfinite(lo)):  # max/min propagate NaN
             check_finite_matrix(arr, name=name)
         tol = (float(np.finfo(arr.dtype).eps) / 2) ** 0.5 * max(float(hi), -float(lo))
-        with np.errstate(over="ignore"):
-            skew = float((arr - arr.T).max())  # antisymmetric: max is max |.|
+        skew = _max_skew(arr)
         if skew > tol:
             raise NotSymmetricError(f"{name} is not symmetric: max|A - A^T| = {skew:.3g}"
                                     f" > sqrt(u) * max|A| = {tol:.3g}", name=name)
     sym = arr.astype(arr.dtype if dtype is None else dtype)
     np.copyto(sym, arr.T, where=~np.tri(arr.shape[0], dtype=bool))
     return sym
+
+
+#: Tile edge of :func:`_max_skew`'s blocked pass.
+_SKEW_TILE = 128
+
+
+def _max_skew(arr: np.ndarray) -> float:
+    """``max(A - A^T)`` of a finite square ``arr``, tile by tile.
+
+    ``A - A^T`` is antisymmetric, so its max is its max ``|.|``; and
+    ``fl(x - y) = -fl(y - x)``, so the tile of ``A - A^T`` mirroring a
+    lower tile holds the lower tile's values negated.  Walking the lower
+    tiles and taking each one's max and negated min gives the value
+    ``float((arr - arr.T).max())`` would, bitwise, with one tile of
+    scratch instead of two ``n x n`` temporaries.
+    """
+    n = arr.shape[0]
+    t = min(n, _SKEW_TILE)
+    buf = np.empty((t, t), arr.dtype)
+    skew = 0.0  # the diagonal's differences are 0
+    with np.errstate(over="ignore"):
+        for i0 in range(0, n, t):
+            i1 = min(i0 + t, n)
+            for j0 in range(0, i0 + 1, t):
+                j1 = min(j0 + t, n)
+                d = buf[: i1 - i0, : j1 - j0]
+                np.subtract(arr[i0:i1, j0:j1], arr[j0:j1, i0:i1].T, out=d)
+                skew = max(skew, d.max(), -d.min())
+    return float(skew)
 
 
 @dataclass(frozen=True, eq=False)

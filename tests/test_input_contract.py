@@ -168,6 +168,55 @@ class TestContract:
         assert as_symmetric_matrix(a).tobytes() == a.tobytes()
 
 
+def _full_skew(a):
+    """The symmetry check's value as one n x n formula."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float((a - a.T).max())
+
+
+def _full_verdict(a):
+    """What the contract decides, with the skew taken by ``_full_skew``."""
+    if not np.isfinite(a).all():
+        return "finite"
+    tol = (float(np.finfo(a.dtype).eps) / 2) ** 0.5 * float(np.abs(a).max())
+    return "symmetry" if _full_skew(a) > tol else "ok"
+
+
+class TestTiledSkew:
+    """The symmetry check walks lower tiles instead of forming ``A - A^T``."""
+
+    @staticmethod
+    def _inputs(rng, n, dtype):
+        a = rng.standard_normal((n, n)).astype(dtype)
+        sym = ((a + a.T) / 2).astype(dtype)
+        near = sym + (1e-8 * rng.standard_normal((n, n))).astype(dtype)
+        with np.errstate(over="ignore"):
+            huge = (a * np.finfo(dtype).max / 4).astype(dtype)  # A - A^T overflows
+        nan, inf = a.copy(), sym.copy()
+        nan[n // 2, 0] = np.nan
+        inf[0, n - 1] = -np.inf
+        return [a, sym, near, a * dtype(1e-8), huge, nan, inf]
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_skew_and_verdict_as_the_full_formula(self, rng, n, dtype):
+        for x in self._inputs(rng, n, dtype):
+            if np.isfinite(x).all():
+                got, want = validation._max_skew(x), _full_skew(x)
+                assert got == want and np.signbit(got) == np.signbit(want)
+            try:
+                as_symmetric_matrix(x)
+                verdict = "ok"
+            except (ShapeError, NotSymmetricError) as exc:
+                verdict = exc.field
+            assert verdict == _full_verdict(x)
+
+    def test_scale_free_rejection_of_a_tiny_asymmetric_input(self, rng):
+        a = rng.standard_normal((130, 130)) * 1e-8
+        with pytest.raises(NotSymmetricError):
+            as_symmetric_matrix(a)
+
+
 class TestFrontDoors:
     """Called directly, each layer front door runs the contract itself."""
 

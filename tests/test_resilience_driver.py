@@ -422,6 +422,27 @@ class TestInputValidation:
         # One record per failed attempt: the first, then each retry.
         assert len(dets) == ctx.report.retries + 1
 
+    def test_nonfinite_input_is_not_retried(self, rng):
+        # No precision heals a NaN in a unit's input: the first
+        # detection raises, at the base precision, with no retry.
+        ctx = ResilienceContext()
+        with pytest.raises(NumericalBreakdownError) as ei:
+            sbr_wy(Validated(self.nan_in_first_panel(rng)), 8, 32,
+                   resilience=ctx)
+        assert ctx.report.retries == 0 and not ctx.report.escalations
+        assert ei.value.site == "tsqr"
+
+    def test_unchecked_nonfinite_input_raises_at_once(self, rng):
+        # A NaN outside panel 0's columns is caught by the step's output
+        # scan, which names the engine that ran: the base one, not the
+        # fp64 top of the ladder a retry would have reached.
+        a = random_symmetric(96, rng)
+        a[40, 40] = np.nan
+        with pytest.raises(NumericalBreakdownError) as ei:
+            syevd_2stage(a, b=8, nb=32, check_input=False)
+        assert (ei.value.phase, ei.value.panel) == ("sbr.panel", 0)
+        assert (ei.value.site, ei.value.precision) == ("wy_step", "fp32")
+
     def test_error_message_counts_and_locates(self, rng):
         a = random_symmetric(16, rng)
         a[0, 1] = np.nan

@@ -260,7 +260,7 @@ class TestCachedSplits:
     def _watch(monkeypatch):
         import importlib
 
-        from repro.precision.ec_tcgemm import EcOperand
+        from repro.precision.prepared import PreparedOperand
         from repro.precision.rounding import split_fp16
 
         wy = importlib.import_module("repro.sbr.wy")
@@ -270,10 +270,13 @@ class TestCachedSplits:
         def checked(A, OA, st, eng, *args, **kwargs):
             status = real(A, OA, st, eng, *args, **kwargs)
             for h, buf in ((st.hw, st.w), (st.hy, st.y), (st.hoaw, st.oaw)):
-                assert isinstance(h, EcOperand)
+                assert isinstance(h, PreparedOperand) and h.fmt == "ec"
                 hi, lo = split_fp16(buf[:, : st.k])
                 np.testing.assert_array_equal(h.hi[:, : st.k], hi)
                 np.testing.assert_array_equal(h.lo[:, : st.k], lo)
+                # The transposed twins hold the same split.
+                np.testing.assert_array_equal(h.hi_t[: st.k], hi.T)
+                np.testing.assert_array_equal(h.lo_t[: st.k], lo.T)
             engines.append(eng.name)
             return status
 
