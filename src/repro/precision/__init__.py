@@ -20,6 +20,10 @@ Public API
   accuracy (Ootomo & Yokota 2022, used by the paper as "EC-TCGEMM").
 - :class:`Precision` — enumeration of supported compute modes, with the
   machine epsilon and operand-rounding function of each.
+
+Both GEMMs also take :class:`~repro.precision.prepared.PreparedOperand`
+handles (:mod:`repro.precision.prepared`), operands rounded or split once
+for repeated use; the engines' ``prepare_operand`` makes them.
 """
 
 from .rounding import (
