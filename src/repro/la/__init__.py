@@ -11,11 +11,10 @@ This package is the substrate beneath the band-reduction algorithms:
 - :mod:`~repro.la.tsqr` — communication-avoiding Tall-Skinny QR with
   Householder local factorizations (LAPACK ``geqrf`` + ``orgqr``; paper
   §5.1).
-- :mod:`~repro.la.lu` — non-pivoting LU and triangular solves.
 - :mod:`~repro.la.reconstruct` — Householder-vector reconstruction from an
   explicit Q via non-pivoted LU (Ballard et al. 2014; paper Algorithm 3).
 - :mod:`~repro.la.band` — symmetric band storage and verification helpers.
-- :mod:`~repro.la.tridiagonal` — tridiagonal extraction/assembly helpers.
+- :mod:`~repro.la.tridiagonal` — dense assembly of a tridiagonal matrix.
 """
 
 from .householder import (
@@ -24,19 +23,10 @@ from .householder import (
     make_reflector,
     reflector_matrix,
 )
-from .wy import (
-    WYAccumulator,
-    apply_q_left,
-    apply_q_right,
-    apply_qt_left,
-    build_wy,
-    extend_wy,
-    wy_matrix,
-)
+from .wy import build_wy, wy_matrix
 from .qr import blocked_qr, householder_qr, qr_explicit
 from .recursive_qr import recursive_qr, trace_recursive_qr
 from .tsqr import tsqr
-from .lu import lu_nopivot, solve_lower_unit, solve_upper, solve_upper_right
 from .reconstruct import reconstruct_wy
 from .band import (
     band_to_dense,
@@ -44,39 +34,27 @@ from .band import (
     extract_band,
     is_banded,
     to_symmetric_band_storage,
-    from_symmetric_band_storage,
 )
-from .tridiagonal import tridiag_to_dense, dense_to_tridiag
+from .tridiagonal import tridiag_to_dense
 
 __all__ = [
-    "WYAccumulator",
     "make_reflector",
     "apply_reflector_left",
     "apply_reflector_right",
     "reflector_matrix",
     "build_wy",
-    "extend_wy",
     "wy_matrix",
-    "apply_q_left",
-    "apply_q_right",
-    "apply_qt_left",
     "householder_qr",
     "blocked_qr",
     "qr_explicit",
     "recursive_qr",
     "trace_recursive_qr",
     "tsqr",
-    "lu_nopivot",
-    "solve_lower_unit",
-    "solve_upper",
-    "solve_upper_right",
     "reconstruct_wy",
     "bandwidth_of",
     "extract_band",
     "band_to_dense",
     "is_banded",
     "to_symmetric_band_storage",
-    "from_symmetric_band_storage",
     "tridiag_to_dense",
-    "dense_to_tridiag",
 ]

@@ -19,7 +19,6 @@ __all__ = [
     "band_to_dense",
     "is_banded",
     "to_symmetric_band_storage",
-    "from_symmetric_band_storage",
 ]
 
 
@@ -92,8 +91,3 @@ def to_symmetric_band_storage(a, b: int) -> np.ndarray:
             break
         ab[k, :m] = a[np.arange(k, n), np.arange(m)]
     return ab
-
-
-def from_symmetric_band_storage(ab: np.ndarray, n: int) -> np.ndarray:
-    """Alias of :func:`band_to_dense` with argument order matching its inverse."""
-    return band_to_dense(ab, n)

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from ..validation import as_square_matrix
 
-__all__ = ["tridiag_to_dense", "dense_to_tridiag"]
+__all__ = ["tridiag_to_dense"]
 
 
 def tridiag_to_dense(d, e) -> np.ndarray:
@@ -31,26 +30,3 @@ def tridiag_to_dense(d, e) -> np.ndarray:
         out[idx + 1, idx] = e
         out[idx, idx + 1] = e
     return out
-
-
-def dense_to_tridiag(a, *, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Extract ``(d, e)`` from a dense (near-)tridiagonal symmetric matrix.
-
-    If ``tol`` is given, entries outside the tridiagonal band larger than
-    ``tol * max|A|`` raise :class:`repro.errors.ShapeError` — a guard used
-    by tests on the bulge-chasing output.
-    """
-    a = as_square_matrix(a, name="a")
-    n = a.shape[0]
-    if tol is not None and n > 2:
-        offsets = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        spill = np.abs(a[offsets > 1])
-        bound = tol * max(float(np.max(np.abs(a))), 1e-300)
-        if spill.size and float(spill.max()) > bound:
-            raise ShapeError(
-                f"matrix is not tridiagonal: max off-band entry {spill.max():.3e} "
-                f"exceeds {bound:.3e}"
-            )
-    d = np.diagonal(a).copy()
-    e = np.diagonal(a, offset=-1).copy() if n > 1 else np.empty(0, dtype=a.dtype)
-    return d, e

@@ -29,17 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from ..gemm.engine import GemmEngine, PlainEngine
 
-__all__ = [
-    "build_wy",
-    "extend_wy",
-    "wy_matrix",
-    "apply_q_left",
-    "apply_qt_left",
-    "apply_q_right",
-    "WYAccumulator",
-]
+__all__ = ["build_wy", "wy_matrix"]
 
 
 def _check_reflectors(v_cols: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,140 +74,8 @@ def build_wy(v_cols, betas) -> tuple[np.ndarray, np.ndarray]:
     return w, y
 
 
-def extend_wy(
-    w: np.ndarray,
-    y: np.ndarray,
-    w_p: np.ndarray,
-    y_p: np.ndarray,
-    *,
-    engine: GemmEngine | None = None,
-    tag: str = "form_w",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge (W, Y) with a new panel's (W_p, Y_p): ``Q_new = Q_old @ Q_p``.
-
-    All four arguments are (m, ·) matrices over the same row space.  Returns
-    the concatenated pair; the correction GEMMs are routed through
-    ``engine`` (default: a dtype-neutral plain engine) under ``tag``.
-    """
-    if w.shape != y.shape or w_p.shape != y_p.shape or w.shape[0] != w_p.shape[0]:
-        raise ShapeError(
-            f"inconsistent WY shapes: W{w.shape} Y{y.shape} Wp{w_p.shape} Yp{y_p.shape}"
-        )
-    eng = engine if engine is not None else PlainEngine()
-    ytwp = eng.gemm(y, w_p, ta=True, tag=tag)  # (k, b)
-    w_new_cols = w_p - eng.gemm(w, ytwp, tag=tag)
-    return np.hstack([w, w_new_cols]), np.hstack([y, y_p])
-
-
 def wy_matrix(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dense ``Q = I - W Y^T`` (testing / small reference use)."""
     if w.shape != y.shape:
         raise ShapeError(f"W and Y must have equal shapes, got {w.shape} and {y.shape}")
     return np.eye(w.shape[0], dtype=w.dtype) - w @ y.T
-
-
-def apply_q_left(
-    a: np.ndarray,
-    w: np.ndarray,
-    y: np.ndarray,
-    *,
-    engine: GemmEngine | None = None,
-    tag: str = "apply_q",
-) -> np.ndarray:
-    """Return ``(I - W Y^T) @ A`` using two GEMMs."""
-    eng = engine if engine is not None else PlainEngine()
-    return a - eng.gemm(w, eng.gemm(y, a, ta=True, tag=tag), tag=tag)
-
-
-def apply_qt_left(
-    a: np.ndarray,
-    w: np.ndarray,
-    y: np.ndarray,
-    *,
-    engine: GemmEngine | None = None,
-    tag: str = "apply_qt",
-) -> np.ndarray:
-    """Return ``(I - W Y^T)^T @ A = A - Y (W^T A)`` using two GEMMs."""
-    eng = engine if engine is not None else PlainEngine()
-    return a - eng.gemm(y, eng.gemm(w, a, ta=True, tag=tag), tag=tag)
-
-
-def apply_q_right(
-    a: np.ndarray,
-    w: np.ndarray,
-    y: np.ndarray,
-    *,
-    engine: GemmEngine | None = None,
-    tag: str = "apply_q",
-) -> np.ndarray:
-    """Return ``A @ (I - W Y^T) = A - (A W) Y^T`` using two GEMMs."""
-    eng = engine if engine is not None else PlainEngine()
-    return a - eng.gemm(eng.gemm(a, w, tag=tag), y, tb=True, tag=tag)
-
-
-class WYAccumulator:
-    """Incrementally accumulated WY pair over a fixed row space.
-
-    Used by the SBR drivers: reflector panels arrive one at a time (each
-    embedded into the full trailing row range with leading zeros), and the
-    accumulator maintains (W, Y) for the product of everything seen so far.
-
-    Parameters
-    ----------
-    m : int
-        Row dimension of the accumulated W and Y.
-    dtype : numpy dtype
-        Storage dtype (float32 for TC/SGEMM policies, float64 for FP64).
-    engine : GemmEngine, optional
-        Engine used for the extension GEMMs.
-    """
-
-    def __init__(self, m: int, *, dtype=np.float32, engine: GemmEngine | None = None):
-        if m <= 0:
-            raise ShapeError(f"row dimension must be positive, got {m}")
-        self.m = int(m)
-        self.dtype = np.dtype(dtype)
-        self.engine = engine if engine is not None else PlainEngine()
-        self._w: np.ndarray | None = None
-        self._y: np.ndarray | None = None
-
-    @property
-    def ncols(self) -> int:
-        """Number of accumulated reflector columns."""
-        return 0 if self._w is None else self._w.shape[1]
-
-    @property
-    def w(self) -> np.ndarray:
-        """The accumulated W (empty (m, 0) before any append)."""
-        if self._w is None:
-            return np.empty((self.m, 0), dtype=self.dtype)
-        return self._w
-
-    @property
-    def y(self) -> np.ndarray:
-        """The accumulated Y (empty (m, 0) before any append)."""
-        if self._y is None:
-            return np.empty((self.m, 0), dtype=self.dtype)
-        return self._y
-
-    def append_block(self, w_p: np.ndarray, y_p: np.ndarray, *, tag: str = "form_w") -> None:
-        """Append a panel's (W_p, Y_p), merging with the running product."""
-        if w_p.shape != y_p.shape or w_p.shape[0] != self.m:
-            raise ShapeError(
-                f"panel WY must be ({self.m}, b); got Wp{w_p.shape} Yp{y_p.shape}"
-            )
-        w_p = np.ascontiguousarray(w_p, dtype=self.dtype)
-        y_p = np.ascontiguousarray(y_p, dtype=self.dtype)
-        if self._w is None:
-            self._w, self._y = w_p.copy(), y_p.copy()
-            return
-        self._w, self._y = extend_wy(
-            self._w, self._y, w_p, y_p, engine=self.engine, tag=tag
-        )
-
-    def q_matrix(self) -> np.ndarray:
-        """Dense ``I - W Y^T`` of the accumulated product (testing aid)."""
-        return wy_matrix(
-            self.w if self.ncols else np.zeros((self.m, 1), dtype=self.dtype),
-            self.y if self.ncols else np.zeros((self.m, 1), dtype=self.dtype),
-        )

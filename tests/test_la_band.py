@@ -9,7 +9,6 @@ from repro.errors import ShapeError
 from repro.la import (
     band_to_dense,
     bandwidth_of,
-    dense_to_tridiag,
     extract_band,
     is_banded,
     to_symmetric_band_storage,
@@ -100,18 +99,3 @@ class TestTridiagonalHelpers:
         with pytest.raises(ShapeError):
             tridiag_to_dense([1.0, 2.0], [1.0, 2.0])
 
-    def test_dense_to_tridiag_roundtrip(self, rng):
-        d = rng.standard_normal(7)
-        e = rng.standard_normal(6)
-        d2, e2 = dense_to_tridiag(tridiag_to_dense(d, e))
-        np.testing.assert_array_equal(d2, d)
-        np.testing.assert_array_equal(e2, e)
-
-    def test_dense_to_tridiag_guard(self, rng):
-        a = random_symmetric(6, rng)
-        with pytest.raises(ShapeError, match="not tridiagonal"):
-            dense_to_tridiag(a, tol=1e-10)
-
-    def test_dense_to_tridiag_guard_passes_tridiagonal(self, rng):
-        t = tridiag_to_dense(rng.standard_normal(6), rng.standard_normal(5))
-        dense_to_tridiag(t, tol=1e-12)  # no raise

@@ -6,16 +6,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.gemm import Fp64Engine
 from repro.la import (
-    WYAccumulator,
-    apply_q_left,
-    apply_q_right,
-    apply_qt_left,
     apply_reflector_left,
     apply_reflector_right,
     build_wy,
-    extend_wy,
     make_reflector,
     reflector_matrix,
     wy_matrix,
@@ -158,85 +152,6 @@ class TestBuildWY:
     def test_betas_length_mismatch(self, rng):
         with pytest.raises(ShapeError):
             build_wy(rng.standard_normal((5, 2)), [0.5])
-
-
-class TestExtendWY:
-    def test_merge_equals_product(self, rng):
-        m = 14
-        v1, b1 = _random_reflectors(m, 3, rng)
-        v2, b2 = _random_reflectors(m, 4, rng)
-        w1, y1 = build_wy(v1, b1)
-        w2, y2 = build_wy(v2, b2)
-        w, y = extend_wy(w1, y1, w2, y2)
-        np.testing.assert_allclose(
-            wy_matrix(w, y), wy_matrix(w1, y1) @ wy_matrix(w2, y2), atol=1e-12
-        )
-
-    def test_shape_mismatch(self, rng):
-        w = rng.standard_normal((5, 2))
-        with pytest.raises(ShapeError):
-            extend_wy(w, w, rng.standard_normal((6, 2)), rng.standard_normal((6, 2)))
-
-
-class TestApplyQ:
-    @pytest.fixture
-    def wy_pair(self, rng):
-        v_cols, betas = _random_reflectors(10, 4, rng)
-        return build_wy(v_cols, betas)
-
-    def test_apply_q_left(self, rng, wy_pair):
-        w, y = wy_pair
-        a = rng.standard_normal((10, 6))
-        np.testing.assert_allclose(
-            apply_q_left(a, w, y), wy_matrix(w, y) @ a, atol=1e-12
-        )
-
-    def test_apply_qt_left(self, rng, wy_pair):
-        w, y = wy_pair
-        a = rng.standard_normal((10, 6))
-        np.testing.assert_allclose(
-            apply_qt_left(a, w, y), wy_matrix(w, y).T @ a, atol=1e-12
-        )
-
-    def test_apply_q_right(self, rng, wy_pair):
-        w, y = wy_pair
-        a = rng.standard_normal((6, 10))
-        np.testing.assert_allclose(
-            apply_q_right(a, w, y), a @ wy_matrix(w, y), atol=1e-12
-        )
-
-    def test_left_then_qt_roundtrip(self, rng, wy_pair):
-        w, y = wy_pair
-        a = rng.standard_normal((10, 5))
-        back = apply_qt_left(apply_q_left(a, w, y), w, y)
-        np.testing.assert_allclose(back, a, atol=1e-12)
-
-
-class TestWYAccumulator:
-    def test_empty(self):
-        acc = WYAccumulator(8)
-        assert acc.ncols == 0
-        assert acc.w.shape == (8, 0)
-
-    def test_accumulation_matches_product(self, rng):
-        m = 12
-        acc = WYAccumulator(m, dtype=np.float64, engine=Fp64Engine())
-        expected = np.eye(m)
-        for k in (2, 3, 2):
-            v, b = _random_reflectors(m, k, rng)
-            w, y = build_wy(v, b)
-            acc.append_block(w, y)
-            expected = expected @ wy_matrix(w, y)
-        np.testing.assert_allclose(wy_matrix(acc.w, acc.y), expected, atol=1e-12)
-
-    def test_rejects_wrong_rows(self, rng):
-        acc = WYAccumulator(8)
-        with pytest.raises(ShapeError):
-            acc.append_block(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)))
-
-    def test_rejects_bad_m(self):
-        with pytest.raises(ShapeError):
-            WYAccumulator(0)
 
 
 class TestReflectorScaling:

@@ -12,12 +12,8 @@ from repro.la import (
     blocked_qr,
     build_wy,
     householder_qr,
-    lu_nopivot,
     qr_explicit,
     reconstruct_wy,
-    solve_lower_unit,
-    solve_upper,
-    solve_upper_right,
     tsqr,
     wy_matrix,
 )
@@ -155,56 +151,6 @@ class TestTSQR:
         with pytest.raises(NumericalBreakdownError) as ei:
             tsqr(rng.standard_normal((32, 4)))
         assert ei.value.detector == "lapack" and ei.value.value == -4
-
-
-class TestLU:
-    def test_factorization(self, rng):
-        a = rng.standard_normal((8, 8)) + 8 * np.eye(8)
-        l, u = lu_nopivot(a)
-        np.testing.assert_allclose(l @ u, a, atol=1e-12)
-        np.testing.assert_array_equal(np.triu(l, 1), 0)
-        np.testing.assert_array_equal(np.diagonal(l), 1)
-        np.testing.assert_array_equal(np.tril(u, -1), 0)
-
-    def test_singular_raises(self):
-        a = np.ones((3, 3))  # rank 1 -> zero pivot at step 1
-        with pytest.raises(SingularMatrixError):
-            lu_nopivot(a)
-
-    def test_zero_leading_pivot(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(SingularMatrixError):
-            lu_nopivot(a)
-
-    def test_pivot_tolerance(self):
-        a = np.diag([1.0, 1e-14, 1.0])
-        lu_nopivot(a)  # fine with tol 0
-        with pytest.raises(SingularMatrixError):
-            lu_nopivot(a, pivot_tol=1e-10)
-
-    def test_rejects_rectangular(self, rng):
-        with pytest.raises(ShapeError):
-            lu_nopivot(rng.standard_normal((3, 4)))
-
-    def test_solve_lower_unit(self, rng):
-        l = np.tril(rng.standard_normal((6, 6)), -1) + np.eye(6)
-        b = rng.standard_normal((6, 3))
-        np.testing.assert_allclose(l @ solve_lower_unit(l, b), b, atol=1e-12)
-
-    def test_solve_upper(self, rng):
-        u = np.triu(rng.standard_normal((6, 6))) + 6 * np.eye(6)
-        b = rng.standard_normal((6, 2))
-        np.testing.assert_allclose(u @ solve_upper(u, b), b, atol=1e-12)
-
-    def test_solve_upper_right(self, rng):
-        u = np.triu(rng.standard_normal((5, 5))) + 5 * np.eye(5)
-        b = rng.standard_normal((3, 5))
-        np.testing.assert_allclose(solve_upper_right(b, u) @ u, b, atol=1e-12)
-
-    @pytest.mark.parametrize("fn", [solve_lower_unit, solve_upper])
-    def test_solve_shape_mismatch(self, rng, fn):
-        with pytest.raises(ShapeError):
-            fn(rng.standard_normal((4, 4)), rng.standard_normal((5, 2)))
 
 
 class TestReconstructWY:

@@ -13,7 +13,6 @@ from repro.gemm.symbolic import is_algorithm_tag, trace_sbr_wy, trace_sbr_zy
 from repro.la import (
     build_wy,
     householder_qr,
-    lu_nopivot,
     make_reflector,
     reconstruct_wy,
     reflector_matrix,
@@ -90,16 +89,6 @@ class TestQrProperties:
         q_full = wy_matrix(w, y)
         assert np.allclose(q_full[:, :n] @ (s[:, None] * r), a, atol=1e-8)
         assert np.allclose(q_full.T @ q_full, np.eye(m), atol=1e-9)
-
-
-class TestLuProperties:
-    @given(n=st.integers(1, 16), seed=st.integers(0, 2**31))
-    @settings(max_examples=40, deadline=None)
-    def test_lu_roundtrip_diag_dominant(self, n, seed):
-        g = np.random.default_rng(seed).standard_normal((n, n))
-        a = g + n * np.eye(n)  # diagonally dominant: no pivoting needed
-        l, u = lu_nopivot(a)
-        assert np.allclose(l @ u, a, atol=1e-9 * n)
 
 
 class TestPrecisionProperties:
