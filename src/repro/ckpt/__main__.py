@@ -26,10 +26,11 @@ import json
 import os
 import sys
 
-from ..eig.driver import SBR_METHODS
 from ..errors import CheckpointCorruptionError, ConfigurationError, SimulatedCrashError
 from ..ioutils import sigterm_as_interrupt
+from ..precision.modes import Precision
 from ..resilience.crash import CrashInjector, parse_kill_site
+from ..sbr.methods import SBR_METHODS
 from .store import CheckpointConfig, CheckpointManager
 
 
@@ -176,7 +177,8 @@ def main(argv: "list[str] | None" = None) -> int:
     p_run.add_argument("--b", type=int, default=8)
     p_run.add_argument("--nb", type=int, default=None)
     p_run.add_argument("--method", choices=SBR_METHODS, default="wy")
-    p_run.add_argument("--precision", default="fp32")
+    p_run.add_argument("--precision", default="fp32", type=str.lower,
+                       choices=[p.value for p in Precision])
     p_run.add_argument("--no-vectors", action="store_true")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--every", type=int, default=1,

@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
-from ..gemm.symbolic import trace_sbr_wy, trace_sbr_zy
+from ..gemm.symbolic import trace_sbr_zy
 from ..gemm.trace import GemmRecord, GemmTrace
+from ..sbr.methods import sbr_method
 from ..validation import check_blocksizes
 from .calibration import (
     SGEMM_OUTER_CURVE,
@@ -249,16 +250,12 @@ class PerfModel:
         want_q: bool = False,
     ) -> SbrTimeBreakdown:
         """Model time of our band reduction in a given configuration."""
-        if method == "wy":
-            if nb is None:
-                raise ConfigurationError("WY-based SBR requires nb")
-            trace = trace_sbr_wy(n, b, nb, want_q=want_q)
-            label = f"wy(nb={nb})/{engine}/{panel}"
-        elif method == "zy":
-            trace = trace_sbr_zy(n, b, want_q=want_q)
-            label = f"zy/{engine}/{panel}"
-        else:
-            raise ConfigurationError(f"method must be 'wy' or 'zy', got {method!r}")
+        row = sbr_method(method)
+        if row.takes_nb and nb is None:
+            raise ConfigurationError(f"{method}-based SBR requires nb")
+        trace = row.trace(n, b, nb, want_q=want_q)
+        label = f"{method}(nb={nb})" if row.takes_nb else method
+        label = f"{label}/{engine}/{panel}"
         gemm = self.trace_time(trace, engine)
         pan = self.sbr_panel_total(n, b, panel, engine=engine)
         return SbrTimeBreakdown(

@@ -64,14 +64,16 @@ from ..precision.modes import Precision
 from ..resilience.context import ResilienceContext, run_unit
 from ..resilience.faults import FaultInjector
 from ..resilience.policy import EscalationLadder, ResilienceReport
+from ..sbr.methods import default_nb, sbr_method
 from ..sbr.types import SbrResult, pack_wy_blocks, unpack_wy_blocks
-from ..sbr.wy import sbr_wy
-from ..sbr.zy import sbr_zy
+# Not called here (stage 1 runs through ``sbr_method``): bench/test_bench.py
+# reads these, and ``tridiag_eig_ql`` below, off this module.
+from ..sbr.wy import sbr_wy  # noqa: F401
+from ..sbr.zy import sbr_zy  # noqa: F401
 from ..validation import Validated, as_symmetric_matrix, check_blocksizes
 from .bulge import bulge_chase
 from .dc import tridiag_eig_dc
 from .inverse_iteration import tridiag_inverse_iteration
-# Not called here: bench/test_bench.py reads it off this module.
 from .qliter import tridiag_eig_ql  # noqa: F401
 from .sturm import eigvals_bisect
 from .tridiag_direct import householder_tridiagonalize
@@ -238,32 +240,14 @@ def _resumed_result(ck, result_ck, b, eng, sbr_eng, ctx) -> "EvdResult":
     )
 
 
-#: Stage-1 band-reduction methods (:func:`_band_reduce`); the drivers, the
-#: ``--method`` choices of the obs/ckpt CLIs and manifest attribution read it.
-SBR_METHODS = ("wy", "zy")
-
-
 def _prepare(a, b, nb, method, check_input):
     """The two-stage drivers' front: input contract, ``nb`` default, checks."""
     a = as_symmetric_matrix(a, check=check_input)
     if nb is None:
-        nb = 4 * b
-    check_blocksizes(a.shape[0], b, nb if method == "wy" else None)
-    if method not in SBR_METHODS:
-        raise ConfigurationError(f"method must be 'wy' or 'zy', got {method!r}")
+        nb = default_nb(b)
+    takes_nb = sbr_method(method).takes_nb
+    check_blocksizes(a.shape[0], b, nb if takes_nb else None)
     return a, nb
-
-
-def _band_reduce(method, a, b, nb, **kwargs) -> SbrResult:
-    """Stage 1 on the validated ``a`` by ``method`` (one of :data:`SBR_METHODS`).
-
-    ``sbr_wy``/``sbr_zy`` are looked up on every call, not kept in a
-    table built at import: the bench tracer times the layer by replacing
-    these module attributes.
-    """
-    if method == "wy":
-        return sbr_wy(Validated(a), b, nb, **kwargs)
-    return sbr_zy(Validated(a), b, **kwargs)
 
 
 def _bulge(ctx, band64, b, want_q):
@@ -489,8 +473,8 @@ def syevd_2stage(
             if band_ck is not None:
                 sbr = _sbr_from_checkpoint(band_ck, b)
             else:
-                sbr = _band_reduce(
-                    method, a, b, nb, engine=sbr_eng, want_q=want_vectors,
+                sbr = sbr_method(method).reduce(
+                    Validated(a), b, nb, engine=sbr_eng, want_q=want_vectors,
                     workspace=ws, resilience=ctx, checkpoint=ck,
                 )
             if ck is not None and band_ck is None:
@@ -646,8 +630,8 @@ def syevd_selected(
     sbr_eng = ctx.wrap_engine(eng) if ctx is not None else eng
     with obs.span("syevd_selected", n=n, b=b, nb=nb, method=method):
         with obs.span("sbr"):
-            sbr = _band_reduce(
-                method, a, b, nb, engine=sbr_eng, want_q=want_vectors,
+            sbr = sbr_method(method).reduce(
+                Validated(a), b, nb, engine=sbr_eng, want_q=want_vectors,
                 resilience=ctx,
             )
 

@@ -37,6 +37,7 @@ from ..la import (
 )
 from ..matrices.generate import generate_symmetric
 from ..metrics.accuracy import backward_error, orthogonality_error
+from ..sbr.methods import default_nb
 from ..sbr.wy import sbr_wy
 from .runner import ExperimentResult
 
@@ -296,7 +297,7 @@ def run_accuracy_scaling(
     )
     for n in sizes:
         b = max(8, n // 32)
-        nb = 4 * b
+        nb = default_nb(b)
         a, _ = generate_symmetric(n, distribution="geo", cond=1e3, rng=rng)
         eng = make_engine(precision)
         res = sbr_wy(a, b, nb, engine=eng, want_q=True)

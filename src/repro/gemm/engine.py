@@ -43,7 +43,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ConfigurationError, ShapeError
 from ..obs import spans as _obs
 from ..precision.ec_tcgemm import ec_tcgemm
 from ..precision.modes import Precision
@@ -400,12 +400,15 @@ class TensorCoreEngine(GemmEngine):
         super().__init__(record=record, workspace=workspace)
         self.operand_format = operand_format
         self.chunk_k = chunk_k
-        self.precision = {
-            "fp16": Precision.FP16_TC,
-            "bf16": Precision.BF16_TC,
-            "tf32": Precision.TF32_TC,
-            "fp32": Precision.FP32,
-        }[operand_format]
+        # The float32-storage, uncorrected mode whose operands are rounded
+        # to ``operand_format`` (``fp32`` names the plain SGEMM policy).
+        self.precision = next(
+            (p for p in Precision if p.operand_format == operand_format
+             and p.working_dtype == np.float32 and not p.is_error_corrected),
+            None,
+        )
+        if self.precision is None:
+            raise ConfigurationError(f"unknown operand format {operand_format!r}")
         if operand_format != "fp32":
             self.prepared_format = operand_format
 

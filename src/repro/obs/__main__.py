@@ -22,7 +22,8 @@ import json
 import os
 import sys
 
-from ..eig.driver import SBR_METHODS
+from ..precision.modes import Precision
+from ..sbr.methods import SBR_METHODS
 from .analytics import (
     SUITES,
     attribute_manifest,
@@ -215,8 +216,8 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--nb", type=int, default=None, help="WY big-block size (default 4*b)")
     p_run.add_argument("--method", choices=SBR_METHODS, default="wy")
     p_run.add_argument(
-        "--precision", default="fp32",
-        help="stage-1 precision policy (fp64/fp32/fp16_tc/bf16_tc/tf32_tc/fp16_ec_tc)",
+        "--precision", default="fp32", type=str.lower,
+        choices=[p.value for p in Precision], help="stage-1 precision policy",
     )
     p_run.add_argument("--seed", type=int, default=0, help="test-matrix RNG seed")
     p_run.add_argument("--no-vectors", action="store_true", help="eigenvalues only")

@@ -148,24 +148,19 @@ def _analytic_flops(man: RunManifest, measured_flops: int) -> dict | None:
     config; returns None (silently) otherwise — attribution still works
     on arbitrary sessions.
     """
-    from ...eig.driver import SBR_METHODS
+    from ...sbr.methods import sbr_method
 
     config = man.meta.get("config") or {}
     matrix = man.meta.get("matrix") or {}
-    n, b, method = matrix.get("n"), config.get("b"), config.get("method")
-    if not (isinstance(n, int) and isinstance(b, int) and method in SBR_METHODS):
+    n, b, nb = matrix.get("n"), config.get("b"), config.get("nb")
+    if not (isinstance(n, int) and isinstance(b, int)):
         return None
     want_q = bool(config.get("want_vectors", False))
     try:
-        from ...metrics.flops import sbr_wy_flops, sbr_zy_flops
-
-        if method == "wy":
-            nb = config.get("nb")
-            if not isinstance(nb, int):
-                return None
-            analytic = sbr_wy_flops(n, b, nb, want_q=want_q)
-        else:
-            analytic = sbr_zy_flops(n, b, want_q=want_q)
+        row = sbr_method(config.get("method"))
+        if row.takes_nb and not isinstance(nb, int):
+            return None
+        analytic = row.flops(n, b, nb, want_q=want_q)
     except Exception:
         return None  # out-of-range config; analytic join is best-effort
     return {

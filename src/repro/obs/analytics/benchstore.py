@@ -206,25 +206,15 @@ def _scenario_runner(sc: BenchScenario, syevd_2stage):
         )
 
     from ...gemm.engine import make_engine
-    from ...sbr.wy import sbr_wy
-    from ...sbr.zy import sbr_zy
+    from ...sbr.methods import default_nb, sbr_method
 
-    if sc.method == "wy":
-        nb = sc.nb if sc.nb is not None else 4 * sc.b
-        kwargs = _perf_kwargs(sc, sbr_wy)
-
-        def run(a):
-            sbr_wy(
-                a, sc.b, nb, engine=make_engine(sc.precision),
-                want_q=sc.want_vectors, **kwargs,
-            )
-
-        return run
-    kwargs = _perf_kwargs(sc, sbr_zy)
+    row = sbr_method(sc.method)
+    nb = sc.nb if sc.nb is not None else default_nb(sc.b)
+    kwargs = _perf_kwargs(sc, row.function)
 
     def run(a):
-        sbr_zy(
-            a, sc.b, engine=make_engine(sc.precision),
+        row.reduce(
+            a, sc.b, nb, engine=make_engine(sc.precision),
             want_q=sc.want_vectors, **kwargs,
         )
 

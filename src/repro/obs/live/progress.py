@@ -40,12 +40,10 @@ def phase_plan(n: int, b: int = 16, nb: "int | None" = None,
     throughput does the rest.
     """
     from ...metrics import flops as _flops
+    from ...sbr.methods import default_nb, sbr_method
 
-    nb_eff = nb if nb is not None else 4 * b
-    if method == "zy":
-        sbr = _flops.sbr_zy_flops(n, b, want_q=want_vectors)
-    else:
-        sbr = _flops.sbr_wy_flops(n, b, nb_eff, want_q=want_vectors)
+    nb_eff = nb if nb is not None else default_nb(b)
+    sbr = sbr_method(method).flops(n, b, nb_eff, want_q=want_vectors)
     plan = {"sbr": float(max(sbr, 1.0))}
     plan["bulge"] = float(max(
         _flops.bulge_wavefront_flops(n, b, want_q=want_vectors), 1.0

@@ -135,6 +135,7 @@ def record_syevd(
 
     from ..eig.driver import syevd_2stage
     from ..matrices import generate_symmetric
+    from ..sbr.methods import default_nb
 
     if a is None:
         a, _ = generate_symmetric(
@@ -147,7 +148,7 @@ def record_syevd(
         n = a.shape[0]
         matrix_meta = {"n": n, "distribution": "user", "cond": None, "seed": None}
     if nb is None:
-        nb = 4 * b
+        nb = default_nb(b)
 
     with collect() as session:
         result = syevd_2stage(

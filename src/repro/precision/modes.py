@@ -10,15 +10,19 @@ matrix-multiply-heavy parts of the algorithms:
 - ``FP16_EC_TC``: the paper's EC-TCGEMM — FP16 Tensor-Core GEMMs with the
   Ootomo–Yokota error correction, recovering FP32-level accuracy.
 
-The enum centralizes each mode's operand-rounding function and its machine
-epsilon so accuracy checks (Tables 3/4) can be written against
-``mode.machine_eps``.
+Each mode's operand format, rounding function, machine epsilon,
+next-safer rung and Tensor-Core use are one row of a table built once at
+import; the enum's properties read it, so accuracy checks (Tables 3/4)
+can be written against ``mode.machine_eps`` and every precision name in
+the library (CLI choices, serve admission, the degradation ladder) comes
+from this enum.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,12 +61,7 @@ class Precision(enum.Enum):
     @property
     def uses_tensor_core(self) -> bool:
         """Whether this mode routes GEMMs through (emulated) Tensor Cores."""
-        return self in (
-            Precision.FP16_TC,
-            Precision.BF16_TC,
-            Precision.TF32_TC,
-            Precision.FP16_EC_TC,
-        )
+        return _TABLE[self].tensor_core
 
     @property
     def is_error_corrected(self) -> bool:
@@ -72,14 +71,7 @@ class Precision(enum.Enum):
     @property
     def operand_format(self) -> str:
         """Storage format of GEMM operands (``fp16``/``bf16``/``tf32``/``fp32``/``fp64``)."""
-        return {
-            Precision.FP64: "fp64",
-            Precision.FP32: "fp32",
-            Precision.FP16_TC: "fp16",
-            Precision.BF16_TC: "bf16",
-            Precision.TF32_TC: "tf32",
-            Precision.FP16_EC_TC: "fp16",
-        }[self]
+        return _TABLE[self].operand_format
 
     @property
     def round_operand(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -89,14 +81,7 @@ class Precision(enum.Enum):
         FP32 (the correction restores it), so no rounding is exposed here;
         the split happens inside :func:`repro.precision.ec_tcgemm`.
         """
-        return {
-            Precision.FP64: _identity64,
-            Precision.FP32: _identity32,
-            Precision.FP16_TC: round_fp16,
-            Precision.BF16_TC: round_bf16,
-            Precision.TF32_TC: round_tf32,
-            Precision.FP16_EC_TC: _identity32,
-        }[self]
+        return _TABLE[self].round_operand
 
     @property
     def machine_eps(self) -> float:
@@ -106,14 +91,7 @@ class Precision(enum.Enum):
         "machine epsilon of Tensor Core", ~1e-4 for FP16); for EC-TC and
         FP32 it is the FP32 roundoff.
         """
-        return {
-            Precision.FP64: float(2.0**-53),
-            Precision.FP32: FP32_EPS,
-            Precision.FP16_TC: FP16_EPS,
-            Precision.BF16_TC: BF16_EPS,
-            Precision.TF32_TC: TF32_EPS,
-            Precision.FP16_EC_TC: FP32_EPS,
-        }[self]
+        return _TABLE[self].machine_eps
 
     @property
     def next_safer(self) -> "Precision | None":
@@ -128,14 +106,7 @@ class Precision(enum.Enum):
         The resilience layer (:mod:`repro.resilience`) climbs this ladder
         when a failure detector fires.
         """
-        return {
-            Precision.FP16_TC: Precision.FP16_EC_TC,
-            Precision.BF16_TC: Precision.TF32_TC,
-            Precision.FP16_EC_TC: Precision.TF32_TC,
-            Precision.TF32_TC: Precision.FP32,
-            Precision.FP32: Precision.FP64,
-            Precision.FP64: None,
-        }[self]
+        return _TABLE[self].next_safer
 
     def ladder(self) -> "list[Precision]":
         """All successively safer modes starting from (and including) this one."""
@@ -161,3 +132,23 @@ class Precision(enum.Enum):
             raise ConfigurationError(
                 f"unknown precision {name!r}; expected one of: {valid}"
             ) from None
+
+
+@dataclass(frozen=True)
+class _Row:
+    operand_format: str
+    round_operand: Callable[[np.ndarray], np.ndarray]
+    machine_eps: float
+    next_safer: "Precision | None"
+    tensor_core: bool
+
+
+#: One row per mode, read by the properties above.
+_TABLE: "dict[Precision, _Row]" = {
+    Precision.FP64: _Row("fp64", _identity64, float(2.0**-53), None, False),
+    Precision.FP32: _Row("fp32", _identity32, FP32_EPS, Precision.FP64, False),
+    Precision.FP16_TC: _Row("fp16", round_fp16, FP16_EPS, Precision.FP16_EC_TC, True),
+    Precision.BF16_TC: _Row("bf16", round_bf16, BF16_EPS, Precision.TF32_TC, True),
+    Precision.TF32_TC: _Row("tf32", round_tf32, TF32_EPS, Precision.FP32, True),
+    Precision.FP16_EC_TC: _Row("fp16", _identity32, FP32_EPS, Precision.TF32_TC, True),
+}

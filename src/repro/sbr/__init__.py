@@ -18,6 +18,8 @@ Reduces a dense symmetric matrix to symmetric band form ``A = Q B Q^T``
 - :mod:`~repro.sbr.panel` — the panel factorization both reductions run:
   TSQR + Householder reconstruction by non-pivoted LU (paper §5.1–5.2,
   Algorithm 3), or the leaf's own compact WY when TSQR has one leaf.
+- :mod:`~repro.sbr.methods` — the two reductions by name (``"wy"``,
+  ``"zy"``), the table every driver and tool dispatches through.
 """
 
 from .panel import PanelFactorization, factor_panel

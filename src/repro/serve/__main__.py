@@ -127,11 +127,12 @@ def _preempt_one(svc: EvdService, job_ids: "list[str]", fired: "list[str]") -> N
 def _sdc_chaos(svc: EvdService, args) -> "list[str]":
     """SDC chaos segment (``--faults bitflip``): prove the ABFT contract.
 
-    Five correct-mode jobs take a transient single-bit flip at distinct
-    GEMM sites (SBR trailing update, full trailing update, the stage-2
-    chase's batched left update and fused ``syr2k`` tile update, back
-    transform); each must finish with eigenpairs bitwise-identical to an
-    uninjected run of the same config.  One detect-mode job takes a
+    Three correct-mode jobs take a transient single-bit flip at distinct
+    GEMM sites (``wy_right``, the SBR partial trailing update;
+    ``wy_full_right``, the full trailing update; ``back_transform``);
+    each must finish with eigenpairs bitwise-identical to an uninjected
+    run of the same config.  Stage 2 is LAPACK ``?sbtrd`` and launches
+    no engine GEMMs, so it has no site here.  One detect-mode job takes a
     persistent flip that exhausts the in-driver escalation ladder; the
     propagated :class:`~repro.errors.SdcError` must surface as the
     worker's distinct ``sdc`` retry class and the job must still finish.

@@ -24,18 +24,18 @@ from .job import PRIORITIES, Job
 
 __all__ = ["DegradationPolicy", "cheaper_precision"]
 
-#: Escalation ladder order, safest (most expensive) first.
-_COST_ORDER = ("fp64", "fp32", "tf32_tc", "fp16_ec_tc", "fp16_tc")
-
 
 def cheaper_precision(precision: str) -> "str | None":
-    """Next-cheaper precision rung (None at the bottom / off-ladder)."""
-    name = Precision.from_name(precision).value
-    try:
-        idx = _COST_ORDER.index(name)
-    except ValueError:
+    """Next-cheaper precision rung (None at the bottom / off-ladder).
+
+    The rungs are the escalation ladder from ``fp16_tc`` walked down, so
+    ``bf16_tc`` (which escalates to ``tf32_tc``) is off it.
+    """
+    mode = Precision.from_name(precision)
+    ladder = Precision.FP16_TC.ladder()
+    if mode not in ladder[1:]:
         return None
-    return _COST_ORDER[idx + 1] if idx + 1 < len(_COST_ORDER) else None
+    return ladder[ladder.index(mode) - 1].value
 
 
 @dataclass

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from ..errors import AdmissionError, ValidationError
+from ..errors import AdmissionError, ConfigurationError, ValidationError
 from ..gemm.engine import make_engine
 from ..ioutils import append_jsonl
 from ..obs.analytics.benchstore import (
@@ -34,6 +34,8 @@ from ..obs.analytics.benchstore import (
 from ..obs.live.health import Heartbeat
 from ..obs.live.registry import MetricsRegistry, install, uninstall
 from ..obs.live.sinks import render_prometheus
+from ..precision.modes import Precision
+from ..sbr.methods import default_nb, sbr_method
 from ..validation import as_symmetric_matrix
 from .coalesce import Coalescer
 from .degrade import DegradationPolicy
@@ -243,6 +245,13 @@ class EvdService:
             raise AdmissionError(
                 "retry.max_attempts must be >= 1", reason="invalid",
             )
+        # Names a worker could not run are refused here, not after a
+        # failed attempt.
+        try:
+            method = sbr_method(spec.method)
+            Precision.from_name(spec.precision)
+        except ConfigurationError as exc:
+            raise AdmissionError(str(exc), reason="invalid") from None
         # Validate the matrix once here, in the dtype the client sent,
         # then cast; workers run check_input=False.
         spec.a = as_symmetric_matrix(spec.a, dtype=np.float64)
@@ -251,8 +260,9 @@ class EvdService:
         # tune b/nb per matrix in a serving setting).
         n = spec.a.shape[0]
         spec.b = max(1, min(spec.b, n))
-        if spec.nb is None and spec.method == "wy":
-            spec.nb = max((min(4 * spec.b, n) // spec.b) * spec.b, spec.b)
+        if spec.nb is None and method.takes_nb:
+            nb = min(default_nb(spec.b), n)
+            spec.nb = max((nb // spec.b) * spec.b, spec.b)
 
         self.admission.admit()
         job = Job(spec, clock=self.clock, epoch=self.epoch)

@@ -305,6 +305,16 @@ class TestServiceBasic:
                 svc.submit(random_symmetric(8, rng), priority="vip")
             assert ei.value.reason == "invalid"
 
+    @pytest.mark.parametrize("bad", [{"method": "qr"}, {"precision": "fp8"}])
+    def test_submit_refuses_names_it_cannot_run(self, rng, tmp_path, bad):
+        # Refused at the door: no job is created, so none fails later in
+        # a worker.
+        with _service(tmp_path) as svc:
+            with pytest.raises(AdmissionError) as ei:
+                svc.submit(random_symmetric(16, rng), b=8, **bad)
+            assert ei.value.reason == "invalid"
+            assert svc.stats()["jobs_total"] == 0
+
     def test_submit_after_shutdown_rejected(self, rng, tmp_path):
         svc = _service(tmp_path).start()
         svc.shutdown()
