@@ -271,8 +271,9 @@ def _bulge(ctx, band64, b, want_q):
         # corruption of the copy localizes (and, in correct mode,
         # patches) exactly.
         band_in = ctx.guard_copy("bulge", band_in, band64)
-        ctx.check_array(band_in, site="bulge_band")
-        ctx.check_symmetry(band_in, precision=Precision.FP64)
+        # The band scan's max|x| is the symmetry probe's norm.
+        norm = ctx.check_array(band_in, site="bulge_band")
+        ctx.check_symmetry(band_in, precision=Precision.FP64, norm=norm)
         d, e, q2 = bulge_chase(Validated(band_in), b, want_q=want_q)
         ctx.check_array(d, site="bulge_d")
         if e.size:

@@ -23,8 +23,8 @@ breakdown asks :meth:`handle_breakdown` whether to restore + retry
 (possibly at an escalated precision) or to propagate.  The same snapshot
 rolls the state back on ``KeyboardInterrupt`` before the caller's
 interrupt flush runs.  Each unit ends with one
-:meth:`ResilienceContext.check_array` scan of what it wrote, so a
-corrupted launch is caught in the unit that retries it.
+:meth:`ResilienceContext.check_array` call, one reduction per array it
+wrote, so a corrupted launch is caught in the unit that retries it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from ..gemm.trace import GemmRecord
 from ..obs import spans as obs
 from ..precision.modes import Precision
 from .abft import AbftChecker, AbftPolicy, Syr2kPre
-from .detectors import DetectorBank, DetectorConfig, has_nonfinite
+from .detectors import DetectorBank, DetectorConfig, has_nonfinite, peak
 from .faults import FaultInjector
 from .policy import DetectionRecord, EscalationLadder, EscalationRecord, ResilienceReport
 
@@ -74,6 +74,10 @@ class ResilientEngine(GemmEngine):
         self._ctx = ctx
         self._lock = threading.Lock()
         self._use(base)
+        if ctx.abft is None and ctx.injector is None:
+            # Nothing to apply per launch: every launch, escalated or
+            # not, is the base engine's own.
+            self._launch = base._launch
 
     def _use(self, engine: GemmEngine) -> None:
         # Plain attributes rebound here, not resolved on every launch.
@@ -107,11 +111,13 @@ class ResilientEngine(GemmEngine):
         self.base.workspace = ws
 
     def _launch(self, rec, kernel, a, b, out, alpha=1.0, beta=0.0):
-        """Hand the launch to the context's guard, if it has one to run."""
-        ctx = self._ctx
-        if ctx.abft is None and ctx.injector is None:
-            return self.base._launch(rec, kernel, a, b, out)
-        return ctx.after_launch(self, rec, kernel, a, b, out, alpha, beta)
+        """Hand the launch to the context's guard.
+
+        Only an engine whose context has faults or ABFT launches through
+        here: :meth:`__init__` rebinds every other one to the base
+        engine's own launch, so it costs what a bare launch does.
+        """
+        return self._ctx.after_launch(self, rec, kernel, a, b, out, alpha, beta)
 
     # -- escalation ---------------------------------------------------------
     def escalate_to(self, precision: Precision) -> None:
@@ -211,6 +217,9 @@ class ResilienceContext:
         # cycle would keep that arena alive until the next GC pass.
         self._engines: "weakref.WeakSet[ResilientEngine]" = weakref.WeakSet()
         self._suppress = False
+        #: ``detectors.output_limit`` by baseline: a run scans against a
+        #: few baselines thousands of times.
+        self._limits: "dict[float | None, float]" = {}
 
     # -- wiring -------------------------------------------------------------
     @property
@@ -312,12 +321,35 @@ class ResilienceContext:
 
     def check_array(self, *arrays: np.ndarray, site: str,
                     precision: Precision = Precision.FP64,
-                    baseline: "float | None" = None) -> None:
-        """Driver hook: the ``max|x|`` scan of what a unit wrote, per array
-        (``baseline``: the phase-entry max-norm for ``norm_growth``)."""
-        for arr in arrays:
-            self._check(self.detectors.check_output, arr, site=site,
-                        precision=precision, baseline=baseline)
+                    baseline=None) -> "float | None":
+        """Driver hook: the ``max|x|`` scan of what a unit wrote, per array.
+
+        ``baseline`` is the phase-entry max-norm for ``norm_growth``: one
+        for every array, or a sequence with one per array (None: that
+        array has no growth bound).  A healthy array costs one ``max|x|``
+        pass; only one outside its bound goes through the detector bank,
+        which classifies it.  Returns the largest ``max|x|`` (NaN ignored), or
+        None while detectors are suppressed.
+        """
+        if self._suppress:
+            return None
+        if not isinstance(baseline, (tuple, list)):
+            baseline = (baseline,) * len(arrays)
+        limits = self._limits
+        top = 0.0
+        for arr, base in zip(arrays, baseline, strict=True):
+            if arr.size == 0:
+                continue
+            limit = limits.get(base)
+            if limit is None:
+                limit = limits[base] = self.detectors.output_limit(base)
+            mx = peak(arr)
+            if not mx <= limit:
+                mx = self._check(self.detectors.check_output, arr, site=site,
+                                 precision=precision, baseline=base)
+            if mx > top:
+                top = mx
+        return top
 
     def check_panel(self, w: np.ndarray, y: np.ndarray, *, precision: Precision) -> None:
         """Driver hook: panel-Q orthogonality drift."""
@@ -335,13 +367,13 @@ class ResilienceContext:
         self._check(self.detectors.check_residual, a, q, band,
                     precision=precision)
 
-    def _check(self, detector, *args, **kwargs) -> None:
+    def _check(self, detector, *args, **kwargs):
         """Run one detector in the current unit's context; record a trip."""
         if self._suppress:
-            return
+            return None
         phase, panel = self.current_unit()
         try:
-            detector(*args, phase=phase, panel=panel, **kwargs)
+            return detector(*args, phase=phase, panel=panel, **kwargs)
         except NumericalBreakdownError as exc:
             self._record_detection(exc)
             raise
@@ -438,7 +470,8 @@ class ResilienceContext:
         self._suppress = False
         if not self.ladder.sticky:
             for eng in self._engines:
-                eng.restore_base()
+                if eng.escalated:
+                    eng.restore_base()
 
 
 def run_unit(ctx: "ResilienceContext | None", phase: str, step, *,

@@ -18,13 +18,31 @@ Detector catalogue
 
 The first three share one ``max|x|`` pass (:meth:`DetectorBank.check_output`)
 over each array a retry unit wrote, once per unit rather than per GEMM
-launch.  All measurements are O(rows·cols) or cheaper — negligible next
-to the O(m·n·k) GEMMs they guard.
+launch.
+
+Cost
+----
+The output scans are O(rows·cols) and the orthogonality probe O(m·k²)
+for an m×k panel, the order of the panel factorization itself; the
+symmetry probe reads a fixed sample.  At the paper's sizes that is
+negligible next to the O(m·n·k) GEMMs they guard, but at n ≤ 128 (b=8)
+each of those is a few microseconds of NumPy call overhead, and the
+guards of the default ``on_breakdown="escalate"`` context took a quarter
+to a third of a ``syevd_2stage`` call.  So each healthy measurement ends
+in one NaN-propagating reduction (:func:`peak`), a healthy output scan
+runs no Python beyond it (:meth:`ResilienceContext.check_array
+<repro.resilience.context.ResilienceContext.check_array>`), and the
+epsilon and sample grid a check needs are computed once per process.
+A guarded panel step still makes about 16 NumPy calls in its guards:
+eight for the probe and two per scanned array (docs/performance.md,
+"Guards", splits a step's time).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -43,11 +61,21 @@ __all__ = [
 ]
 
 _TINY = float(np.finfo(np.float64).tiny)
+#: Largest finite float: ``x <= _MAX`` is false for NaN and ±Inf alike.
+_MAX = float(np.finfo(np.float64).max)
+_maximum = np.maximum.reduce
+_dtype = attrgetter("dtype")
 
 
 def has_nonfinite(arr: np.ndarray) -> bool:
     """Whether ``arr`` contains any NaN or Inf entry (full scan)."""
     return not bool(np.isfinite(arr).all())
+
+
+def peak(arr: np.ndarray) -> float:
+    """``max|arr|`` of a non-empty array, NaN when any entry is NaN:
+    ``np.abs(arr).max()`` without ``ndarray.max``'s Python wrapper."""
+    return float(_maximum(np.abs(arr), None))
 
 
 def max_abs(arr: np.ndarray) -> float:
@@ -61,20 +89,41 @@ def max_abs(arr: np.ndarray) -> float:
 def panel_orthogonality_defect(w: np.ndarray, y: np.ndarray) -> float:
     """Orthogonality drift ``max|Q^T Q - I|`` of a panel's WY factor.
 
-    ``Q = (I - W Y^T)[:, :k]`` is the panel's orthonormal factor; its
-    first ``k`` columns are ``E - W Y_1^T`` (``Y_1`` = leading k rows),
-    computable in O(m k^2) — the same order as the panel factorization
-    itself, and far below the trailing updates it guards.
+    ``Q = (I - W Y^T)[:, :k] = E - W Y_1^T`` is the panel's orthonormal
+    factor (``E`` the first ``k`` columns of the identity, ``Y_1`` and
+    ``W_1`` the leading ``k`` rows), so
+
+        Q^T Q - I = Y_1 (W^T W) Y_1^T - Y_1 W_1^T - W_1 Y_1^T.
+
+    ``W^T W`` is the one panel-sized product, O(m k^2) like the panel
+    factorization itself; the rest are k×k.  ``Q`` is never formed.  The
+    maximum propagates NaN, so a NaN or Inf in ``W`` or ``Y_1`` gives an
+    infinite defect.  Rows of ``Y`` below ``k`` do not enter ``Q``'s
+    leading columns and are not read.
     """
     k = w.shape[1]
     if k == 0:
         return 0.0
-    qp = -w @ y[:k, :].T
-    idx = np.arange(k)
-    qp[idx, idx] += 1.0
-    gram = qp.T @ qp
-    gram[idx, idx] -= 1.0
-    return max_abs(gram)
+    y1 = y[:k]
+    p = y1 @ w[:k].T
+    g = y1 @ (w.T @ w) @ y1.T
+    g -= p
+    g -= p.T
+    defect = peak(g)
+    return defect if defect == defect else float("inf")
+
+
+@functools.lru_cache(maxsize=64)
+def _sample_grid(n: int, sample: int) -> np.ndarray:
+    """Flat (row-major) indices of :func:`symmetry_defect`'s sampled grid.
+
+    One per trailing-block size: a ZY reduction probes one size per
+    panel, so the bound covers a call of up to 64 sampled panels.
+    """
+    idx = np.linspace(0, n - 1, sample).astype(np.intp)
+    flat = (idx[:, np.newaxis] * n + idx).ravel()
+    flat.flags.writeable = False
+    return flat
 
 
 def symmetry_defect(a: np.ndarray, *, sample: int | None = 64) -> float:
@@ -82,15 +131,17 @@ def symmetry_defect(a: np.ndarray, *, sample: int | None = 64) -> float:
 
     For large blocks a strided index sample keeps the probe O(sample^2)
     while still catching broad corruption; ``sample=None`` scans fully.
+    NaN entries are ignored, as by :func:`max_abs` (the ``nonfinite``
+    scan that precedes the probe owns them); the healthy path is one pass.
     """
     n = a.shape[0]
     if n < 2:
         return 0.0
     if sample is not None and n > sample:
-        idx = np.linspace(0, n - 1, sample).astype(np.intp)
-        sub = a[np.ix_(idx, idx)]
-        return float(max_abs(sub - sub.T))
-    return float(max_abs(a - a.T))
+        a = a.take(_sample_grid(n, sample)).reshape(sample, sample)
+    d = a - a.T
+    defect = peak(d)
+    return defect if defect == defect else max_abs(d)
 
 
 def residual_probe(
@@ -132,10 +183,15 @@ def effective_eps(precision: Precision, *arrays: np.ndarray) -> float:
     the run's storage dtype, so drift tolerances must floor at the
     storage eps — an FP64 retry of an FP32 run cannot beat FP32 accuracy.
     """
+    return _effective_eps(precision, *map(_dtype, arrays))
+
+
+@functools.cache
+def _effective_eps(precision: Precision, *dtypes: np.dtype) -> float:
     eps = precision.machine_eps
-    for arr in arrays:
-        if arr.dtype.kind == "f":
-            eps = max(eps, float(np.finfo(arr.dtype).eps))
+    for dtype in dtypes:
+        if dtype.kind == "f":
+            eps = max(eps, float(np.finfo(dtype).eps))
     return eps
 
 
@@ -182,7 +238,23 @@ class DetectorBank:
     def __init__(self, config: DetectorConfig | None = None) -> None:
         self.config = config if config is not None else DetectorConfig()
 
-    # Each check returns None when healthy, or raises NumericalBreakdownError.
+    def output_limit(self, baseline: float | None = None) -> float:
+        """The bound a healthy output's ``max|x|`` stays within.
+
+        The overflow guard and, given ``baseline``, the norm-growth bound,
+        capped at the largest finite float so that ``mx <= limit`` is the
+        whole healthy test: false for NaN and Inf too.
+        """
+        cfg = self.config
+        limit = cfg.magnitude_limit if cfg.magnitude else _MAX
+        if baseline is not None and cfg.norm_growth:
+            # Floored only so that a zero matrix, whose outputs are zero,
+            # still passes: the bound scales with max|A| down to fp64's
+            # smallest normal number.
+            limit = min(limit, cfg.norm_growth_factor * max(baseline, _TINY))
+        return min(limit, _MAX)
+
+    # Each check raises NumericalBreakdownError on a violation.
     def check_output(
         self,
         arr: np.ndarray,
@@ -192,28 +264,21 @@ class DetectorBank:
         panel: int | None,
         precision: Precision,
         baseline: float | None = None,
-    ) -> None:
+    ) -> float:
         """NaN/Inf scan, magnitude guard and (given ``baseline``) norm growth.
 
         One ``max|arr|`` pass serves all three: it is NaN or Inf when any
         entry is, so only a maximum within every enabled limit clears the
-        output.  Anything else is classified in that order.
+        output.  Anything else is classified in that order.  Returns the
+        maximum, NaN entries ignored as by :func:`max_abs`.
         """
         cfg = self.config
         arr = np.asarray(arr)
         if arr.size == 0:
-            return
-        limit = cfg.magnitude_limit if cfg.magnitude else np.inf
-        growth = None
-        if baseline is not None and cfg.norm_growth:
-            # Floored only so that a zero matrix, whose outputs are zero,
-            # still passes: the bound scales with max|A| down to fp64's
-            # smallest normal number.
-            growth = cfg.norm_growth_factor * max(baseline, _TINY)
-            limit = min(limit, growth)
-        mx = float(np.abs(arr).max())
-        if mx <= limit and mx < np.inf:
-            return
+            return 0.0
+        mx = peak(arr)
+        if mx <= self.output_limit(baseline):
+            return mx
         if cfg.nonfinite and not mx < np.inf:
             raise NumericalBreakdownError(
                 "non-finite entries in a unit's output",
@@ -229,12 +294,15 @@ class DetectorBank:
                 value=mx, threshold=cfg.magnitude_limit,
                 precision=precision.value,
             )
-        if growth is not None and not mx <= growth:
-            raise NumericalBreakdownError(
-                "trailing-matrix norm growth exceeds baseline bound",
-                phase=phase, panel=panel, detector="norm_growth", site=site,
-                value=mx, threshold=growth, precision=precision.value,
-            )
+        if baseline is not None and cfg.norm_growth:
+            growth = cfg.norm_growth_factor * max(baseline, _TINY)
+            if not mx <= growth:
+                raise NumericalBreakdownError(
+                    "trailing-matrix norm growth exceeds baseline bound",
+                    phase=phase, panel=panel, detector="norm_growth", site=site,
+                    value=mx, threshold=growth, precision=precision.value,
+                )
+        return mx
 
     def check_panel_q(
         self,
@@ -252,11 +320,11 @@ class DetectorBank:
         tol = self.config.orthogonality_tol(
             w.shape[1], effective_eps(precision, w, y)
         )
-        if not np.isfinite(defect) or defect > tol:
+        if not defect <= tol:
             raise NumericalBreakdownError(
                 "panel Q lost orthogonality",
                 phase=phase, panel=panel, detector="orthogonality",
-                value=float(defect), threshold=tol, precision=precision.value,
+                value=defect, threshold=tol, precision=precision.value,
             )
 
     def check_symmetry(
@@ -275,11 +343,11 @@ class DetectorBank:
         tol = self.config.symmetry_tol(
             norm if norm is not None else max_abs(a), effective_eps(precision, a)
         )
-        if not np.isfinite(defect) or defect > tol:
+        if not defect <= tol:
             raise NumericalBreakdownError(
                 "symmetry drift in trailing matrix",
                 phase=phase, panel=panel, detector="symmetry",
-                value=float(defect), threshold=tol, precision=precision.value,
+                value=defect, threshold=tol, precision=precision.value,
             )
 
     def check_residual(

@@ -494,14 +494,15 @@ def _panel_step(
         status, c_end = "advance", i + 2 * b
     if ctx is not None:
         # One scan of what the step wrote (the mirrors are copies): the
-        # panel and updated columns of A and the new OAW columns, which
-        # scale with A, then the new W/Y columns, which do not.
+        # panel and updated columns of A and the new OAW columns, held to
+        # the growth bound because they scale with A, then the new W/Y
+        # columns, which do not.
         ctx.check_array(
-            A[i + b :, i:c_end], st.oaw[:, K : st.k], site="wy_step",
-            precision=eng.precision, baseline=norm_baseline,
+            A[i + b :, i:c_end], st.oaw[:, K : st.k],
+            st.w[:, K : st.k], st.y[:, K : st.k], site="wy_step",
+            precision=eng.precision,
+            baseline=(norm_baseline, norm_baseline, None, None),
         )
-        ctx.check_array(st.w[:, K : st.k], st.y[:, K : st.k],
-                        site="wy_step", precision=eng.precision)
     return status
 
 

@@ -240,10 +240,12 @@ def _zy_panel_step(
     if ctx is not None:
         # One scan of what the panel wrote (the mirrors are copies): its
         # columns of A, held to the growth bound, and of Q, scale-free.
-        ctx.check_array(A[i + b :, i:], site="zy_step",
-                        precision=eng.precision, baseline=norm_baseline)
-        if q is not None:
-            ctx.check_array(q[:, i + b :], site="zy_step",
-                            precision=eng.precision)
+        if q is None:
+            ctx.check_array(A[i + b :, i:], site="zy_step",
+                            precision=eng.precision, baseline=norm_baseline)
+        else:
+            ctx.check_array(A[i + b :, i:], q[:, i + b :], site="zy_step",
+                            precision=eng.precision,
+                            baseline=(norm_baseline, None))
         ctx.check_symmetry(trailing, precision=eng.precision, norm=norm_baseline)
     return w, y
