@@ -490,6 +490,9 @@ def syevd_2stage(
                 })
                 # Every sbr_panel checkpoint is subsumed by the band.
                 ck.prune("sbr_panel", keep=0)
+        # Nothing past stage 1 reads the input: free its n×n float64 copy
+        # before stage 2 makes one of the band.
+        del a
 
         # Stage 2 onward in float64 (host-side MAGMA stages in the paper).
         with obs.span("bulge"):
@@ -498,8 +501,9 @@ def syevd_2stage(
                 e = tridiag_ck.arrays["e"]
                 q2 = tridiag_ck.arrays.get("q2")
             else:
-                band64 = np.asarray(sbr.band, dtype=np.float64)
-                d, e, q2 = _bulge(ctx, band64, b, want_vectors)
+                # The band's float64 copy is freed once the chase is done.
+                d, e, q2 = _bulge(ctx, np.asarray(sbr.band, dtype=np.float64),
+                                  b, want_vectors)
                 if ck is not None:
                     ck.save("tridiag", {"d": d, "e": e, "q2": q2}, {
                         "resilience": resilience_snapshot(ctx, sbr_eng),

@@ -148,7 +148,8 @@ class GemmEngine(ABC):
             return None, True
         return out, False
 
-    def prepare_operand(self, a, *, tag: str = "prep", cols: int | None = None):
+    def prepare_operand(self, a, *, tag: str = "prep", cols: int | None = None,
+                        twins: bool = True):
         """Pre-process an operand for repeated :meth:`gemm` calls.
 
         Engines whose kernels transform operands before multiplying (the
@@ -162,7 +163,9 @@ class GemmEngine(ABC):
         identical to passing the array.
 
         ``cols`` prepares only the leading ``cols`` columns of a 2-D
-        buffer that the caller fills column block by column block.
+        buffer that the caller fills column block by column block;
+        ``twins=False`` says the caller never multiplies its transpose,
+        so it needs no transposed twins (:mod:`repro.precision.prepared`).
         Passing a handle (or a view of one) re-prepares it in place from
         its source's current contents — on *every* engine, so a handle
         refreshed while an escalated engine is active is current again
@@ -173,7 +176,7 @@ class GemmEngine(ABC):
         if self.prepared_format is None:
             return np.asarray(a)
         return prepare(a, self.prepared_format, ws=self.workspace, name=tag,
-                       cols=cols)
+                       cols=cols, twins=twins)
 
     def gemm(self, a, b, *, tag: str = "", out=None, ta: bool = False,
              tb: bool = False) -> np.ndarray:
@@ -431,7 +434,8 @@ class EcTensorCoreEngine(GemmEngine):
         super().__init__(record=record, workspace=workspace)
         self.chunk_k = chunk_k
 
-    def prepare_operand(self, a, *, tag: str = "prep", cols: int | None = None):
+    def prepare_operand(self, a, *, tag: str = "prep", cols: int | None = None,
+                        twins: bool = True):
         """Hi/lo-split ``a`` once for repeated multiplication.
 
         The SBR drivers prepare the block-constant trailing matrix OA so
@@ -442,7 +446,7 @@ class EcTensorCoreEngine(GemmEngine):
         Tensor-Core engine prepares (:mod:`repro.precision.prepared`),
         with ``fmt="ec"``.
         """
-        return super().prepare_operand(a, tag=tag, cols=cols)
+        return super().prepare_operand(a, tag=tag, cols=cols, twins=twins)
 
     def _matmul(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         return ec_tcgemm(a, b, chunk_k=self.chunk_k, out=out, ws=self.workspace)

@@ -1,7 +1,8 @@
 """Performance layer: workspace arena and hot-path helpers.
 
-This package holds the machinery that makes the SBR/EVD hot loops
-allocation-free and overlappable without changing their numerics:
+This package holds the machinery that takes the SBR/EVD hot loops'
+per-iteration scratch allocations out of the loops without changing
+their numerics:
 
 - :mod:`~repro.perf.workspace` — the :class:`Workspace` scratch-buffer
   arena threaded through ``sbr_wy``/``sbr_zy``, the EC-TCGEMM split

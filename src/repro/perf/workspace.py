@@ -5,10 +5,15 @@ same handful of temporaries over and over — one fresh ``np.empty`` per
 panel iteration, per EC split, per chunk.  At n=1024 each of those is a
 megabyte-scale allocation whose cost is not ``malloc`` but the kernel
 page faults on first touch, paid again on every iteration.  A
-:class:`Workspace` turns the steady-state of those loops allocation-free:
-each call site *takes* a buffer under a semantic tag and gets the same
-backing memory back on the next iteration whenever its capacity
-suffices.
+:class:`Workspace` takes those allocations out of the loops: each call
+site *takes* a buffer under a semantic tag and gets the same backing
+memory back on the next iteration whenever its capacity suffices, so a
+tag allocates once per call (see *Lifetime*) instead of once per
+iteration.  The loops still make small temporaries of their own.
+Whether a repeated call faults its buffers' pages in again is up to the
+C allocator: glibc returns a freed heap top to the kernel once it is
+large enough, and how large it gets is set by the call's n×n transients
+(docs/performance.md, "Page faults per call").
 
 Contract
 --------

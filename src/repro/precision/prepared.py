@@ -27,7 +27,10 @@ gets a *transposed twin*: C-contiguous ``(N, M)`` copies of ``hi``/``lo``
 written when a column block is prepared, so ``h.T`` and its views are
 row-major without a copy, and a column block is transformed contiguously
 into its twin rows and then copied into the ``(M, N)`` block instead of
-being transformed as a strided slice.
+being transformed as a strided slice.  A buffer whose transpose is never
+multiplied (``twins=False``; SBR's ``OAW``) has no twins: its column
+blocks are transformed in place, and its untransposed views are
+row-major as they are.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ class PreparedOperand:
 
 
 def prepare(a, fmt: str, *, ws=None, name: str = "prep",
-            cols: "int | None" = None) -> PreparedOperand:
+            cols: "int | None" = None, twins: bool = True) -> PreparedOperand:
     """Transform ``a`` once for repeated use as a ``fmt`` GEMM operand.
 
     With a workspace the buffers live in the arena under
@@ -139,7 +142,7 @@ def prepare(a, fmt: str, *, ws=None, name: str = "prep",
     is :meth:`~PreparedOperand.resplit` (a buffer that is filled column
     block by column block pays each column's transformation once).  Such
     a buffer gets transposed twins when ``fmt`` hands BLAS row-major
-    operands (module docstring).
+    operands (module docstring), unless ``twins=False``.
     """
     a = np.asarray(a, dtype=np.float32)
     row_major = fmt in ROW_MAJOR or (fmt == "ec" and ws is not None)
@@ -155,7 +158,7 @@ def prepare(a, fmt: str, *, ws=None, name: str = "prep",
     hi = take("hi", a.shape)
     lo = take("lo", a.shape) if split else None
     hi_t = lo_t = None
-    if cols is not None and row_major:
+    if cols is not None and row_major and twins:
         hi_t = take("hi_t", a.shape[::-1])
         lo_t = take("lo_t", a.shape[::-1]) if split else None
     h = PreparedOperand(a, fmt, hi, lo, hi_t, lo_t)

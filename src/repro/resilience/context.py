@@ -43,13 +43,16 @@ from ..gemm.trace import GemmRecord
 from ..obs import spans as obs
 from ..precision.modes import Precision
 from .abft import AbftChecker, AbftPolicy, Syr2kPre
-from .detectors import DetectorBank, DetectorConfig, has_nonfinite, peak
+from .detectors import DetectorBank, DetectorConfig, has_nonfinite
 from .faults import FaultInjector
 from .policy import DetectionRecord, EscalationLadder, EscalationRecord, ResilienceReport
 
 __all__ = ["BREAKDOWN_MODES", "ResilientEngine", "ResilienceContext", "run_unit"]
 
 BREAKDOWN_MODES = ("raise", "escalate", "best_effort")
+
+_maximum = np.maximum.reduce
+_minimum = np.minimum.reduce
 
 
 class ResilientEngine(GemmEngine):
@@ -330,6 +333,12 @@ class ResilienceContext:
         pass; only one outside its bound goes through the detector bank,
         which classifies it.  Returns the largest ``max|x|`` (NaN ignored), or
         None while detectors are suppressed.
+
+        The pass is a max and a min reduction, ``max|x| = max(hi, -lo)``:
+        bitwise what ``np.abs(x).max()`` gives, NaN when any entry is,
+        and without that array-sized ``|x|`` temporary (the band scan's
+        alone is an n×n float64 array, and a call's freed transients are
+        what lets the allocator hand pages back to the kernel).
         """
         if self._suppress:
             return None
@@ -343,7 +352,9 @@ class ResilienceContext:
             limit = limits.get(base)
             if limit is None:
                 limit = limits[base] = self.detectors.output_limit(base)
-            mx = peak(arr)
+            hi = float(_maximum(arr, None))
+            lo = -float(_minimum(arr, None))
+            mx = hi if hi >= lo else lo  # a NaN entry makes both NaN
             if not mx <= limit:
                 mx = self._check(self.detectors.check_output, arr, site=site,
                                  precision=precision, baseline=base)

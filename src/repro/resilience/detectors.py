@@ -29,13 +29,17 @@ negligible next to the O(m·n·k) GEMMs they guard, but at n ≤ 128 (b=8)
 each of those is a few microseconds of NumPy call overhead, and the
 guards of the default ``on_breakdown="escalate"`` context took a quarter
 to a third of a ``syevd_2stage`` call.  So each healthy measurement ends
-in one NaN-propagating reduction (:func:`peak`), a healthy output scan
-runs no Python beyond it (:meth:`ResilienceContext.check_array
-<repro.resilience.context.ResilienceContext.check_array>`), and the
-epsilon and sample grid a check needs are computed once per process.
-A guarded panel step still makes about 16 NumPy calls in its guards:
-eight for the probe and two per scanned array (docs/performance.md,
-"Guards", splits a step's time).
+in NaN-propagating reductions, and the epsilon and sample grid a check
+needs are computed once per process.  The probe's k×k defect and the
+symmetry sample go through :func:`peak` (``|x|``, then its max).  A
+healthy output scan runs no Python beyond a max and a min reduction of
+the array, inlined in :meth:`ResilienceContext.check_array
+<repro.resilience.context.ResilienceContext.check_array>`: the same
+value as :func:`peak`, without an array-sized ``|x|`` temporary, which
+for the band scan is an n×n float64 array per call.  A guarded panel
+step still makes about 16 NumPy calls in its guards: eight for the
+probe and two per scanned array (docs/performance.md, "Guards", splits
+a step's time).
 """
 
 from __future__ import annotations

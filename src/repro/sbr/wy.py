@@ -44,10 +44,11 @@ buffers are passed to the GEMMs as prepared operands
 :mod:`repro.precision.prepared`): under the EC engine each column's
 hi/lo split, and under the FP16/BF16/TF32 engines its rounding, is paid
 once per big block, when the column is written, instead of in every GEMM
-that reads it.  Where the engine hands BLAS row-major operands, the
-growing buffers also keep transposed ``(nb, M)`` twins of their prepared
-form, so ``W^T`` and ``Y_c^T`` reach BLAS without a copy and each
-written column block is prepared contiguously.
+that reads it.  Where the engine hands BLAS row-major operands, ``W``
+and ``Y`` also keep transposed ``(nb, M)`` twins of their prepared form,
+so ``W^T`` and ``Y_c^T`` reach BLAS without a copy and each written
+column block is prepared contiguously; ``OAW`` is never multiplied
+transposed and has none.
 
 The arena is lent to the engine when the engine has none, so one arena
 serves both layers, and it lives for the call: an arena ``sbr_wy``
@@ -74,11 +75,14 @@ trailing update — and the final form-Q run as *retryable units* through
 with one scan of what it wrote (no symmetry probe: every block of ``A``
 is written with its mirror), and a detected breakdown
 restores the pre-step state and re-runs the panel at the ladder's
-next-safer precision.  That state is one copy of ``A[i:, i:]`` (the
-arena-backed ``W``/``Y``/``OAW`` roll back by resetting the column
-counter — a failed step only wrote columns past it), taken only when a
-retry or the checkpoint's interrupt flush can need it; the flush commits
-the restored pre-step state on ``KeyboardInterrupt``.
+next-safer precision.  That state is a copy of the step's ``b``-column
+strip of ``A``: the rest of what the step writes, the trailing matrix,
+is still the block's ``OA`` (the update is deferred) and is restored
+from it.  The arena-backed ``W``/``Y``/``OAW`` roll back by resetting
+the column counter, since a failed step only wrote columns past it.
+The strip is taken only when a retry or the checkpoint's interrupt
+flush can need it; the flush commits the restored pre-step state on
+``KeyboardInterrupt``.
 
 GEMM tags: ``form_w``, ``wy_oaw``, ``wy_right``, ``wy_left``,
 ``wy_full_right``, ``wy_full_left``, the panel's tags (see
@@ -134,7 +138,9 @@ class _BlockState:
                 buf[:, :k] = cols
         self.hw = eng.prepare_operand(self.w, tag="sbr_W", cols=self.k)
         self.hy = eng.prepare_operand(self.y, tag="sbr_Y", cols=self.k)
-        self.hoaw = eng.prepare_operand(self.oaw, tag="sbr_OAW", cols=self.k)
+        # Nothing multiplies OAW^T: its handle needs no transposed twins.
+        self.hoaw = eng.prepare_operand(self.oaw, tag="sbr_OAW", cols=self.k,
+                                        twins=False)
 
     def refresh(self, eng: GemmEngine, handles, k0: int, k1: int, *, tag: str) -> None:
         """Re-prepare columns ``k0:k1`` of ``handles`` after writing them.
@@ -241,18 +247,23 @@ def _reduce(a, b, nb, eng, ws, *, want_q, q_method, ctx, ck) -> SbrResult:
     """:func:`sbr_wy`'s body, run inside the call's arena."""
     if ctx is not None:
         eng = ctx.wrap_engine(eng)
-    if isinstance(a, Validated):
-        a = a.array  # the driver ran the contract and checked the block sizes
-    else:
-        a = as_symmetric_matrix(a, dtype=eng.working_dtype)
-        check_blocksizes(a.shape[0], b, nb)
-    n = a.shape[0]
-
     dtype = eng.working_dtype
-    a = np.asarray(a, dtype=dtype)
-    A = a.copy()
+    if isinstance(a, Validated):
+        # The driver ran the contract and checked the block sizes; its
+        # array stays intact, so the working matrix is a copy of it.
+        a = a.array
+        A = np.array(a, dtype=dtype)
+    else:
+        # The contract's exactly symmetric result is a new array: work in
+        # it, and keep a copy only for the residual probe at the end.
+        A = as_symmetric_matrix(a, dtype=dtype)
+        check_blocksizes(A.shape[0], b, nb)
+        a = A.copy() if want_q and ctx is not None else None
+    n = A.shape[0]
     blocks: list[WYBlock] = []
-    norm_baseline = float(np.abs(A).max()) if ctx is not None else 0.0
+    # max|A| as check_array scans it: no n x n |A| temporary.
+    norm_baseline = max(float(np.maximum.reduce(A, None)),
+                        -float(np.minimum.reduce(A, None))) if ctx is not None else 0.0
 
     panel_index = 0
     j0 = 0
@@ -314,7 +325,7 @@ def _reduce(a, b, nb, eng, ws, *, want_q, q_method, ctx, ck) -> SbrResult:
                     oa_op=oa_op,
                 ),
                 engine=eng, panel=panel_index,
-                snapshot=lambda: _snapshot_step(A, st, i),
+                snapshot=lambda: _snapshot_step(A, OA, st, i, r, b),
                 on_interrupt=None if ck is None else (
                     lambda: _flush_interrupt_checkpoint(
                         ck, A=A, blocks=blocks, ctx=ctx, eng=eng,
@@ -369,7 +380,8 @@ def _reduce(a, b, nb, eng, ws, *, want_q, q_method, ctx, ck) -> SbrResult:
         ctx.note_precision("sbr", eng.precision)
         if q is not None:
             with ctx.unit("sbr"):
-                ctx.check_residual(a, q, A, precision=eng.precision)
+                ctx.check_residual(np.asarray(a, dtype=dtype), q, A,
+                                   precision=eng.precision)
     return SbrResult(band=A, bandwidth=b, q=q, blocks=blocks, workspace=ws)
 
 
@@ -404,20 +416,26 @@ def _flush_interrupt_checkpoint(
         )
 
 
-def _snapshot_step(A, st, i):
+def _snapshot_step(A, OA, st, i, r, b):
     """Save what a panel step may write; return the callable restoring it.
 
-    That is the region ``A[i:, i:]`` plus the arena state's column
-    counter: a failed step only wrote ``W``/``Y``/``OAW`` columns past
-    it, which resetting the counter discards.  The restorer returns the
-    region, the step's input, for ``run_unit``'s non-finite input check.
+    A step writes ``A[i:, i:]``.  Of that, only the strip ``A[i:, i:i+b]``
+    (and its mirror) can differ from what the block started with: the
+    trailing update is deferred, so ``A[i+b:, i+b:]`` still equals
+    ``OA[r:, r:]`` bitwise, and the restorer copies it back from there.
+    The arena state's column counter is saved too: a failed step only
+    wrote ``W``/``Y``/``OAW`` columns past it, which resetting the counter
+    discards.  The restorer returns the restored ``A[i:, i:]``, the
+    step's input, for ``run_unit``'s non-finite input check.
     """
-    region, k = A[i:, i:].copy(), st.k
+    strip, k = A[i:, i : i + b].copy(), st.k
 
     def restore():
-        A[i:, i:] = region
+        A[i:, i : i + b] = strip
+        A[i : i + b, i + b :] = strip[b:].T
+        A[i + b :, i + b :] = OA[r:, r:]
         st.k = k
-        return region
+        return A[i:, i:]
 
     return restore
 

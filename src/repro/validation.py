@@ -100,12 +100,32 @@ def as_symmetric_matrix(
             raise NotSymmetricError(f"{name} is not symmetric: max|A - A^T| = {skew:.3g}"
                                     f" > sqrt(u) * max|A| = {tol:.3g}", name=name)
     sym = arr.astype(arr.dtype if dtype is None else dtype)
-    np.copyto(sym, arr.T, where=~np.tri(arr.shape[0], dtype=bool))
+    _mirror_lower(arr, sym)
     return sym
 
 
-#: Tile edge of :func:`_max_skew`'s blocked pass.
-_SKEW_TILE = 128
+#: Tile edge of the blocked passes over ``A`` and ``A^T``.
+_TILE = 128
+#: The strict upper triangle of a tile.
+_UPPER = np.tri(_TILE, k=-1, dtype=bool).T
+_UPPER.flags.writeable = False
+
+
+def _mirror_lower(arr: np.ndarray, sym: np.ndarray) -> None:
+    """Write the transpose of ``arr``'s strict lower triangle over ``sym``'s
+    strict upper one, one ``_TILE``-row block at a time.
+
+    Each row block takes its diagonal tile under the one-tile mask and
+    the rest of its rows as one transposed copy of the column block below
+    it: bitwise what a single masked ``copyto`` from ``arr.T`` writes,
+    without that copy's two ``n x n`` boolean masks.
+    """
+    for i0 in range(0, arr.shape[0], _TILE):
+        i1 = i0 + _TILE
+        diag = arr[i0:i1, i0:i1]
+        d = diag.shape[0]
+        np.copyto(sym[i0:i1, i0:i1], diag.T, where=_UPPER[:d, :d])
+        sym[i0:i1, i1:] = arr[i1:, i0:i1].T
 
 
 def _max_skew(arr: np.ndarray) -> float:
@@ -119,7 +139,7 @@ def _max_skew(arr: np.ndarray) -> float:
     scratch instead of two ``n x n`` temporaries.
     """
     n = arr.shape[0]
-    t = min(n, _SKEW_TILE)
+    t = min(n, _TILE)
     buf = np.empty((t, t), arr.dtype)
     skew = 0.0  # the diagonal's differences are 0
     with np.errstate(over="ignore"):

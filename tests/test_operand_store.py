@@ -32,7 +32,7 @@ def _sym(n, seed=0):
 
 def _unprepared(monkeypatch):
     """Every engine hands back the plain array: the per-launch path."""
-    def passthrough(self, a, *, tag="prep", cols=None):
+    def passthrough(self, a, *, tag="prep", cols=None, twins=True):
         return np.asarray(a)
 
     monkeypatch.setattr(GemmEngine, "prepare_operand", passthrough)
