@@ -70,7 +70,6 @@ from .eig import (
     lobpcg,
     qdwh_eig,
     qdwh_polar,
-    reduce_bandwidth,
     syevd_1stage,
     syevd_2stage,
     syevd_selected,
@@ -141,7 +140,6 @@ __all__ = [
     "form_q_from_blocks",
     "EvdResult",
     "bulge_chase",
-    "reduce_bandwidth",
     "syevd_2stage",
     "syevd_1stage",
     "syevd_selected",

@@ -6,7 +6,7 @@ LAPACK behind two layer functions:
 
 - :mod:`~repro.eig.bulge` — reduction of a symmetric band matrix to
   tridiagonal form (stage 2 of two-stage tridiagonalization) by LAPACK
-  ``?sbtrd``, plus the Givens band-to-band reduction.
+  ``?sbtrd``.
 - :mod:`~repro.eig.dc` — the symmetric tridiagonal eigenproblem by
   LAPACK ``sterf`` (eigenvalues only) or ``stevd`` (divide & conquer,
   with eigenvectors).
@@ -23,7 +23,7 @@ LAPACK behind two layer functions:
   tridiagonal eigensolver → back-transformation) and ``syevd_1stage``.
 """
 
-from .bulge import bulge_chase, reduce_bandwidth
+from .bulge import bulge_chase
 from .qliter import tridiag_eig_ql
 from .dc import tridiag_eig_dc
 from .sturm import sturm_count, eigvals_bisect
@@ -35,7 +35,6 @@ from .driver import EvdResult, syevd_2stage, syevd_1stage, syevd_selected
 
 __all__ = [
     "bulge_chase",
-    "reduce_bandwidth",
     "tridiag_eig_ql",
     "tridiag_eig_dc",
     "sturm_count",

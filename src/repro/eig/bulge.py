@@ -16,11 +16,6 @@ The blocked compact-WY wavefront chase this replaced survives only as a
 *modeled* launch stream (:func:`repro.gemm.symbolic.trace_bulge_wavefront`
 and :func:`repro.metrics.bulge_wavefront_flops`) for the paper's figures
 and the live progress plan; nothing numeric runs it.
-
-:func:`reduce_bandwidth` keeps the same Givens rotation scheme in NumPy
-for band-to-band targets: the bandwidth is peeled one diagonal at a
-time, each band-edge entry annihilated by a rotation whose fill element
-is chased down the band.
 """
 
 from __future__ import annotations
@@ -32,10 +27,9 @@ import numpy as np
 from scipy.linalg import cython_lapack
 
 from ..errors import ConfigurationError, NumericalBreakdownError, ShapeError
-from ..obs import spans as obs
 from ..validation import Validated, as_square_matrix, as_symmetric_matrix
 
-__all__ = ["bulge_chase", "reduce_bandwidth"]
+__all__ = ["bulge_chase"]
 
 #: C signature of ``?sbtrd(vect, uplo, n, kd, ab, ldab, d, e, q, ldq,
 #: work, info)`` in scipy's capsule table; ``{t}`` is the real type.
@@ -167,120 +161,3 @@ def _sbtrd(ab: np.ndarray, want_q: bool):
         work.ctypes.data, info_p,
     )
     return d, e, (q if want_q else None), int(ints[4])
-
-
-# ---------------------------------------------------------------------------
-# Band-to-band reduction (Givens).
-# ---------------------------------------------------------------------------
-
-
-def _givens(f: float, g: float) -> tuple[float, float]:
-    """Stable Givens pair (c, s) with ``[c s; -s c]^T [f; g] = [r; 0]``."""
-    if g == 0.0:
-        return 1.0, 0.0
-    if f == 0.0:
-        return 0.0, 1.0
-    r = np.hypot(f, g)
-    return f / r, g / r
-
-
-def _rot_pair(vi: np.ndarray, vk: np.ndarray, c: float, s: float, scratch: np.ndarray) -> None:
-    """Rotate the vector pair ``(vi, vk) <- (c vi + s vk, -s vi + c vk)``.
-
-    Allocation-free: both results are formed in place through the two
-    preallocated ``scratch`` rows (the saved copy of ``vi`` and one
-    product), bitwise identical to the temporary-allocating expression
-    ``c*vi + s*vk`` / ``-s*vi + c*vk``.
-    """
-    w = vi.shape[0]
-    sav = scratch[0, :w]
-    tmp = scratch[1, :w]
-    np.copyto(sav, vi)
-    np.multiply(vk, s, out=tmp)
-    np.multiply(sav, c, out=vi)
-    vi += tmp
-    np.multiply(vk, c, out=vk)
-    np.multiply(sav, -s, out=tmp)
-    vk += tmp
-
-
-def _rot_rows(A, i, k, c, s, lo, hi, scratch) -> None:
-    """Apply G^T from the left to rows (i, k), columns [lo, hi)."""
-    _rot_pair(A[i, lo:hi], A[k, lo:hi], c, s, scratch)
-
-
-def _rot_cols(A, i, k, c, s, lo, hi, scratch) -> None:
-    """Apply G from the right to columns (i, k), rows [lo, hi)."""
-    _rot_pair(A[lo:hi, i], A[lo:hi, k], c, s, scratch)
-
-
-def reduce_bandwidth(
-    a,
-    b: int,
-    *,
-    target: int = 1,
-    want_q: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Reduce a symmetric band matrix's bandwidth from ``b`` to ``target``.
-
-    The multi-step band reduction of the SBR framework (Bischof, Lang &
-    Sun 2000): the bandwidth is peeled one outermost diagonal at a time by
-    Givens chases.  ``target=1`` is full tridiagonalization by rotations
-    (:func:`bulge_chase` is the fast path for that); intermediate targets
-    give the band-to-band steps of multi-sweep reduction strategies.
-
-    Returns
-    -------
-    band : ndarray (n, n)
-        Dense symmetric matrix of bandwidth ``target`` with
-        ``A ≈ Q band Q^T``.
-    q : ndarray (n, n) or None
-        Accumulated orthogonal transform (``None`` if not requested).
-    """
-    a = as_symmetric_matrix(a)
-    n = a.shape[0]
-    if b < 1:
-        raise ShapeError(f"bandwidth must be >= 1, got {b}")
-    if target < 1 or target > b:
-        raise ShapeError(f"target bandwidth must be in [1, {b}], got {target}")
-    dtype = a.dtype
-    A = np.array(a, copy=True)
-    q = np.eye(n, dtype=dtype) if want_q else None
-    # One scratch pair reused by every rotation (Θ(n² b) of them): the
-    # per-rotation ``.copy()`` temporaries were the hot loop's only
-    # allocations.
-    scratch = np.empty((2, n), dtype=dtype)
-
-    # Peel the bandwidth one diagonal at a time: cur = current bandwidth.
-    for cur in range(min(b, n - 1), target, -1):
-        with obs.span("bulge.sweep", bandwidth=cur) as sweep:
-            nrot = 0
-            for j in range(n - cur):
-                # Annihilate the band-edge entry A[j+cur, j], then chase the
-                # fill element it spawns every `cur` rows down the band.
-                col = j
-                r = j + cur
-                while r < n:
-                    f_val = float(A[r - 1, col])
-                    g_val = float(A[r, col])
-                    if g_val == 0.0:
-                        break
-                    c, s = _givens(f_val, g_val)
-                    i, k = r - 1, r
-                    nrot += 1
-                    # Window: all columns where rows (i, k) may be nonzero.
-                    lo = max(col, 0)
-                    hi = min(k + cur + 1, n)
-                    _rot_rows(A, i, k, c, s, lo, hi, scratch)
-                    _rot_cols(A, i, k, c, s, lo, hi, scratch)
-                    if q is not None:
-                        _rot_cols(q, i, k, c, s, 0, n, scratch)
-                    # The rotation spawned one fill element at (r + cur, r - 1)
-                    # (both triangles); chase it: it is the next entry to kill,
-                    # in column r - 1, `cur` rows below the one just zeroed.
-                    A[k, col] = 0.0
-                    A[col, k] = 0.0
-                    col = r - 1
-                    r = r + cur
-            sweep.count("rotations", nrot)
-    return A, q

@@ -1,9 +1,8 @@
 """Tests for stage 2 (band → tridiagonal) and its end-to-end wiring.
 
 Covers numerical correctness across edge geometries against the LAPACK
-oracle (``scipy.linalg.eig_banded``) and the Givens band reduction, the
-driver's stage 2, and the modeled stage-2 flop model behind
-``phase_plan``.
+oracle (``scipy.linalg.eig_banded``), the driver's stage 2, and the
+modeled stage-2 flop model behind ``phase_plan``.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.eig import bulge_chase, reduce_bandwidth
+from repro.eig import bulge_chase
 from repro.errors import NumericalBreakdownError
 from repro.la import extract_band, tridiag_to_dense
 from tests.conftest import eig_banded_spectrum, random_symmetric
@@ -42,13 +41,10 @@ class TestWavefrontBulgeChase:
 
     @pytest.mark.parametrize("n,b", [(40, 5), (33, 7), (12, 11), (30, 1), (9, 8)])
     def test_all_variants_agree_on_spectrum(self, rng, n, b):
-        # The chase, the Givens band reduction run to tridiagonal, and
-        # LAPACK's banded solver all agree.
+        # The chase's tridiagonal and LAPACK's banded solver agree.
         ab = extract_band(random_symmetric(n, rng), b)
         d, e, _ = bulge_chase(ab, b, want_q=False)
-        givens, _ = reduce_bandwidth(ab, b, target=1, want_q=False)
         lam = np.linalg.eigvalsh(tridiag_to_dense(d, e))
-        np.testing.assert_allclose(lam, np.linalg.eigvalsh(givens), atol=1e-11)
         np.testing.assert_allclose(lam, eig_banded_spectrum(ab, b), atol=1e-11)
 
     @pytest.mark.parametrize("want_q", [True, False])
@@ -117,8 +113,9 @@ class TestDriverBulgeVariant:
     @pytest.mark.parametrize("variant", ("givens", "blocked", "wavefront"))
     def test_syevd_2stage_variant(self, rng, variant):
         # The driver's one stage 2 reproduces the spectrum of each former
-        # tridiagonalization scheme: the Givens band reduction, LAPACK's
-        # blocked dense reduction, and the wavefront chase run directly.
+        # tridiagonalization scheme: a Givens band chase (LAPACK's
+        # ``?sbevd`` through eig_banded), LAPACK's blocked dense
+        # reduction, and the wavefront chase run directly.
         from repro.eig.driver import syevd_2stage
 
         a = random_symmetric(64, rng)
@@ -127,8 +124,7 @@ class TestDriverBulgeVariant:
         assert np.linalg.norm(a @ x - x * lam) / np.linalg.norm(a) < 1e-12
         np.testing.assert_allclose(x.T @ x, np.eye(64), atol=1e-12)
         if variant == "givens":
-            t, _ = reduce_bandwidth(a, 63, target=1, want_q=False)
-            ref = np.linalg.eigvalsh(t)
+            ref = eig_banded_spectrum(a, 63)
         elif variant == "blocked":
             ref = np.linalg.eigvalsh(a)
         else:

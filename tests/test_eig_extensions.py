@@ -1,5 +1,5 @@
-"""Tests for the eigensolver extensions: QDWH, inverse iteration,
-partial bandwidth reduction, and the syr2k engine path."""
+"""Tests for the eigensolver extensions: QDWH, inverse iteration, and
+the syr2k engine path."""
 
 from __future__ import annotations
 
@@ -10,13 +10,12 @@ from repro.eig import (
     eigvals_bisect,
     qdwh_eig,
     qdwh_polar,
-    reduce_bandwidth,
     tridiag_inverse_iteration,
 )
 from repro.errors import ConfigurationError, ShapeError
 from repro.gemm import Fp64Engine, SgemmEngine, TensorCoreEngine
 from repro.gemm.trace import GemmRecord
-from repro.la import bandwidth_of, extract_band, tridiag_to_dense
+from repro.la import extract_band, tridiag_to_dense
 from repro.sbr import sbr_zy
 from tests.conftest import eig_banded_spectrum, random_symmetric
 
@@ -96,36 +95,6 @@ class TestQdwhEig:
         a, lam_true = generate_symmetric(48, distribution="cluster1", cond=1e5, rng=rng)
         lam, v = qdwh_eig(a)
         np.testing.assert_allclose(np.sort(lam), lam_true, atol=1e-10)
-
-
-class TestReduceBandwidth:
-    @pytest.mark.parametrize("b,target", [(8, 4), (8, 1), (5, 3), (7, 7)])
-    def test_partial_reduction(self, rng, b, target):
-        a = extract_band(random_symmetric(40, rng), b)
-        band, q = reduce_bandwidth(a, b, target=target)
-        assert bandwidth_of(band, tol=1e-12) <= target
-        np.testing.assert_allclose(q @ band @ q.T, a, atol=1e-12)
-
-    def test_multi_step_equals_single_step(self, rng):
-        a = extract_band(random_symmetric(32, rng), 6)
-        one, _ = reduce_bandwidth(a, 6, target=2, want_q=False)
-        mid, _ = reduce_bandwidth(a, 6, target=4, want_q=False)
-        two, _ = reduce_bandwidth(mid, 4, target=2, want_q=False)
-        np.testing.assert_allclose(
-            np.linalg.eigvalsh(one), np.linalg.eigvalsh(two), atol=1e-11
-        )
-
-    def test_invalid_target(self, rng):
-        a = extract_band(random_symmetric(16, rng), 4)
-        with pytest.raises(ShapeError):
-            reduce_bandwidth(a, 4, target=0)
-        with pytest.raises(ShapeError):
-            reduce_bandwidth(a, 4, target=5)
-
-    def test_no_q(self, rng):
-        a = extract_band(random_symmetric(16, rng), 4)
-        _, q = reduce_bandwidth(a, 4, target=2, want_q=False)
-        assert q is None
 
 
 class TestInverseIteration:
@@ -247,16 +216,14 @@ class TestBlockedBulgeChase:
         )
 
     def test_matches_givens_spectrum(self, rng):
-        # The Givens band reduction kept for band-to-band targets, run all
-        # the way to tridiagonal, agrees with the chase and with LAPACK.
-        from repro.eig import bulge_chase, reduce_bandwidth
+        # The chase agrees with LAPACK's own Givens band chase (?sbevd,
+        # through eig_banded).
+        from repro.eig import bulge_chase
         from repro.la import tridiag_to_dense
 
         ab = extract_band(random_symmetric(72, rng), 9)
         d, e, _ = bulge_chase(ab, 9, want_q=False)
-        givens, _ = reduce_bandwidth(ab, 9, target=1, want_q=False)
         lam = np.linalg.eigvalsh(tridiag_to_dense(d, e))
-        np.testing.assert_allclose(lam, np.linalg.eigvalsh(givens), atol=1e-11)
         np.testing.assert_allclose(lam, eig_banded_spectrum(ab, 9), atol=1e-11)
 
     def test_bandwidth_one_passthrough(self, rng):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import validation
-from repro.eig.bulge import bulge_chase, reduce_bandwidth
+from repro.eig.bulge import bulge_chase
 from repro.eig.driver import syevd_1stage, syevd_2stage, syevd_selected
 from repro.eig.lobpcg import lobpcg
 from repro.eig.qdwh import qdwh_eig
@@ -44,7 +44,6 @@ ENTRY_POINTS = {
     "sbr_wy": lambda a: sbr_wy(a, 4, 8),
     "sbr_zy": lambda a: sbr_zy(a, 4),
     "bulge_chase": lambda a: bulge_chase(a, N - 1),
-    "reduce_bandwidth": lambda a: reduce_bandwidth(a, N - 1, target=N - 2),
     "householder_tridiagonalize": householder_tridiagonalize,
     "lobpcg": lambda a: lobpcg(a, 2, max_iter=5),
     "qdwh_eig": qdwh_eig,
