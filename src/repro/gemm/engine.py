@@ -67,8 +67,8 @@ class GemmEngine(ABC):
 
     Subclasses define :attr:`name`, :attr:`precision` and the raw
     :meth:`_matmul`.  The public :meth:`gemm`, :meth:`gemm_batched` and
-    :meth:`syr2k` validate shapes, build the call's record, and hand it
-    to :meth:`_launch`, the one place a launch is recorded and timed.
+    :meth:`syr2k` validate shapes and hand the call's record fields to
+    :meth:`_launch`, the one place a launch is recorded and timed.
     """
 
     #: Short engine identifier stored in trace records.
@@ -103,17 +103,20 @@ class GemmEngine(ABC):
         """
 
     # -- the one launch path ----------------------------------------------
-    def _launch(self, rec: GemmRecord, kernel, a, b, out, alpha=1.0, beta=0.0):
-        """Record ``rec``, run ``kernel(a, b, out)``, time it when telemetry is on.
+    def _launch(self, call: tuple, kernel, a, b, out, alpha=1.0, beta=0.0):
+        """Record ``call``, run ``kernel(a, b, out)``, time it when telemetry is on.
 
-        Every public entry point validates its operands, builds ``rec``
-        and ends here.  ``out`` (if any) is already validated and
-        alias-free.  ``alpha``/``beta`` are the syr2k scalars, passed
-        through for subclasses that guard the launch.
+        Every public entry point validates its operands and ends here.
+        ``call`` is the launch's :class:`~repro.gemm.trace.GemmRecord`
+        fields in order, ``(m, n, k, tag, engine, op, batch)``, as a plain
+        tuple: the record itself is built only for a trace that keeps it.
+        ``out`` (if any) is already validated and alias-free.
+        ``alpha``/``beta`` are the syr2k scalars, passed through for
+        subclasses that guard the launch.
         """
         if self.trace is not None:
             with self._trace_lock:
-                self.trace.add(rec)
+                self.trace.add(GemmRecord(*call))
         # The telemetry slot is read directly: with nothing installed a
         # launch pays one module read, no call and no allocation.  When
         # on, one timing feeds one gemm_event, which spans hands to the
@@ -123,11 +126,9 @@ class GemmEngine(ABC):
             return kernel(a, b, out)
         t0 = sinks.clock()
         res = kernel(a, b, out)
-        _obs.gemm_event(
-            rec.m, rec.n, rec.k,
-            tag=rec.tag, engine=rec.engine, op=rec.op, batch=rec.batch,
-            seconds=sinks.clock() - t0, start=t0,
-        )
+        m, n, k, tag, engine, op, batch = call
+        _obs.gemm_event(m, n, k, tag=tag, engine=engine, op=op, batch=batch,
+                        seconds=sinks.clock() - t0, start=t0)
         return res
 
     @staticmethod
@@ -223,10 +224,12 @@ class GemmEngine(ABC):
         m, k = av.shape
         n = bv.shape[1]
         direct, copy_back = self._resolve_out(out, (m, n), av, bv)
-        rec = GemmRecord(m=m, n=n, k=k, tag=tag, engine=self.name)
+        call = (m, n, k, tag, self.name, "gemm", 1)
+        if not (m and n and k):
+            GemmRecord(*call)  # raises the zero-dimension ValueError
         fmt = self.prepared_format
         res = self._launch(
-            rec, self._matmul,
+            call, self._matmul,
             a if prep_a and a.fmt == fmt else av,
             b if prep_b and b.fmt == fmt else bv,
             direct,
@@ -264,10 +267,10 @@ class GemmEngine(ABC):
         batch, m, k = a.shape
         n = b.shape[2]
         direct, copy_back = self._resolve_out(out, (batch, m, n), a, b)
-        rec = GemmRecord(
-            m=m, n=n, k=k, tag=tag, engine=self.name, op="gemm_batched", batch=batch
-        )
-        res = self._launch(rec, self._matmul, a, b, direct)
+        call = (m, n, k, tag, self.name, "gemm_batched", batch)
+        if not (m and n and k and batch):
+            GemmRecord(*call)  # raises the zero-dimension ValueError
+        res = self._launch(call, self._matmul, a, b, direct)
         if copy_back:
             np.copyto(out, res, casting="same_kind")
             return out
@@ -304,9 +307,9 @@ class GemmEngine(ABC):
                 raise ShapeError(f"out must be an ndarray, got {type(out).__name__}")
             if out.shape != (mm, mm):
                 raise ShapeError(f"out has shape {out.shape}, expected {(mm, mm)}")
-        rec = GemmRecord(
-            m=mm, n=mm, k=y.shape[1], tag=tag, engine=self.name, op="syr2k"
-        )
+        call = (mm, mm, y.shape[1], tag, self.name, "syr2k", 1)
+        if not (mm and y.shape[1]):
+            GemmRecord(*call)  # raises the zero-dimension ValueError
 
         def kernel(y, z, out):
             p = self._matmul(y, z.T)
@@ -324,7 +327,7 @@ class GemmEngine(ABC):
                 np.add(out, s, out=out, casting="same_kind")
             return out
 
-        return self._launch(rec, kernel, y, z, out, alpha, beta)
+        return self._launch(call, kernel, y, z, out, alpha, beta)
 
     def reset_trace(self) -> None:
         """Clear the recorded trace (enables recording if it was off)."""

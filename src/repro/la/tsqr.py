@@ -28,6 +28,8 @@ keeps in one leaf is one Householder QR, whose compact WY form
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from scipy.linalg import get_lapack_funcs, lapack
@@ -40,6 +42,18 @@ __all__ = ["leaf_bounds", "leaf_wy", "tsqr"]
 
 #: LAPACK compact-WY QR by working dtype, resolved once at import.
 _GEQRT = {np.dtype(np.float32): lapack.sgeqrt, np.dtype(np.float64): lapack.dgeqrt}
+
+_all = np.logical_and.reduce
+
+
+@functools.cache
+def _leaf_masks(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`leaf_wy`'s read-only constants: the n×n upper-triangle mask
+    and identity, made once per panel width."""
+    masks = np.triu(np.ones((n, n), dtype=bool)), np.eye(n, dtype=dtype)
+    for arr in masks:
+        arr.flags.writeable = False
+    return masks
 
 
 def leaf_bounds(m: int, n: int, leaf_rows: int | None = None) -> list[tuple[int, int]]:
@@ -70,7 +84,7 @@ def leaf_bounds(m: int, n: int, leaf_rows: int | None = None) -> list[tuple[int,
 def _check_finite(block: np.ndarray) -> None:
     # LAPACK propagates a NaN/Inf silently: report it the way the
     # resilience layer expects.
-    if not np.isfinite(block).all():
+    if not _all(np.isfinite(block), None):
         raise NumericalBreakdownError(
             "non-finite entry in a TSQR block", detector="nonfinite", site="tsqr",
         )
@@ -119,18 +133,23 @@ def leaf_wy(block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if m < n:
         raise ShapeError(f"tsqr requires m >= n, got shape {block.shape}")
     dtype = np.dtype(np.float32 if block.dtype == np.float32 else np.float64)
-    block = np.asarray(block, dtype=dtype)
-    _check_finite(block)
-    vr, t, info = _GEQRT[dtype](n, block)
+    # The one copy of the block: column-major, so ?geqrt factors it in
+    # place and the finiteness check reads it contiguously.
+    a = np.array(block, dtype=dtype, order="F")
+    _check_finite(a)
+    vr, t, info = _GEQRT[dtype](n, a, overwrite_a=1)
     if info != 0:
         raise _lapack_failed(m, n, info)
     # R sits on and above the diagonal of Y's top block; only that n×n
-    # block needs clearing.
+    # block needs clearing.  Copying through the cached upper mask gives
+    # what np.triu and ``top -= r; fill_diagonal(top, 1)`` did: R's zeros
+    # are +0, and Y's cleared entries are +0 (x - x of a finite x).
     y = np.ascontiguousarray(vr)
     top = y[:n]
-    r = np.triu(top)
-    top -= r
-    np.fill_diagonal(top, 1)
+    upper, eye = _leaf_masks(n, dtype)
+    r = np.zeros((n, n), dtype=dtype)
+    np.copyto(r, top, where=upper)
+    np.copyto(top, eye, where=upper)
     return y, t, r
 
 

@@ -26,11 +26,23 @@ Contract
 - Capacity-based reuse: a tag's buffer is reallocated only when the
   requested element count grows (or the dtype changes); smaller takes
   reshape a prefix of the existing buffer.
+- ``shape`` is a tuple (it keys the view cache below).
+
+Hits
+----
+A hit costs about a dict lookup.  The view a take returns is cached
+under ``(tag, thread, shape, dtype)``, so a take that repeats an earlier
+one returns the same view object without the lock, the size product or
+a reshape; it only bumps its counter, and calls into telemetry only while
+a sink is installed.  Regrowing a tag's buffer drops that tag's cached
+views with it.  The counters are kept per ``(tag, thread)``, so a
+lock-free hit never races another thread's count; :meth:`~Workspace.stats`
+sums them per tag.
 
 Accounting
 ----------
-Every take is counted as a *hit* (buffer reused) or a *miss* (a real
-allocation happened).  :class:`NullWorkspace` is the "arena off" control:
+Every take is counted as a *hit* (buffer reused, through a cached view
+or not) or a *miss* (a real allocation happened).  :class:`NullWorkspace` is the "arena off" control:
 the same interface, but every take allocates — and is counted — so the
 on/off allocation ratio in the manifest's ``alloc`` line measures what
 the arena saves.  While a telemetry span is active, each take also
@@ -57,6 +69,8 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from math import prod
+from threading import get_ident
 
 import numpy as np
 
@@ -71,42 +85,58 @@ class Workspace:
     def __init__(self) -> None:
         self._buffers: dict[tuple[str, int], np.ndarray] = {}
         self._lock = threading.Lock()
-        self._stats: dict[str, list[int]] = {}  # tag -> [hits, misses, bytes]
+        # (tag, thread) -> [hits, misses, bytes]: one slot per thread, so
+        # a lock-free hit never races another thread's count.
+        self._stats: dict[tuple[str, int], list[int]] = {}
+        # (tag, thread, shape, dtype) -> (view, slot): the array a hit
+        # returns, made once per buffer, with its counter slot.
+        self._views: dict[tuple, tuple[np.ndarray, list[int]]] = {}
 
     def take(self, tag: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
         """Return a writable uninitialized array of ``shape`` under ``tag``.
 
         Contents are arbitrary (possibly the previous take's data); the
-        caller must fully overwrite or explicitly zero what it reads.
+        caller must fully overwrite or explicitly zero what it reads.  A
+        take the arena has served before (same tag, thread, shape and
+        dtype, buffer not regrown since) returns the same view object.
         """
-        dtype = np.dtype(dtype)
-        size = 1
-        for dim in shape:
-            size *= int(dim)
-        if size == 0:
-            return np.empty(shape, dtype=dtype)
-        key = (tag, threading.get_ident())
-        with self._lock:
-            buf = self._buffers.get(key)
-            hit = buf is not None and buf.dtype == dtype and buf.size >= size
-            if hit:
-                self._count(tag, hit=True)
-                out = buf[:size].reshape(shape)
-            else:
-                buf = np.empty(size, dtype=dtype)
-                self._buffers[key] = buf
-                self._count(tag, hit=False, nbytes=int(buf.nbytes))
-                out = buf.reshape(shape)
-        obs.ws_take(tag, hit, 0 if hit else int(buf.nbytes))
-        return out
+        tid = get_ident()
+        cached = self._views.get((tag, tid, shape, dtype))
+        if cached is None:
+            return self._take(tag, tid, shape, dtype)
+        cached[1][0] += 1
+        if obs._active is not None:
+            obs.ws_take(tag, True, 0)
+        return cached[0]
 
-    def _count(self, tag: str, *, hit: bool, nbytes: int = 0) -> None:
-        slot = self._stats.setdefault(tag, [0, 0, 0])
-        if hit:
-            slot[0] += 1
-        else:
-            slot[1] += 1
-            slot[2] += nbytes
+    def _take(self, tag, tid, shape, dtype) -> np.ndarray:
+        """:meth:`take` when no view is cached: find or grow the buffer."""
+        dt = np.dtype(dtype)
+        size = prod(shape)
+        if size == 0:
+            return np.empty(shape, dtype=dt)
+        key = (tag, tid)
+        with self._lock:
+            slot = self._stats.get(key)
+            if slot is None:
+                slot = self._stats[key] = [0, 0, 0]
+            buf = self._buffers.get(key)
+            hit = buf is not None and buf.dtype == dt and buf.size >= size
+            if hit:
+                slot[0] += 1
+            else:
+                if buf is not None:
+                    # The old buffer's views are stale: drop them with it.
+                    for vkey in [v for v in self._views if v[:2] == key]:
+                        del self._views[vkey]
+                buf = self._buffers[key] = np.empty(size, dtype=dt)
+                slot[1] += 1
+                slot[2] += int(buf.nbytes)
+            out = buf[:size].reshape(shape)
+            self._views[(tag, tid, shape, dtype)] = (out, slot)
+        if obs._active is not None:
+            obs.ws_take(tag, hit, 0 if hit else int(buf.nbytes))
+        return out
 
     @property
     def hits(self) -> int:
@@ -122,6 +152,11 @@ class Workspace:
 
     def stats(self) -> dict:
         """Allocation accounting (the manifest ``alloc`` line body)."""
+        by_tag: dict[str, list[int]] = {}
+        for (tag, _), s in list(self._stats.items()):
+            acc = by_tag.setdefault(tag, [0, 0, 0])
+            for j in range(3):
+                acc[j] += s[j]
         return {
             "arena": type(self).__name__ != "NullWorkspace",
             "takes": self.hits + self.misses,
@@ -130,7 +165,7 @@ class Workspace:
             "bytes_allocated": self.bytes_allocated,
             "by_tag": {
                 tag: {"hits": s[0], "misses": s[1], "bytes_allocated": s[2]}
-                for tag, s in sorted(self._stats.items())
+                for tag, s in sorted(by_tag.items())
             },
         }
 
@@ -138,11 +173,13 @@ class Workspace:
         """Clear the counters (buffers are kept)."""
         with self._lock:
             self._stats.clear()
+            self._views.clear()  # they hold the cleared slots
 
     def release(self) -> None:
         """Free every buffer (the counters are kept)."""
         with self._lock:
             self._buffers.clear()
+            self._views.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -160,11 +197,12 @@ class NullWorkspace(Workspace):
     """
 
     def take(self, tag: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
-        dtype = np.dtype(dtype)
         out = np.empty(shape, dtype=dtype)
         if out.size:
             with self._lock:
-                self._count(tag, hit=False, nbytes=int(out.nbytes))
+                slot = self._stats.setdefault((tag, get_ident()), [0, 0, 0])
+                slot[1] += 1
+                slot[2] += int(out.nbytes)
             obs.ws_take(tag, False, int(out.nbytes))
         return out
 

@@ -101,9 +101,11 @@ class PreparedOperand:
         lo = None if self.lo is None else self.lo[key]
         if self.hi_t is None:
             return PreparedOperand(self.array[key], self.fmt, self.hi[key], lo)
-        # The twins take the 2-D key with its row and column parts swapped.
+        # The twins take the key with its last two (row and column) parts
+        # swapped.
         parts = key if isinstance(key, tuple) else (key,)
-        tkey = (parts + (slice(None),) * (2 - len(parts)))[::-1]
+        parts += (slice(None),) * (self.array.ndim - len(parts))
+        tkey = parts[:-2] + (parts[-1], parts[-2])
         lo_t = None if self.lo_t is None else self.lo_t[tkey]
         return PreparedOperand(self.array[key], self.fmt, self.hi[key], lo,
                                self.hi_t[tkey], lo_t)
@@ -114,16 +116,18 @@ class PreparedOperand:
         if hi_t is None:
             _transform(self.fmt, self.array, self.hi, self.lo)
             return self
-        # Transform into whichever orientation is row-contiguous (the twin
-        # rows of a column block), then copy it into the other.
-        if hi_t.flags.c_contiguous:
-            src, dst = (self.array.T, hi_t, self.lo_t), (self.hi, self.lo)
+        # Transform into whichever orientation has contiguous rows (the
+        # twin rows of a column block), then copy it into the other.
+        item = hi_t.itemsize
+        if hi_t.strides[-1] == item and hi_t.strides[-2] == hi_t.shape[-1] * item:
+            src = (self.array.swapaxes(-1, -2), hi_t, self.lo_t)
+            dst = (self.hi, self.lo)
         else:
             src, dst = (self.array, self.hi, self.lo), (hi_t, self.lo_t)
         _transform(self.fmt, *src)
         for out, done in zip(dst, src[1:]):
             if out is not None:
-                np.copyto(out, done.T)
+                np.copyto(out, done.swapaxes(-1, -2))
         return self
 
 
@@ -137,12 +141,15 @@ def prepare(a, fmt: str, *, ws=None, name: str = "prep",
     handle.  A later ``prepare`` with the same ``fmt`` and ``name``
     reuses (and overwrites) the buffers, invalidating the previous handle.
 
-    ``cols`` prepares only the leading ``cols`` columns of a 2-D ``a``;
-    the rest of the handle holds arbitrary bytes until a view over them
-    is :meth:`~PreparedOperand.resplit` (a buffer that is filled column
-    block by column block pays each column's transformation once).  Such
-    a buffer gets transposed twins when ``fmt`` hands BLAS row-major
-    operands (module docstring), unless ``twins=False``.
+    ``cols`` prepares only the leading ``cols`` columns of ``a`` (its
+    last axis); the rest of the handle holds arbitrary bytes until a view
+    over them is :meth:`~PreparedOperand.resplit` (a buffer that is
+    filled column block by column block pays each column's transformation
+    once).  Such a buffer gets transposed twins when ``fmt`` hands BLAS
+    row-major operands (module docstring), unless ``twins=False``.  It
+    may be a stack of matrices (SBR's ``(2, M, nb)`` ``W``/``Y`` pair):
+    ``h[j]`` is then matrix ``j``'s handle, and one view ``h[:, :, k0:k1]``
+    refreshes a column block of every matrix at once.
     """
     a = np.asarray(a, dtype=np.float32)
     row_major = fmt in ROW_MAJOR or (fmt == "ec" and ws is not None)
@@ -159,8 +166,12 @@ def prepare(a, fmt: str, *, ws=None, name: str = "prep",
     lo = take("lo", a.shape) if split else None
     hi_t = lo_t = None
     if cols is not None and row_major and twins:
-        hi_t = take("hi_t", a.shape[::-1])
-        lo_t = take("lo_t", a.shape[::-1]) if split else None
+        t_shape = a.shape[:-2] + a.shape[:-3:-1]
+        hi_t = take("hi_t", t_shape)
+        lo_t = take("lo_t", t_shape) if split else None
     h = PreparedOperand(a, fmt, hi, lo, hi_t, lo_t)
-    (h if cols is None else h[:, :cols]).resplit()
+    if cols is None:
+        h.resplit()
+    else:
+        h[(slice(None),) * (a.ndim - 1) + (slice(0, cols),)].resplit()
     return h

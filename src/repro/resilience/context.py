@@ -39,7 +39,6 @@ from ..errors import (
     ConfigurationError, NumericalBreakdownError, SdcError, SingularMatrixError,
 )
 from ..gemm.engine import GemmEngine, make_engine
-from ..gemm.trace import GemmRecord
 from ..obs import spans as obs
 from ..precision.modes import Precision
 from .abft import AbftChecker, AbftPolicy, Syr2kPre
@@ -113,14 +112,14 @@ class ResilientEngine(GemmEngine):
     def workspace(self, ws) -> None:
         self.base.workspace = ws
 
-    def _launch(self, rec, kernel, a, b, out, alpha=1.0, beta=0.0):
+    def _launch(self, call, kernel, a, b, out, alpha=1.0, beta=0.0):
         """Hand the launch to the context's guard.
 
         Only an engine whose context has faults or ABFT launches through
         here: :meth:`__init__` rebinds every other one to the base
         engine's own launch, so it costs what a bare launch does.
         """
-        return self._ctx.after_launch(self, rec, kernel, a, b, out, alpha, beta)
+        return self._ctx.after_launch(self, call, kernel, a, b, out, alpha, beta)
 
     # -- escalation ---------------------------------------------------------
     def escalate_to(self, precision: Precision) -> None:
@@ -259,13 +258,16 @@ class ResilienceContext:
                      **rec.to_dict())
         return out
 
-    def after_launch(self, engine: ResilientEngine, rec: GemmRecord, kernel,
+    def after_launch(self, engine: ResilientEngine, call: tuple, kernel,
                      a, b, out, alpha: float = 1.0, beta: float = 0.0) -> np.ndarray:
         """Run one launch of ``engine`` and guard its result.
 
-        The launch itself is the base engine's (recorded, timed).  Then,
-        in order: faults due at ``rec.tag`` are injected, and online ABFT
-        verifies the result with the checker routine for ``rec.op``
+        ``call`` is the launch's record fields, ``(m, n, k, tag, engine,
+        op, batch)`` (:meth:`GemmEngine._launch
+        <repro.gemm.engine.GemmEngine._launch>`).  The launch itself is
+        the base engine's (recorded, timed).  Then, in order: faults due
+        at the call's tag are injected, and online ABFT verifies the
+        result with the checker routine for its op
         (correcting it in correct mode).  A fused ``syr2k`` with
         ``beta != 0`` scales its accumulator away, so its checksums — and,
         in correct mode, a copy for the replay — are taken before the
@@ -277,8 +279,8 @@ class ResilienceContext:
             pre = Syr2kPre.capture(out)
             if abft.policy.mode == "correct":
                 snapshot = np.array(out, copy=True)
-        res = engine.base._launch(rec, kernel, a, b, out)
-        site = rec.tag
+        res = engine.base._launch(call, kernel, a, b, out)
+        site, op = call[3], call[5]
         res = self.inject(site, res)
         if abft is not None:
             recompute = None
@@ -297,10 +299,10 @@ class ResilienceContext:
             kw = dict(precision=engine.precision, site=site, phase=phase,
                       panel=panel, recompute=recompute)
             try:
-                if rec.op == "syr2k":
+                if op == "syr2k":
                     res = abft.guard_syr2k(res, av, bv, alpha=alpha, beta=beta,
                                            pre=pre, **kw)
-                elif rec.op == "gemm_batched":
+                elif op == "gemm_batched":
                     res = abft.guard_batched(res, av, bv, **kw)
                 else:
                     res = abft.guard_gemm(res, av, bv, **kw)

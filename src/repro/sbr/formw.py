@@ -57,25 +57,58 @@ def form_wy_tree(
             raise ShapeError(
                 f"all WY pairs must share the row space; got {w.shape} vs rows={rows}"
             )
+    if len(pairs) == 1:
+        return pairs[0]
     eng = engine if engine is not None else PlainEngine()
-    return _merge(pairs, 0, len(pairs), eng, tag)
+    w_all, y_all, offs = _stack(pairs, rows, eng)
+    _merge(w_all, y_all, offs, 0, len(pairs), eng, tag)
+    return w_all, y_all
 
 
-def _merge(pairs, lo: int, hi: int, eng: GemmEngine, tag: str):
-    """Algorithm 2's recursion over ``pairs[lo:hi]``.
+def _stack(pairs, rows, eng):
+    """One ``(rows, K)`` W and Y buffer holding ``pairs`` side by side.
+
+    A pair with fewer rows is written into the bottom rows (its leading
+    rows are zero).  ``W`` is held in the dtype the merges produce: a
+    merge subtracts an engine product from it, which is as wide as the
+    engine's working dtype.  Returns the buffers and the column offsets
+    of the pairs.
+    """
+    offs = [0]
+    for w, _ in pairs:
+        offs.append(offs[-1] + w.shape[1])
+    # Distinct dtypes only: result_type takes a bounded number of arguments.
+    w_dtype = np.result_type(*{w.dtype for w, _ in pairs}, eng.precision.working_dtype)
+    y_dtype = np.result_type(*{y.dtype for _, y in pairs})
+    w_all = np.zeros((rows, offs[-1]), dtype=w_dtype)
+    y_all = np.zeros((rows, offs[-1]), dtype=y_dtype)
+    for (w, y), c0, c1 in zip(pairs, offs, offs[1:]):
+        w_all[rows - w.shape[0]:, c0:c1] = w
+        y_all[rows - y.shape[0]:, c0:c1] = y
+    return w_all, y_all, offs
+
+
+def _merge(w_all, y_all, offs, lo: int, hi: int, eng: GemmEngine, tag: str):
+    """Algorithm 2's recursion, in place, over the column blocks ``lo:hi``.
+
+    The blocks are ``offs[j]:offs[j+1]`` of one ``(W, Y)`` pair.  Each
+    merge rewrites the right half's ``W`` columns, ``W_R -= W_L (Y_L^T
+    W_R)``; the ``Y`` columns never change, so afterwards the pair's
+    columns ``offs[lo]:offs[hi]`` are the merged pair.
 
     Module-level rather than a closure: a recursive closure references
     itself through its cell, a reference cycle that would keep ``eng``
     (and the workspace arena behind it) alive until the next GC pass.
     """
     if hi - lo == 1:
-        return pairs[lo]
+        return
     mid = (lo + hi) // 2
-    w_l, y_l = _merge(pairs, lo, mid, eng, tag)
-    w_r, y_r = _merge(pairs, mid, hi, eng, tag)
-    ylt_wr = eng.gemm(y_l.T, w_r, tag=tag)
-    w_new = w_r - eng.gemm(w_l, ylt_wr, tag=tag)
-    return np.hstack([w_l, w_new]), np.hstack([y_l, y_r])
+    _merge(w_all, y_all, offs, lo, mid, eng, tag)
+    _merge(w_all, y_all, offs, mid, hi, eng, tag)
+    left = slice(offs[lo], offs[mid])
+    w_r = w_all[:, offs[mid]:offs[hi]]
+    ylt_wr = eng.gemm(y_all[:, left].T, w_r, tag=tag)
+    w_r -= eng.gemm(w_all[:, left], ylt_wr, tag=tag)
 
 
 def form_q_from_blocks(
@@ -98,8 +131,8 @@ def form_q_from_blocks(
         Full matrix size.
     method : {"tree", "forward"}
         ``"tree"``: embed all blocks into the common row space of the first
-        block and merge with :func:`form_wy_tree` (Algorithm 2), then one
-        GEMM forms Q.  ``"forward"``: sequentially apply each block to the
+        block and merge them in place (Algorithm 2), then one GEMM forms
+        Q.  ``"forward"``: sequentially apply each block to the
         accumulating Q (the conventional ZY-era back transformation).
     """
     eng = engine if engine is not None else PlainEngine()
@@ -119,19 +152,25 @@ def form_q_from_blocks(
     if method != "tree":
         raise ShapeError(f"method must be 'tree' or 'forward', got {method!r}")
 
-    # Embed every block into the row space of the first (largest) block.
+    # Every block written once into one pair over the row space of the
+    # first (largest) block, then merged there.
     base = min(blk.offset for blk in blocks)
-    rows = n - base
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    for blk in blocks:
-        pad = blk.offset - base
-        w = np.zeros((rows, blk.ncols), dtype=dtype)
-        y = np.zeros((rows, blk.ncols), dtype=dtype)
-        w[pad:] = blk.w.astype(dtype, copy=False)
-        y[pad:] = blk.y.astype(dtype, copy=False)
-        pairs.append((w, y))
-    w_all, y_all = form_wy_tree(pairs, engine=eng, tag="formw")
+    pairs = [(blk.w.astype(dtype, copy=False), blk.y.astype(dtype, copy=False))
+             for blk in blocks]
+    w_all, y_all, offs = _stack(pairs, n - base, eng)
+    _merge(w_all, y_all, offs, 0, len(blocks), eng, "formw")
 
-    # Q[base:, base:] = I - W Y^T  (one big GEMM).
-    q[base:, base:] -= eng.gemm(w_all, y_all.T, tag=tag)
+    # Q[base:, base:] = I - W Y^T: the GEMM writes W Y^T into Q, which is
+    # then subtracted from 0 (0 - x, not -x, keeps I - W Y^T's +0s) and
+    # given its 1s.  A product wider than Q (an engine escalated past
+    # Q's dtype) is subtracted as it is, rounded once.
+    qv = q[base:, base:]
+    if w_all.dtype != q.dtype:
+        qv -= eng.gemm(w_all, y_all.T, tag=tag)
+        return q
+    p = eng.gemm(w_all, y_all.T, tag=tag, out=qv)
+    if p is not qv:
+        qv[...] = p
+    np.subtract(0, qv, out=qv)
+    q.ravel()[base * (n + 1)::n + 1] += 1
     return q

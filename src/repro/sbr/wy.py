@@ -36,19 +36,23 @@ Allocation-free hot path
 ------------------------
 All per-iteration temporaries live in a :class:`repro.perf.Workspace`
 arena (``workspace=``).  ``W``/``Y``/``OAW`` grow *in place* inside
-preallocated ``(M, nb)`` buffers (leading dimension ``nb``, so the
+preallocated buffers: ``W`` and ``Y`` share one ``(2, M, nb)`` buffer
+and ``OAW`` has an ``(M, nb)`` one (leading dimension ``nb``, so the
 ``[:, :k]`` views are BLAS-ready without packing copies), and ``OA`` and
-the update scratch reuse arena buffers.  ``OA`` and the three growing
-buffers are passed to the GEMMs as prepared operands
+the update scratch reuse arena buffers.  ``OA`` and the growing buffers
+are passed to the GEMMs as prepared operands
 (:meth:`~repro.gemm.engine.GemmEngine.prepare_operand`,
 :mod:`repro.precision.prepared`): under the EC engine each column's
 hi/lo split, and under the FP16/BF16/TF32 engines its rounding, is paid
 once per big block, when the column is written, instead of in every GEMM
-that reads it.  Where the engine hands BLAS row-major operands, ``W``
-and ``Y`` also keep transposed ``(nb, M)`` twins of their prepared form,
-so ``W^T`` and ``Y_c^T`` reach BLAS without a copy and each written
-column block is prepared contiguously; ``OAW`` is never multiplied
-transposed and has none.
+that reads it.  A step's new ``W`` and ``Y`` columns are one view of the
+shared buffer, so they are prepared by one call and scanned as one
+array.  Where the engine hands BLAS row-major operands, ``W`` and ``Y``
+also keep transposed ``(2, nb, M)`` twins of their prepared form, so
+``W^T`` and ``Y_c^T`` reach BLAS without a copy and each written column
+block is prepared contiguously; ``OAW`` is never multiplied transposed
+and has none.  Most takes repeat an earlier one, and the arena serves
+those from a cached view (:mod:`repro.perf.workspace`).
 
 The arena is lent to the engine when the engine has none, so one arena
 serves both layers, and it lives for the call: an arena ``sbr_wy``
@@ -72,8 +76,10 @@ Each panel iteration — panel QR, (W, Y) extension, and its deferred
 trailing update — and the final form-Q run as *retryable units* through
 :func:`repro.resilience.context.run_unit`.  When a
 :class:`repro.resilience.ResilienceContext` is passed, each unit ends
-with one scan of what it wrote (no symmetry probe: every block of ``A``
-is written with its mirror), and a detected breakdown
+with one scan of what it wrote, three arrays: ``A``'s panel and updated
+columns, the new ``OAW`` columns and the new ``W``/``Y`` columns (no
+symmetry probe: every block of ``A`` is written with its mirror), and a
+detected breakdown
 restores the pre-step state and re-runs the panel at the ladder's
 next-safer precision.  That state is a copy of the step's ``b``-column
 strip of ``A``: the rest of what the step writes, the trailing matrix,
@@ -112,47 +118,41 @@ __all__ = ["sbr_wy"]
 class _BlockState:
     """Arena-backed accumulated state of one big block.
 
-    ``w``/``y``/``oaw`` are ``(M, nb)`` buffers with the first ``k``
-    columns live; extensions write columns ``k:k+w`` in place instead of
-    re-``hstack``-ing ever-larger copies each panel.  ``hw``/``hy``/
-    ``hoaw`` are the engine's prepared operands over the same buffers
-    (the buffers themselves on engines that transform no operand), and
-    the GEMMs take views of them.  A column written after the handles
-    were made is re-prepared once, by :meth:`refresh`, so each column's
+    ``wy`` is one ``(2, M, nb)`` buffer holding ``W`` (``wy[0]``, also
+    ``w``) and ``Y`` (``wy[1]``, also ``y``), and ``oaw`` an ``(M, nb)``
+    buffer; the first ``k`` columns are live, and extensions write columns
+    ``k:k+w`` in place instead of re-``hstack``-ing ever-larger copies
+    each panel.  ``hwy``/``hoaw`` are the engine's prepared operands over
+    the same buffers (the buffers themselves on engines that transform no
+    operand; ``prepared`` says which), with ``hw``/``hy`` the handles of
+    ``W`` and ``Y``, and the GEMMs take views of them.  A column written
+    after the handles were made is re-prepared once, through
+    ``eng.prepare_operand`` on a view of the handle, so each column's
     transformation (EC split or rounding) is paid once per big block, not
-    once per GEMM.  ``live`` is the ``(W, Y, OAW)`` of a mid-block
-    checkpoint resume.
+    once per GEMM; one view of ``hwy`` refreshes ``W`` and ``Y`` together.
+    Whichever engine is active re-prepares it, so the columns an escalated
+    panel wrote are current when the base engine is restored.  ``live``
+    is the ``(W, Y, OAW)`` of a mid-block checkpoint resume.
     """
 
-    __slots__ = ("w", "y", "oaw", "hw", "hy", "hoaw", "k")
+    __slots__ = ("wy", "w", "y", "oaw", "hwy", "hw", "hy", "hoaw", "prepared", "k")
 
     def __init__(self, ws: Workspace, eng: GemmEngine, M: int, nb: int, dtype,
                  live=None) -> None:
-        self.w = ws.take("sbr_W", (M, nb), dtype)
-        self.y = ws.take("sbr_Y", (M, nb), dtype)
+        self.wy = ws.take("sbr_WY", (2, M, nb), dtype)
+        self.w, self.y = self.wy
         self.oaw = ws.take("sbr_OAW", (M, nb), dtype)
         self.k = 0
         if live is not None:
             self.k = k = live[0].shape[1]
             for buf, cols in zip((self.w, self.y, self.oaw), live):
                 buf[:, :k] = cols
-        self.hw = eng.prepare_operand(self.w, tag="sbr_W", cols=self.k)
-        self.hy = eng.prepare_operand(self.y, tag="sbr_Y", cols=self.k)
+        self.hwy = eng.prepare_operand(self.wy, tag="sbr_WY", cols=self.k)
+        self.hw, self.hy = self.hwy[0], self.hwy[1]
         # Nothing multiplies OAW^T: its handle needs no transposed twins.
         self.hoaw = eng.prepare_operand(self.oaw, tag="sbr_OAW", cols=self.k,
                                         twins=False)
-
-    def refresh(self, eng: GemmEngine, handles, k0: int, k1: int, *, tag: str) -> None:
-        """Re-prepare columns ``k0:k1`` of ``handles`` after writing them.
-
-        Goes through ``eng.prepare_operand`` whichever engine is active:
-        every engine re-splits a handle, so the columns an escalated
-        panel wrote are current when the base engine is restored.
-        """
-        if not isinstance(self.hw, PreparedOperand):
-            return  # the engine prepared plain arrays: nothing to refresh
-        for h in handles:
-            eng.prepare_operand(h[:, k0:k1], tag=tag)
+        self.prepared = isinstance(self.hoaw, PreparedOperand)
 
     @property
     def W(self) -> np.ndarray:
@@ -482,7 +482,8 @@ def _panel_step(
             _gemm_into(eng, st.hw[:, :K], ytwp, tmp, tag="form_w")
             np.subtract(wp, tmp, out=st.w[:, K : K + w_cols])
         st.k = K + w_cols
-        st.refresh(eng, (st.hw, st.hy), K, st.k, tag="form_w")
+        if st.prepared:
+            eng.prepare_operand(st.hwy[:, :, K : st.k], tag="form_w")
 
     # --- Incremental OA @ W cache (the 'reuse the original matrix'
     #     cost of Algorithm 1's inner loop). -------------------------
@@ -490,7 +491,8 @@ def _panel_step(
         _gemm_into(
             eng, oa_op, st.hw[:, K : st.k], st.oaw[:, K : st.k], tag="wy_oaw",
         )
-        st.refresh(eng, (st.hoaw,), K, st.k, tag="wy_oaw")
+        if st.prepared:
+            eng.prepare_operand(st.hoaw[:, K : st.k], tag="wy_oaw")
 
     if m <= b + 1:
         # Tail: no further panel will run (the next would have
@@ -513,13 +515,12 @@ def _panel_step(
     if ctx is not None:
         # One scan of what the step wrote (the mirrors are copies): the
         # panel and updated columns of A and the new OAW columns, held to
-        # the growth bound because they scale with A, then the new W/Y
-        # columns, which do not.
+        # the growth bound because they scale with A, then the new W and
+        # Y columns in one array, which do not.
         ctx.check_array(
-            A[i + b :, i:c_end], st.oaw[:, K : st.k],
-            st.w[:, K : st.k], st.y[:, K : st.k], site="wy_step",
-            precision=eng.precision,
-            baseline=(norm_baseline, norm_baseline, None, None),
+            A[i + b :, i:c_end], st.oaw[:, K : st.k], st.wy[:, :, K : st.k],
+            site="wy_step", precision=eng.precision,
+            baseline=(norm_baseline, norm_baseline, None),
         )
     return status
 

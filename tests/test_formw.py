@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.gemm import Fp64Engine
+from repro.gemm import Fp64Engine, SgemmEngine, make_engine
 from repro.la import build_wy, householder_qr, wy_matrix
 from repro.sbr import WYBlock, form_q_from_blocks, form_wy_tree
+from repro.perf import Workspace
 from repro.sbr.wy import sbr_wy
 from tests.conftest import random_symmetric
 
@@ -99,3 +100,81 @@ class TestFormQFromBlocks:
         n_tree = len(eng_tree.trace.by_tag("form_q")) + len(eng_tree.trace.by_tag("formw"))
         n_fwd = len(eng_fwd.trace.by_tag("form_q"))
         assert n_tree <= n_fwd + 2
+
+
+def _recursive_wy(pairs, lo, hi, eng):
+    """Algorithm 2 as zero-padded pairs merged by ``hstack`` (the oracle)."""
+    if hi - lo == 1:
+        return pairs[lo]
+    mid = (lo + hi) // 2
+    w_l, y_l = _recursive_wy(pairs, lo, mid, eng)
+    w_r, y_r = _recursive_wy(pairs, mid, hi, eng)
+    ylt_wr = eng.gemm(y_l.T, w_r, tag="formw")
+    w_new = w_r - eng.gemm(w_l, ylt_wr, tag="formw")
+    return np.hstack([w_l, w_new]), np.hstack([y_l, y_r])
+
+
+def _recursive_form_q(blocks, n, eng, dtype):
+    """Tree Q assembly with per-block padded pairs and ``I - W Y^T``."""
+    q = np.eye(n, dtype=dtype)
+    base = min(blk.offset for blk in blocks)
+    pairs = []
+    for blk in blocks:
+        w = np.zeros((n - base, blk.ncols), dtype=dtype)
+        y = np.zeros((n - base, blk.ncols), dtype=dtype)
+        w[blk.offset - base:] = blk.w.astype(dtype, copy=False)
+        y[blk.offset - base:] = blk.y.astype(dtype, copy=False)
+        pairs.append((w, y))
+    w_all, y_all = _recursive_wy(pairs, 0, len(pairs), eng)
+    q[base:, base:] -= eng.gemm(w_all, y_all.T, tag="form_q")
+    return q
+
+
+class TestFormQInPlace:
+    """The in-place assembly is bitwise the padded-pair recursion."""
+
+    @pytest.mark.parametrize("n", [96, 200])
+    @pytest.mark.parametrize("precision", [
+        "fp32", "fp64", "fp16_tc", "bf16_tc", "tf32_tc", "fp16_ec_tc",
+    ])
+    def test_bitwise_equal_to_the_recursion(self, rng, n, precision):
+        a = random_symmetric(n, rng)
+        res = sbr_wy(a, 8, 32, engine=make_engine(precision), want_q=False)
+        dtype = make_engine(precision).working_dtype
+        # The driver lends the engine its arena: prepared and per-launch
+        # splits then go through it.
+        got_eng = make_engine(precision, record=True, workspace=Workspace())
+        want_eng = make_engine(precision, record=True, workspace=Workspace())
+        got = form_q_from_blocks(res.blocks, n, engine=got_eng, dtype=dtype)
+        want = _recursive_form_q(res.blocks, n, want_eng, dtype)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert [r.to_dict() for r in got_eng.trace] == [
+            r.to_dict() for r in want_eng.trace]
+
+    @pytest.mark.parametrize("engine,dtype", [
+        (Fp64Engine, np.float32),  # an engine escalated past Q's dtype
+        (SgemmEngine, np.float64),
+    ])
+    def test_mixed_engine_and_storage_dtypes(self, rng, engine, dtype):
+        a = random_symmetric(128, rng)
+        blocks = sbr_wy(a, 8, 32, engine=make_engine("fp32"), want_q=False).blocks
+        got = form_q_from_blocks(blocks, 128, engine=engine(), dtype=dtype)
+        want = _recursive_form_q(blocks, 128, engine(), dtype)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_exact_zeros_keep_their_sign(self, rng):
+        # A diagonal input leaves the panels zero, so W Y^T has exact
+        # zeros, which I - W Y^T holds as +0.
+        a = np.diag(rng.standard_normal(96))
+        blocks = sbr_wy(a, 8, 32, engine=make_engine("fp32"), want_q=False).blocks
+        got = form_q_from_blocks(blocks, 96, engine=SgemmEngine())
+        want = _recursive_form_q(blocks, 96, SgemmEngine(), np.float32)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [5, 100])
+    def test_tree_of_pairs_is_bitwise_the_recursion(self, rng, count):
+        pairs = [_random_wy(24, 3, rng) for _ in range(count)]
+        w, y = form_wy_tree(pairs, engine=Fp64Engine())
+        w0, y0 = _recursive_wy(pairs, 0, count, Fp64Engine())
+        assert w.tobytes() == w0.tobytes() and y.tobytes() == y0.tobytes()
