@@ -45,10 +45,10 @@ import numpy as np
 
 from ..errors import ConfigurationError, ShapeError
 from ..obs import spans as _obs
-from ..precision.ec_tcgemm import ec_tcgemm
+from ..precision.ec_tcgemm import _ec_tcgemm
 from ..precision.modes import Precision
 from ..precision.prepared import PreparedOperand, prepare
-from ..precision.tcgemm import tcgemm
+from ..precision.tcgemm import _tcgemm
 from .trace import GemmRecord, GemmTrace
 
 __all__ = [
@@ -61,14 +61,26 @@ __all__ = [
     "make_engine",
 ]
 
+#: NumPy's C ``may_share_memory``, without the array-function dispatcher
+#: in front of ``np.may_share_memory`` (half the cost of the alias test).
+_may_share_memory = getattr(np.may_share_memory, "_implementation",
+                            np.may_share_memory)
+#: The kernels' working dtypes: comparing a dtype with a dtype skips the
+#: conversion a comparison with ``np.float32`` makes on every launch.
+_F32 = np.dtype(np.float32)
+_F64 = np.dtype(np.float64)
+
 
 class GemmEngine(ABC):
     """A matrix-multiply executor with optional call recording.
 
     Subclasses define :attr:`name`, :attr:`precision` and the raw
     :meth:`_matmul`.  The public :meth:`gemm`, :meth:`gemm_batched` and
-    :meth:`syr2k` validate shapes and hand the call's record fields to
-    :meth:`_launch`, the one place a launch is recorded and timed.
+    :meth:`syr2k` validate shapes, then run the kernel.  A launch that
+    something observes (a trace, a telemetry sink, a resilience guard)
+    goes through :meth:`_launch`, the one place a launch is recorded,
+    timed and guarded; any other goes from validation straight to the
+    kernel.
     """
 
     #: Short engine identifier stored in trace records.
@@ -80,6 +92,11 @@ class GemmEngine(ABC):
     #: ``"bf16"``, ``"tf32"``); None for engines that transform nothing.
     #: A kernel is handed a handle of another format as its source array.
     prepared_format: "str | None" = None
+    #: Whether a launch must go through :meth:`_launch` even with no
+    #: trace and no telemetry sink: a resilience guard that injects
+    #: faults or verifies results there (:class:`~repro.resilience.
+    #: ResilientEngine`).
+    _guarded: bool = False
 
     def __init__(self, *, record: bool = False, workspace=None) -> None:
         self.trace: GemmTrace | None = GemmTrace() if record else None
@@ -106,7 +123,8 @@ class GemmEngine(ABC):
     def _launch(self, call: tuple, kernel, a, b, out, alpha=1.0, beta=0.0):
         """Record ``call``, run ``kernel(a, b, out)``, time it when telemetry is on.
 
-        Every public entry point validates its operands and ends here.
+        Every public entry point validates its operands and ends here
+        when a trace, a telemetry sink or a guard observes the launch.
         ``call`` is the launch's :class:`~repro.gemm.trace.GemmRecord`
         fields in order, ``(m, n, k, tag, engine, op, batch)``, as a plain
         tuple: the record itself is built only for a trace that keeps it.
@@ -145,7 +163,7 @@ class GemmEngine(ABC):
             raise ShapeError(f"out must be an ndarray, got {type(out).__name__}")
         if out.shape != shape:
             raise ShapeError(f"out has shape {out.shape}, expected {shape}")
-        if np.may_share_memory(out, a) or np.may_share_memory(out, b):
+        if _may_share_memory(out, a) or _may_share_memory(out, b):
             return None, True
         return out, False
 
@@ -175,7 +193,7 @@ class GemmEngine(ABC):
         if isinstance(a, PreparedOperand):
             return a.resplit()
         if self.prepared_format is None:
-            return np.asarray(a)
+            return a if type(a) is np.ndarray else np.asarray(a)
         return prepare(a, self.prepared_format, ws=self.workspace, name=tag,
                        cols=cols, twins=twins)
 
@@ -203,10 +221,10 @@ class GemmEngine(ABC):
             materializing ``a.T``.  Not supported for prepared operands
             (pass the handle's ``.T`` view instead).
         """
-        prep_a = isinstance(a, PreparedOperand)
-        prep_b = isinstance(b, PreparedOperand)
-        av = a.array if prep_a else np.asarray(a)
-        bv = b.array if prep_b else np.asarray(b)
+        prep_a = type(a) is PreparedOperand
+        prep_b = type(b) is PreparedOperand
+        av = a.array if prep_a else a if type(a) is np.ndarray else np.asarray(a)
+        bv = b.array if prep_b else b if type(b) is np.ndarray else np.asarray(b)
         if av.ndim != 2 or bv.ndim != 2:
             raise ShapeError(
                 f"gemm requires 2-D operands, got {av.ndim}-D and {bv.ndim}-D"
@@ -224,16 +242,19 @@ class GemmEngine(ABC):
         m, k = av.shape
         n = bv.shape[1]
         direct, copy_back = self._resolve_out(out, (m, n), av, bv)
-        call = (m, n, k, tag, self.name, "gemm", 1)
         if not (m and n and k):
-            GemmRecord(*call)  # raises the zero-dimension ValueError
+            # The record raises the zero-dimension ValueError.
+            GemmRecord(m, n, k, tag, self.name, "gemm", 1)
         fmt = self.prepared_format
-        res = self._launch(
-            call, self._matmul,
-            a if prep_a and a.fmt == fmt else av,
-            b if prep_b and b.fmt == fmt else bv,
-            direct,
-        )
+        if not (prep_a and a.fmt == fmt):
+            a = av
+        if not (prep_b and b.fmt == fmt):
+            b = bv
+        if self.trace is None and _obs._active is None and not self._guarded:
+            res = self._matmul(a, b, direct)
+        else:
+            res = self._launch((m, n, k, tag, self.name, "gemm", 1),
+                               self._matmul, a, b, direct)
         if copy_back:
             np.copyto(out, res, casting="same_kind")
             return out
@@ -250,8 +271,10 @@ class GemmEngine(ABC):
         by the TSQR leaf fan-out and the D&C back-transform.  ``ta``/
         ``tb`` transpose the matrix dimensions of every stack element.
         """
-        a = np.asarray(a)
-        b = np.asarray(b)
+        if type(a) is not np.ndarray:
+            a = np.asarray(a)
+        if type(b) is not np.ndarray:
+            b = np.asarray(b)
         if a.ndim != 3 or b.ndim != 3:
             raise ShapeError(
                 f"gemm_batched requires 3-D operands, got {a.ndim}-D and {b.ndim}-D"
@@ -267,10 +290,14 @@ class GemmEngine(ABC):
         batch, m, k = a.shape
         n = b.shape[2]
         direct, copy_back = self._resolve_out(out, (batch, m, n), a, b)
-        call = (m, n, k, tag, self.name, "gemm_batched", batch)
         if not (m and n and k and batch):
-            GemmRecord(*call)  # raises the zero-dimension ValueError
-        res = self._launch(call, self._matmul, a, b, direct)
+            # The record raises the zero-dimension ValueError.
+            GemmRecord(m, n, k, tag, self.name, "gemm_batched", batch)
+        if self.trace is None and _obs._active is None and not self._guarded:
+            res = self._matmul(a, b, direct)
+        else:
+            res = self._launch((m, n, k, tag, self.name, "gemm_batched", batch),
+                               self._matmul, a, b, direct)
         if copy_back:
             np.copyto(out, res, casting="same_kind")
             return out
@@ -293,8 +320,10 @@ class GemmEngine(ABC):
         a full-size temporary for the subtraction.  Without ``out`` the
         scaled update itself is returned (``beta`` must be 0).
         """
-        y = np.asarray(y)
-        z = np.asarray(z)
+        if type(y) is not np.ndarray:
+            y = np.asarray(y)
+        if type(z) is not np.ndarray:
+            z = np.asarray(z)
         if y.ndim != 2 or z.ndim != 2 or y.shape != z.shape:
             raise ShapeError(
                 f"syr2k requires equal-shape 2-D operands, got {y.shape} and {z.shape}"
@@ -307,9 +336,9 @@ class GemmEngine(ABC):
                 raise ShapeError(f"out must be an ndarray, got {type(out).__name__}")
             if out.shape != (mm, mm):
                 raise ShapeError(f"out has shape {out.shape}, expected {(mm, mm)}")
-        call = (mm, mm, y.shape[1], tag, self.name, "syr2k", 1)
         if not (mm and y.shape[1]):
-            GemmRecord(*call)  # raises the zero-dimension ValueError
+            # The record raises the zero-dimension ValueError.
+            GemmRecord(mm, mm, y.shape[1], tag, self.name, "syr2k", 1)
 
         def kernel(y, z, out):
             p = self._matmul(y, z.T)
@@ -327,7 +356,10 @@ class GemmEngine(ABC):
                 np.add(out, s, out=out, casting="same_kind")
             return out
 
-        return self._launch(call, kernel, y, z, out, alpha, beta)
+        if self.trace is None and _obs._active is None and not self._guarded:
+            return kernel(y, z, out)
+        return self._launch((mm, mm, y.shape[1], tag, self.name, "syr2k", 1),
+                            kernel, y, z, out, alpha, beta)
 
     def reset_trace(self) -> None:
         """Clear the recorded trace (enables recording if it was off)."""
@@ -365,9 +397,9 @@ class SgemmEngine(GemmEngine):
     def _matmul(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         # No-copy fast path: operands that are already float32 go straight
         # into the BLAS call instead of round-tripping through asarray.
-        if a.dtype != np.float32:
+        if a.dtype != _F32:
             a = a.astype(np.float32)
-        if b.dtype != np.float32:
+        if b.dtype != _F32:
             b = b.astype(np.float32)
         if out is not None:
             return np.matmul(a, b, out=out)
@@ -381,9 +413,9 @@ class Fp64Engine(GemmEngine):
     precision = Precision.FP64
 
     def _matmul(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-        if a.dtype != np.float64:
+        if a.dtype != _F64:
             a = a.astype(np.float64)
-        if b.dtype != np.float64:
+        if b.dtype != _F64:
             b = b.astype(np.float64)
         if out is not None:
             return np.matmul(a, b, out=out)
@@ -419,10 +451,9 @@ class TensorCoreEngine(GemmEngine):
             self.prepared_format = operand_format
 
     def _matmul(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-        return tcgemm(
-            a, b, operand_format=self.operand_format, chunk_k=self.chunk_k,
-            out=out, ws=self.workspace,
-        )
+        # The entry points validated the operands: skip tcgemm's checks.
+        return _tcgemm(a, b, self.operand_format, self.chunk_k, out,
+                       self.workspace)
 
 
 class EcTensorCoreEngine(GemmEngine):
@@ -452,7 +483,8 @@ class EcTensorCoreEngine(GemmEngine):
         return super().prepare_operand(a, tag=tag, cols=cols, twins=twins)
 
     def _matmul(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-        return ec_tcgemm(a, b, chunk_k=self.chunk_k, out=out, ws=self.workspace)
+        # The entry points validated the operands: skip ec_tcgemm's checks.
+        return _ec_tcgemm(a, b, self.chunk_k, out, self.workspace)
 
 
 def make_engine(

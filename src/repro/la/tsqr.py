@@ -32,7 +32,7 @@ import functools
 
 import numpy as np
 
-from scipy.linalg import get_lapack_funcs, lapack
+from scipy.linalg import lapack
 
 from ..errors import NumericalBreakdownError, ShapeError
 from ..gemm.engine import GemmEngine, PlainEngine
@@ -42,6 +42,12 @@ __all__ = ["leaf_bounds", "leaf_wy", "tsqr"]
 
 #: LAPACK compact-WY QR by working dtype, resolved once at import.
 _GEQRT = {np.dtype(np.float32): lapack.sgeqrt, np.dtype(np.float64): lapack.dgeqrt}
+#: LAPACK ``geqrf``/``orgqr`` by block dtype, resolved once at import to
+#: the routines scipy's lookup picks: single for float16 and float32,
+#: double for every other float.
+_F32_QR = (lapack.sgeqrf, lapack.sorgqr)
+_F64_QR = (lapack.dgeqrf, lapack.dorgqr)
+_QR = {np.dtype(np.float16): _F32_QR, np.dtype(np.float32): _F32_QR}
 
 _all = np.logical_and.reduce
 
@@ -105,7 +111,7 @@ def _householder_qr(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m, n = block.shape
     _check_finite(block)
-    geqrf, orgqr = get_lapack_funcs(("geqrf", "orgqr"), (block,))
+    geqrf, orgqr = _QR.get(block.dtype, _F64_QR)
     qr, tau, _, info = geqrf(block)
     if info == 0:
         r = np.triu(qr[:n])

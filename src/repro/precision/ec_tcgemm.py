@@ -40,6 +40,7 @@ from ..errors import ShapeError
 from ..obs import spans as _obs
 from .prepared import PreparedOperand
 from .rounding import OOTOMO_SCALE, split_fp16, split_fp16_into
+from .tcgemm import _tcgemm
 
 __all__ = ["ec_tcgemm"]
 
@@ -105,8 +106,6 @@ def ec_tcgemm(
     numpy.ndarray
         FP32 product with single-precision accuracy.
     """
-    from .tcgemm import tcgemm  # local import to avoid cycle at package init
-
     if not isinstance(a, PreparedOperand):
         a = np.asarray(a, dtype=np.float32)
     if not isinstance(b, PreparedOperand):
@@ -120,24 +119,28 @@ def ec_tcgemm(
         raise ShapeError(f"batch dimensions differ: {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    return _ec_tcgemm(a, b, chunk_k, out, ws)
 
+
+def _ec_tcgemm(a, b, chunk_k, out, ws) -> np.ndarray:
+    """:func:`ec_tcgemm` on operands already validated (arrays or handles).
+
+    The EC engine calls this from its launch path, which has checked the
+    operands' dimensions and shapes once already.
+    """
     a_hi, a_lo = _hi_lo(a, ws, "a")
     b_hi, b_lo = _hi_lo(b, ws, "b")
 
     out_shape = a.shape[:-1] + (b.shape[-1],)
-    main = tcgemm(a_hi, b_hi, operand_format="fp32", chunk_k=chunk_k, out=out, ws=ws)
+    main = _tcgemm(a_hi, b_hi, "fp32", chunk_k, out, ws)
     if ws is None:
-        corr_a = tcgemm(a_lo, b_hi, operand_format="fp32", chunk_k=chunk_k)
-        corr_b = tcgemm(a_hi, b_lo, operand_format="fp32", chunk_k=chunk_k)
+        corr_a = _tcgemm(a_lo, b_hi, "fp32", chunk_k, None, None)
+        corr_b = _tcgemm(a_hi, b_lo, "fp32", chunk_k, None, None)
     else:
-        corr_a = tcgemm(
-            a_lo, b_hi, operand_format="fp32", chunk_k=chunk_k,
-            out=ws.take("ec_corr_a", out_shape, np.float32), ws=ws,
-        )
-        corr_b = tcgemm(
-            a_hi, b_lo, operand_format="fp32", chunk_k=chunk_k,
-            out=ws.take("ec_corr_b", out_shape, np.float32), ws=ws,
-        )
+        corr_a = _tcgemm(a_lo, b_hi, "fp32", chunk_k,
+                         ws.take("ec_corr_a", out_shape, np.float32), ws)
+        corr_b = _tcgemm(a_hi, b_lo, "fp32", chunk_k,
+                         ws.take("ec_corr_b", out_shape, np.float32), ws)
 
     inv_scale = np.float32(1.0 / OOTOMO_SCALE)
     # FP32 combination outside the (emulated) Tensor Core.  The in-place

@@ -19,7 +19,8 @@ engine's per-launch transformation would have produced:
 
 - the EC split through an arena and the BF16/TF32 roundings are
   row-major (C order) whatever the view;
-- the FP16 cast and the EC split without an arena keep the view's order.
+- the FP16 rounding and the EC split without an arena keep the view's
+  order (an FP16 rounding into the arena takes a buffer of that order).
 
 For the row-major formats a transposed view needs a row-major copy.  A
 buffer that is filled column block by column block (``cols=``) therefore
@@ -38,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import spans as _obs
-from .rounding import round_to_format, split_fp16_into
+from .rounding import round_fp16_into, round_to_format, split_fp16_into
 
 __all__ = ["PreparedOperand", "prepare"]
 
@@ -51,6 +52,8 @@ def _transform(fmt: str, x, hi, lo) -> None:
     if fmt == "ec":
         _obs.counter("ec_split_elems", x.size)
         split_fp16_into(x, hi, lo)
+    elif fmt == "fp16":
+        round_fp16_into(x, hi)
     else:
         np.copyto(hi, round_to_format(x, fmt))
 

@@ -6,14 +6,18 @@ format; the FP16 split functions return (or fill) a float32 ``hi``/``lo``
 pair.  Keeping the results in float32 lets downstream NumPy matmuls model
 the Tensor-Core pattern "low-precision multiply, FP32 accumulate" directly.
 
-FP16 rounding has two implementations with bitwise equal results.
-:func:`round_fp16` is NumPy's float16 cast; the Tensor-Core engines use
-it, and the tests use it as the oracle.  The EC split
-(:func:`split_fp16_into`, and :func:`split_fp16` through it) rounds in
-float32 arithmetic instead: NumPy's cast costs about 10 ns per element
-on well-scaled data and 30–90 ns where many values fall in FP16's
-subnormal range, as the residuals and small entries of SBR's operands
-do, while the float32 kernel costs a few ns per element on any data.
+FP16 rounding has two implementations with bitwise equal results:
+NumPy's float16 cast, which the tests use as the oracle, and
+:func:`_round_fp16_chunk`, which rounds in float32 arithmetic.  The cast
+costs about 10 ns per element on well-scaled data and 30–90 ns where
+many values fall in FP16's subnormal range, as the residuals and small
+entries of SBR's operands do; the float32 kernel costs about 2 ns per
+element on any data, plus ten ufunc calls.  The EC split
+(:func:`split_fp16_into`, and :func:`split_fp16` through it) always uses
+the kernel.  :func:`round_fp16` and :func:`round_fp16_into`, which the
+FP16 Tensor-Core engine uses, keep the cast for operands under
+``_CAST_GATE`` elements, where the kernel's fixed cost is larger than
+the cast's, and use the kernel above it.
 
 Formats
 -------
@@ -40,6 +44,7 @@ __all__ = [
     "TF32_EPS",
     "FP32_EPS",
     "round_fp16",
+    "round_fp16_into",
     "round_bf16",
     "round_tf32",
     "round_to_format",
@@ -62,14 +67,41 @@ FP32_EPS: float = float(2.0**-24)
 OOTOMO_SCALE: float = float(2.0**11)
 
 
+#: Below this many elements :func:`round_fp16` and :func:`round_fp16_into`
+#: use NumPy's float16 cast: the float32 kernel's ten ufunc calls cost
+#: more than the cast of a well-scaled operand that small
+#: (docs/performance.md, "Per-launch cost").
+_CAST_GATE = 2048
+
+
 def round_fp16(x) -> np.ndarray:
     """Round ``x`` to IEEE FP16 and return the values as float32.
 
-    Uses NumPy's native float16 conversion (round-to-nearest-even, with
-    IEEE overflow to inf and gradual underflow to subnormals), which is the
+    Bitwise NumPy's float16 conversion (round-to-nearest-even, with IEEE
+    overflow to inf and gradual underflow to subnormals), which is the
     behaviour of the hardware conversion instruction feeding Tensor Cores.
+    The one exception is a NaN's payload: a NaN stays a NaN of its sign,
+    but above the gate it keeps the input's payload bits (quietened),
+    where the cast keeps only the top ten.
+    The result has ``x``'s memory order, as the cast's does
+    (``np.empty_like``): BLAS sums a transposed operand in another order.
     """
-    return np.asarray(x, dtype=np.float32).astype(np.float16).astype(np.float32)
+    arr = np.asarray(x, dtype=np.float32)
+    if arr.size < _CAST_GATE:
+        return arr.astype(np.float16).astype(np.float32)
+    return _fp16_into(arr, np.empty_like(arr), None)[0]
+
+
+def round_fp16_into(x, out: np.ndarray) -> np.ndarray:
+    """:func:`round_fp16` written into a caller-owned float32 buffer.
+
+    ``out`` has ``x``'s shape, any strides, and does not overlap ``x``.
+    """
+    arr = np.asarray(x, dtype=np.float32)
+    if arr.size < _CAST_GATE:
+        out[...] = arr.astype(np.float16)
+        return out
+    return _fp16_into(arr, out, None)[0]
 
 
 def _round_mantissa_f32(x, drop_bits: int) -> np.ndarray:
@@ -164,7 +196,6 @@ def _const(value, dtype) -> np.ndarray:
 
 
 _EXP_BITS = _const(0x7F800000, np.uint32)
-_SIGN_BIT = _const(0x80000000, np.uint32)
 _MIN_NORMAL = _const(2.0**-14, np.float32)  # FP16's smallest normal
 _TOP_BINADE = _const(2.0**15, np.float32)  # FP16's largest binade
 _MAGIC = _const(2.0**13, np.float32)  # 2^(23 - 10): FP32 ulp -> FP16 ulp
@@ -180,8 +211,9 @@ def _round_fp16_chunk(v, out, f, u) -> None:
     FP16's subnormal range), so FP32's round-to-nearest-even rounds
     ``|v|`` to FP16's grid and ``- C`` recovers it exactly.  A result of
     ``2^16`` or more is scaled past FP32's range and back, which leaves
-    ``inf`` where FP16 overflows; the sign bit of ``v`` is ORed back last,
-    so ``-0`` and tiny negatives give ``-0``.  NaN and inf propagate.
+    ``inf`` where FP16 overflows; the sign of ``v`` is copied back last
+    (the result so far has a clear sign bit), so ``-0`` and tiny
+    negatives give ``-0``.  NaN and inf propagate.
 
     ``f`` (float32) and ``u`` (uint32) are scratch of ``v``'s shape; ``f``
     may be ``out`` unless ``out`` is ``v``.
@@ -196,8 +228,7 @@ def _round_fp16_chunk(v, out, f, u) -> None:
     np.subtract(f, c, out=f)
     np.multiply(f, _OVER, out=f)
     np.multiply(f, _UNDER, out=f)
-    np.bitwise_and(v.view(np.uint32), _SIGN_BIT, out=u)
-    np.bitwise_or(f.view(np.uint32), u, out=out.view(np.uint32))
+    np.copysign(f, v, out=out)
 
 
 def _axis_order(a) -> list:
@@ -206,20 +237,21 @@ def _axis_order(a) -> list:
     return sorted(range(a.ndim), key=lambda i: -abs(strides[i]))
 
 
-def _row_chunks(x, hi, lo):
-    """Matching views of ``x``, ``hi``, ``lo`` of at most ``_SPLIT_CHUNK``
+def _row_chunks(arrays: tuple):
+    """Matching views of same-shape ``arrays`` of at most ``_SPLIT_CHUNK``
     elements each, split along the leading axis (recursing into a
     sub-array that alone is too large)."""
+    x = arrays[0]
     if x.ndim == 1:
         step = _SPLIT_CHUNK
     elif x[0].size > _SPLIT_CHUNK:
         for i in range(x.shape[0]):
-            yield from _row_chunks(x[i], hi[i], lo[i])
+            yield from _row_chunks(tuple(a[i] for a in arrays))
         return
     else:
         step = _SPLIT_CHUNK // x[0].size
     for i in range(0, x.shape[0], step):
-        yield x[i:i + step], hi[i:i + step], lo[i:i + step]
+        yield tuple(a[i:i + step] for a in arrays)
 
 
 def split_fp16_into(
@@ -229,48 +261,54 @@ def split_fp16_into(
 
     ``hi`` and ``lo`` have ``x``'s shape, any strides, and do not overlap
     ``x``.  The FP16 roundings run in float32 arithmetic
-    (:func:`_round_fp16_chunk`), bitwise equal to :func:`round_fp16`
-    (NumPy's float16 cast) but without its slow path for values in FP16's
-    subnormal range.  The work goes through ``x`` in chunks of
-    ``_SPLIT_CHUNK`` elements, so the per-call scratch (two float32
-    buffers and one uint32 buffer) stays cache-sized; there is no module
-    state, so calls on different threads are safe.  This is what the
-    EC-TCGEMM hot path uses, so the operand splits of every panel
-    iteration write into one set of workspace buffers.
+    (:func:`_round_fp16_chunk`), bitwise equal to NumPy's float16 cast
+    but without its slow path for values in FP16's subnormal range.  The
+    work goes through ``x`` in chunks of ``_SPLIT_CHUNK`` elements, so
+    the per-call scratch (two float32 buffers and one uint32 buffer)
+    stays cache-sized; there is no module state, so calls on different
+    threads are safe.  This is what the EC-TCGEMM hot path uses, so the
+    operand splits of every panel iteration write into one set of
+    workspace buffers.
     """
-    arr = np.asarray(x, dtype=np.float32)
+    return _fp16_into(np.asarray(x, dtype=np.float32), hi, lo, scale)
+
+
+def _fp16_into(arr, hi, lo, scale=OOTOMO_SCALE) -> tuple:
+    """Round float32 ``arr`` into ``hi`` and, unless ``lo`` is None, its
+    scaled residual into ``lo`` (:func:`split_fp16_into`)."""
     if arr.size == 0:
         return hi, lo
-    # Walk all three in hi's memory order, which the scratch shares.
-    xt, ht, lt = arr, hi, lo
+    # Walk every array in hi's memory order, which the scratch shares.
+    arrays = (arr, hi) if lo is None else (arr, hi, lo)
     if not hi.flags.c_contiguous:
         axes = _axis_order(hi)
-        xt, ht, lt = arr.transpose(axes), hi.transpose(axes), lo.transpose(axes)
-    scale32 = np.array(scale, np.float32)
+        arrays = tuple(a.transpose(axes) for a in arrays)
     n = min(arr.size, _SPLIT_CHUNK)
-    chunks = ((xt, ht, lt),) if n == arr.size else _row_chunks(xt, ht, lt)
-    f = np.empty(n, np.float32)
+    chunks = (arrays,) if n == arr.size else _row_chunks(arrays)
     u = np.empty(n, np.uint32)
     # A strided x, hi or lo (a column slice, a transposed view) costs a
     # short inner loop per row in every pass, so it is read or written
     # once and the passes run on a contiguous copy of x in ``g``.
-    contiguous = (xt.flags.c_contiguous and ht.flags.c_contiguous
-                  and lt.flags.c_contiguous)
-    g = None if contiguous else np.empty(n, np.float32)
-    for xs, hs, ls in chunks:
-        fs = f[:xs.size].reshape(xs.shape)
+    g = None
+    if not all(a.flags.c_contiguous for a in arrays):
+        g = np.empty(n, np.float32)
+    f = None if g is None and lo is None else np.empty(n, np.float32)
+    scale32 = np.array(scale, np.float32)
+    for xs, hs, *ls in chunks:
         us = u[:xs.size].reshape(xs.shape)
         if g is None:
             # In place: hi is its own rounding scratch, lo the residual's.
-            v, h, r = xs, hs, ls
+            v, h = xs, hs
+            r = ls[0] if ls else None
         else:
             v = r = g[:xs.size].reshape(xs.shape)
-            h = fs
+            h = f[:xs.size].reshape(xs.shape)
             np.copyto(v, xs)
         _round_fp16_chunk(v, h, h, us)
         if h is not hs:
             np.copyto(hs, h)
-        np.subtract(v, h, out=r)
-        np.multiply(r, scale32, out=r)
-        _round_fp16_chunk(r, ls, fs, us)
+        if ls:
+            np.subtract(v, h, out=r)
+            np.multiply(r, scale32, out=r)
+            _round_fp16_chunk(r, ls[0], f[:xs.size].reshape(xs.shape), us)
     return hi, lo

@@ -28,20 +28,40 @@ import numpy as np
 
 from ..errors import ShapeError
 from .prepared import ROW_MAJOR, PreparedOperand
-from .rounding import round_to_format
+from .rounding import _CAST_GATE, round_fp16, round_fp16_into, round_to_format
 
 __all__ = ["tcgemm"]
 
 
-def _rounded(x, fmt: str) -> np.ndarray:
+def _buffer_like(ws, tag: str, x) -> "np.ndarray | None":
+    """An arena float32 buffer of ``x``'s shape in ``np.empty_like(x)``'s
+    memory order, or None for an ``x`` that is neither C- nor F-ordered."""
+    if x.flags.c_contiguous:
+        return ws.take(tag, x.shape, np.float32)
+    if x.flags.f_contiguous:
+        return ws.take(tag, x.shape[::-1], np.float32).T
+    return None
+
+
+def _rounded(x, fmt: str, ws=None, name: str = "a") -> np.ndarray:
     """``x`` rounded to ``fmt``: a matching handle's ``hi``, else rounded now.
 
     A handle's ``hi`` reaches BLAS in the memory order the rounding would
     have given the view (:mod:`repro.precision.prepared`): a transposed
     view of a BF16/TF32 handle without a twin is copied to row-major.
+    With an arena, an FP16 operand large enough for the float32 rounding
+    kernel is rounded into an arena buffer of the cast's memory order
+    (``tc_<name>``) instead of a fresh array; a smaller one keeps the
+    cast, whose two small allocations cost less than two arena takes.
     """
     if not isinstance(x, PreparedOperand):
-        return round_to_format(x, fmt)
+        if fmt != "fp16":
+            return round_to_format(x, fmt)
+        if ws is not None and x.size >= _CAST_GATE:
+            buf = _buffer_like(ws, f"tc_{name}", x)
+            if buf is not None:
+                return round_fp16_into(x, buf)
+        return round_fp16(x)
     if x.fmt != fmt:
         return round_to_format(x.array, fmt)
     if fmt in ROW_MAJOR and x.hi.strides[-1] != x.hi.itemsize:
@@ -80,8 +100,9 @@ def tcgemm(
         FP32 buffer of the result shape to write into (must not alias the
         operands — the engine layer guards aliasing for callers).
     ws : repro.perf.Workspace, optional
-        Scratch arena for the chunked path's per-chunk product buffer
-        (reused across calls instead of one temporary per chunk).
+        Scratch arena for the chunked path's per-chunk product buffer and
+        the rounded copies of large FP16 operands (reused across calls
+        instead of fresh temporaries).
 
     Returns
     -------
@@ -101,11 +122,18 @@ def tcgemm(
         raise ShapeError(f"batch dimensions differ: {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    return _tcgemm(a, b, operand_format, chunk_k, out, ws)
 
-    ar = _rounded(a, operand_format)
-    br = _rounded(b, operand_format)
+
+def _tcgemm(a, b, operand_format, chunk_k, out, ws) -> np.ndarray:
+    """:func:`tcgemm` on operands already validated (ndarrays or handles).
+
+    The engines call this from their launch path, which has checked the
+    operands' dimensions and shapes once already.
+    """
+    ar = _rounded(a, operand_format, ws, "a")
+    br = _rounded(b, operand_format, ws, "b")
     k = a.shape[-1]
-    out_shape = a.shape[:-1] + (b.shape[-1],)
 
     if chunk_k is None or chunk_k >= k:
         if out is not None:
@@ -118,6 +146,7 @@ def tcgemm(
     # In-place FP32 accumulation: one rounding per chunk, as on hardware.
     # The first chunk writes the accumulator directly; later chunks go
     # through one reused scratch buffer instead of a temporary per chunk.
+    out_shape = a.shape[:-1] + (b.shape[-1],)
     acc = out if out is not None else np.empty(out_shape, dtype=np.float32)
     np.matmul(ar[..., :, :chunk_k], br[..., :chunk_k, :], out=acc)
     if k > chunk_k:

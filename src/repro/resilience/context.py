@@ -18,13 +18,14 @@ One :class:`ResilienceContext` lives for one driver invocation.  It owns
 
 Drivers run every retryable unit (a panel plus its trailing update,
 form-Q, a stage) through one loop, :func:`run_unit`: it snapshots the
-unit's mutable state once, runs the unit inside :meth:`unit`, and on a
+unit's mutable state once, runs the unit on the phase/panel stack (as
+:meth:`unit` does, without a context-manager object), and on a
 breakdown asks :meth:`handle_breakdown` whether to restore + retry
 (possibly at an escalated precision) or to propagate.  The same snapshot
 rolls the state back on ``KeyboardInterrupt`` before the caller's
 interrupt flush runs.  Each unit ends with one
-:meth:`ResilienceContext.check_array` call, one reduction per array it
-wrote, so a corrupted launch is caught in the unit that retries it.
+:meth:`ResilienceContext.check_array` call, one ``max|x|`` scan per
+array it wrote, so a corrupted launch is caught in the unit that retries it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ from ..gemm.engine import GemmEngine, make_engine
 from ..obs import spans as obs
 from ..precision.modes import Precision
 from .abft import AbftChecker, AbftPolicy, Syr2kPre
-from .detectors import DetectorBank, DetectorConfig, has_nonfinite
+from .detectors import (
+    DetectorBank, DetectorConfig, has_nonfinite, panel_orthogonality_defect,
+)
 from .faults import FaultInjector
 from .policy import DetectionRecord, EscalationLadder, EscalationRecord, ResilienceReport
 
@@ -52,6 +55,10 @@ BREAKDOWN_MODES = ("raise", "escalate", "best_effort")
 
 _maximum = np.maximum.reduce
 _minimum = np.minimum.reduce
+_INF = float("inf")
+#: Largest array :meth:`ResilienceContext.check_array` scans through an
+#: ``|x|`` temporary rather than a max and a min reduction.
+_ABS_SCAN_BYTES = 1 << 15
 
 
 class ResilientEngine(GemmEngine):
@@ -65,7 +72,8 @@ class ResilientEngine(GemmEngine):
     escalated are recorded in the base trace under the escalated
     engine's name and the stream stays complete.  A launch goes through
     :meth:`ResilienceContext.after_launch` only when that has faults or
-    ABFT to apply.
+    ABFT to apply; otherwise the engine takes the entry points' lean
+    path exactly as its base engine would.
     """
 
     #: The active engine's kernel, rebound per instance by :meth:`_use`.
@@ -76,7 +84,8 @@ class ResilientEngine(GemmEngine):
         self._ctx = ctx
         self._lock = threading.Lock()
         self._use(base)
-        if ctx.abft is None and ctx.injector is None:
+        self._guarded = ctx.abft is not None or ctx.injector is not None
+        if not self._guarded:
             # Nothing to apply per launch: every launch, escalated or
             # not, is the base engine's own.
             self._launch = base._launch
@@ -84,6 +93,8 @@ class ResilientEngine(GemmEngine):
     def _use(self, engine: GemmEngine) -> None:
         # Plain attributes rebound here, not resolved on every launch.
         self._active = engine
+        if engine is not self.base:
+            self._ctx._escalated = True
         self.name = engine.name
         self.precision = engine.precision
         self.prepared_format = engine.prepared_format
@@ -222,6 +233,14 @@ class ResilienceContext:
         #: ``detectors.output_limit`` by baseline: a run scans against a
         #: few baselines thousands of times.
         self._limits: "dict[float | None, float]" = {}
+        #: ``detectors.panel_q_tol`` by (precision, W dtype, Y dtype,
+        #: width): a run checks a few such panels once per step.  The
+        #: precision is keyed by ``id``: an enum member is a singleton,
+        #: and its ``__hash__`` is a Python call.
+        self._panel_tols: "dict[tuple, float]" = {}
+        #: Whether an engine of this context may be escalated: only then
+        #: does a unit's success look for engines to restore.
+        self._escalated = False
 
     # -- wiring -------------------------------------------------------------
     @property
@@ -336,11 +355,16 @@ class ResilienceContext:
         which classifies it.  Returns the largest ``max|x|`` (NaN ignored), or
         None while detectors are suppressed.
 
-        The pass is a max and a min reduction, ``max|x| = max(hi, -lo)``:
-        bitwise what ``np.abs(x).max()`` gives, NaN when any entry is,
-        and without that array-sized ``|x|`` temporary (the band scan's
-        alone is an n×n float64 array, and a call's freed transients are
-        what lets the allocator hand pages back to the kernel).
+        The pass gives ``max|x|``, NaN when any entry is.  An array of
+        at most ``_ABS_SCAN_BYTES`` takes ``|x|`` and one reduction: a
+        panel step's outputs are column blocks of wider buffers, and a
+        reduction over such a view pays a short inner loop per row, so
+        two of them cost more than one pass writing a cache-sized
+        temporary.  A larger array is a max and a min reduction,
+        ``max(hi, -lo)``, the same value without an array-sized ``|x|``
+        temporary (the band scan's alone is an n×n float64 array, and a
+        call's freed transients are what lets the allocator hand pages
+        back to the kernel).
         """
         if self._suppress:
             return None
@@ -354,9 +378,12 @@ class ResilienceContext:
             limit = limits.get(base)
             if limit is None:
                 limit = limits[base] = self.detectors.output_limit(base)
-            hi = float(_maximum(arr, None))
-            lo = -float(_minimum(arr, None))
-            mx = hi if hi >= lo else lo  # a NaN entry makes both NaN
+            if arr.nbytes <= _ABS_SCAN_BYTES:
+                mx = float(_maximum(np.abs(arr), None))
+            else:
+                hi = float(_maximum(arr, None))
+                lo = -float(_minimum(arr, None))
+                mx = hi if hi >= lo else lo  # a NaN entry makes both NaN
             if not mx <= limit:
                 mx = self._check(self.detectors.check_output, arr, site=site,
                                  precision=precision, baseline=base)
@@ -365,8 +392,22 @@ class ResilienceContext:
         return top
 
     def check_panel(self, w: np.ndarray, y: np.ndarray, *, precision: Precision) -> None:
-        """Driver hook: panel-Q orthogonality drift."""
-        self._check(self.detectors.check_panel_q, w, y, precision=precision)
+        """Driver hook: panel-Q orthogonality drift.
+
+        The bound depends only on the precision, the two dtypes and the
+        panel width, so it is computed once per run for each.  A healthy
+        panel costs the defect alone; only one past its bound goes through
+        the detector bank, which computes the same defect and raises.
+        """
+        if self._suppress:
+            return
+        key = (id(precision), w.dtype, y.dtype, w.shape[1])
+        tol = self._panel_tols.get(key)
+        if tol is None:
+            tol = self._panel_tols[key] = self.detectors.panel_q_tol(
+                precision, w.shape[1], w.dtype, y.dtype)
+        if tol < _INF and not panel_orthogonality_defect(w, y) <= tol:
+            self._check(self.detectors.check_panel_q, w, y, precision=precision)
 
     def check_symmetry(self, a: np.ndarray, *, precision: Precision,
                        norm: "float | None" = None) -> None:
@@ -481,7 +522,8 @@ class ResilienceContext:
 
     def _on_unit_success(self, phase: str) -> None:
         self._suppress = False
-        if not self.ladder.sticky:
+        if self._escalated and not self.ladder.sticky:
+            self._escalated = False
             for eng in self._engines:
                 if eng.escalated:
                     eng.restore_base()
@@ -516,8 +558,15 @@ def run_unit(ctx: "ResilienceContext | None", phase: str, step, *,
         try:
             if ctx is None:
                 return step()
-            with ctx.unit(phase, panel=panel):
-                return step()
+            # ctx.unit(phase, panel=panel), without its object per unit.
+            stack = ctx._stack
+            stack.append((phase, panel))
+            try:
+                out = step()
+            finally:
+                stack.pop()
+            ctx._on_unit_success(phase)
+            return out
         except (NumericalBreakdownError, SingularMatrixError) as exc:
             if (ctx is not None and isinstance(exc, NumericalBreakdownError)
                     and exc.phase is None):

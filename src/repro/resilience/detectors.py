@@ -31,15 +31,18 @@ guards of the default ``on_breakdown="escalate"`` context took a quarter
 to a third of a ``syevd_2stage`` call.  So each healthy measurement ends
 in NaN-propagating reductions, and the epsilon and sample grid a check
 needs are computed once per process.  The probe's k×k defect and the
-symmetry sample go through :func:`peak` (``|x|``, then its max).  A
-healthy output scan runs no Python beyond a max and a min reduction of
-the array, inlined in :meth:`ResilienceContext.check_array
-<repro.resilience.context.ResilienceContext.check_array>`: the same
-value as :func:`peak`, without an array-sized ``|x|`` temporary, which
-for the band scan is an n×n float64 array per call.  A guarded panel
-step still makes about 16 NumPy calls in its guards: eight for the
-probe and two per scanned array (docs/performance.md, "Guards", splits
-a step's time).
+symmetry sample go through :func:`peak` (``|x|``, then its max).  The
+healthy paths of the per-step checks run in
+:class:`~repro.resilience.context.ResilienceContext`, which holds each
+bound it has worked out: an output scan is ``max|x|`` against the
+cached limit (an ``|x|`` pass and a reduction for a small array, a max
+and a min reduction for a large one, so the band scan makes no n×n
+temporary), and an orthogonality probe is the defect against the
+cached :meth:`DetectorBank.panel_q_tol`.  Only a measurement past its
+bound comes back here to be classified and raised.  A guarded panel
+step makes about 14 NumPy calls in its guards: eight for the probe and
+two per scanned array (docs/performance.md, "Guards" and "Per-launch
+cost").
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ __all__ = [
 _TINY = float(np.finfo(np.float64).tiny)
 #: Largest finite float: ``x <= _MAX`` is false for NaN and ±Inf alike.
 _MAX = float(np.finfo(np.float64).max)
+_INF = float("inf")
 _maximum = np.maximum.reduce
 _dtype = attrgetter("dtype")
 
@@ -258,6 +262,13 @@ class DetectorBank:
             limit = min(limit, cfg.norm_growth_factor * max(baseline, _TINY))
         return min(limit, _MAX)
 
+    def panel_q_tol(self, precision: Precision, k: int, *dtypes) -> float:
+        """The bound :meth:`check_panel_q` holds a width-``k`` panel's
+        defect to, for ``W``/``Y`` of ``dtypes``; inf when it is off."""
+        if not self.config.orthogonality:
+            return _INF
+        return self.config.orthogonality_tol(k, _effective_eps(precision, *dtypes))
+
     # Each check raises NumericalBreakdownError on a violation.
     def check_output(
         self,
@@ -318,12 +329,10 @@ class DetectorBank:
         precision: Precision,
     ) -> None:
         """Panel-Q orthogonality drift ``max|Q^T Q - I|``."""
-        if not self.config.orthogonality:
+        tol = self.panel_q_tol(precision, w.shape[1], w.dtype, y.dtype)
+        if tol == _INF:
             return
         defect = panel_orthogonality_defect(w, y)
-        tol = self.config.orthogonality_tol(
-            w.shape[1], effective_eps(precision, w, y)
-        )
         if not defect <= tol:
             raise NumericalBreakdownError(
                 "panel Q lost orthogonality",

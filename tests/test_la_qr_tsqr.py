@@ -139,15 +139,11 @@ class TestTSQR:
         import importlib
 
         mod = importlib.import_module("repro.la.tsqr")
-        real = mod.get_lapack_funcs
-
-        def failing(names, arrays):
-            funcs = dict(zip(names, real(names, arrays)))
-            good = funcs[routine]
-            funcs[routine] = lambda *a, **k: (*good(*a, **k)[:-1], -4)
-            return tuple(funcs[name] for name in names)
-
-        monkeypatch.setattr(mod, "get_lapack_funcs", failing)
+        # A float64 block runs the double pair, resolved once at import.
+        funcs = dict(zip(("geqrf", "orgqr"), mod._F64_QR))
+        good = funcs[routine]
+        funcs[routine] = lambda *a, **k: (*good(*a, **k)[:-1], -4)
+        monkeypatch.setattr(mod, "_F64_QR", (funcs["geqrf"], funcs["orgqr"]))
         with pytest.raises(NumericalBreakdownError) as ei:
             tsqr(rng.standard_normal((32, 4)))
         assert ei.value.detector == "lapack" and ei.value.value == -4
