@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import spans as _obs
-from .rounding import round_fp16_into, round_to_format, split_fp16_into
+from .rounding import ec_split_into, round_fp16_into, round_to_format
 
 __all__ = ["PreparedOperand", "prepare"]
 
@@ -51,7 +51,7 @@ def _transform(fmt: str, x, hi, lo) -> None:
     """Write ``x``'s transformation in ``fmt`` into ``hi`` (and ``lo``)."""
     if fmt == "ec":
         _obs.counter("ec_split_elems", x.size)
-        split_fp16_into(x, hi, lo)
+        ec_split_into(x, hi, lo)
     elif fmt == "fp16":
         round_fp16_into(x, hi)
     else:
@@ -61,8 +61,9 @@ def _transform(fmt: str, x, hi, lo) -> None:
 class PreparedOperand:
     """An operand with its Tensor-Core form: ``hi`` (and the EC ``lo``).
 
-    ``fmt`` is ``"ec"`` (``hi``/``lo`` are the FP16 split) or an operand
-    format, ``"fp16"``, ``"bf16"`` or ``"tf32"`` (``hi`` is the rounded
+    ``fmt`` is ``"ec"`` (``hi``/``lo`` are the FP16 split, ``lo`` stored
+    descaled by 2^-11: :func:`~repro.precision.rounding.ec_split_into`)
+    or an operand format, ``"fp16"``, ``"bf16"`` or ``"tf32"`` (``hi`` is the rounded
     operand, ``lo`` is None).  ``hi_t``/``lo_t`` are the transposed twins
     of a column-grown buffer (module docstring), or None.
 

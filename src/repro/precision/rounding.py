@@ -12,10 +12,11 @@ NumPy's float16 cast, which the tests use as the oracle, and
 costs about 10 ns per element on well-scaled data and 30–90 ns where
 many values fall in FP16's subnormal range, as the residuals and small
 entries of SBR's operands do; the float32 kernel costs about 2 ns per
-element on any data, plus ten ufunc calls.  The EC split
-(:func:`split_fp16_into`, and :func:`split_fp16` through it) always uses
-the kernel.  :func:`round_fp16` and :func:`round_fp16_into`, which the
-FP16 Tensor-Core engine uses, keep the cast for operands under
+element on any data, plus about ten ufunc calls.  The splits
+(:func:`split_fp16_into`, :func:`split_fp16` through it, and the
+EC-TCGEMM split :func:`ec_split_into`, which stores ``lo`` descaled)
+always use the kernel.  :func:`round_fp16` and :func:`round_fp16_into`,
+which the FP16 Tensor-Core engine uses, keep the cast for operands under
 ``_CAST_GATE`` elements, where the kernel's fixed cost is larger than
 the cast's, and use the kernel above it.
 
@@ -50,6 +51,7 @@ __all__ = [
     "round_to_format",
     "split_fp16",
     "split_fp16_into",
+    "ec_split_into",
 ]
 
 #: Unit roundoff of IEEE half precision (10 explicit mantissa bits).
@@ -68,7 +70,7 @@ OOTOMO_SCALE: float = float(2.0**11)
 
 
 #: Below this many elements :func:`round_fp16` and :func:`round_fp16_into`
-#: use NumPy's float16 cast: the float32 kernel's ten ufunc calls cost
+#: use NumPy's float16 cast: the float32 kernel's ufunc calls cost
 #: more than the cast of a well-scaled operand that small
 #: (docs/performance.md, "Per-launch cost").
 _CAST_GATE = 2048
@@ -195,40 +197,63 @@ def _const(value, dtype) -> np.ndarray:
     return a
 
 
+def _bits(value: float) -> int:
+    """The float32 bit pattern of ``value``."""
+    return int(np.array(value, np.float32).view(np.uint32))
+
+
+_ABS_BITS = _const(0x7FFFFFFF, np.uint32)
+_SIGN_BIT = _const(0x80000000, np.uint32)
 _EXP_BITS = _const(0x7F800000, np.uint32)
-_MIN_NORMAL = _const(2.0**-14, np.float32)  # FP16's smallest normal
-_TOP_BINADE = _const(2.0**15, np.float32)  # FP16's largest binade
-_MAGIC = _const(2.0**13, np.float32)  # 2^(23 - 10): FP32 ulp -> FP16 ulp
+_SHIFT = _const(13 << 23, np.uint32)  # 2^e -> 2^(e + 13): FP32 ulp -> FP16 ulp
+#: Bounds of ``2^e`` on FP16's grid: its smallest normal and its top binade.
+_FP16_GRID = (_const(_bits(2.0**-14), np.uint32), _const(_bits(2.0**15), np.uint32))
+#: The same grid scaled by 2^-11, on which the EC split rounds its residual.
+_EC_LO_GRID = (_const(_bits(2.0**-25), np.uint32), _const(_bits(2.0**4), np.uint32))
+#: ``|v|`` at or above this rounds past FP16's largest finite value.
+_OVERFLOW_BITS = _bits(65520.0)
 _OVER = _const(2.0**112, np.float32)  # 2^16 * 2^112 = 2^128 overflows
 _UNDER = _const(2.0**-112, np.float32)
 
 
-def _round_fp16_chunk(v, out, f, u) -> None:
+def _round_fp16_chunk(v, out, f, u, grid=_FP16_GRID, rescale=None) -> bool:
     """``out = fp16(v)`` in float32 arithmetic, bitwise NumPy's cast.
 
     With ``e`` the exponent of ``|v|`` and ``C = 2^(min(max(e, -14), 15)
     + 13)``, ``|v| + C`` has an FP32 ulp of ``2^(e-10)`` (``2^-24`` in
     FP16's subnormal range), so FP32's round-to-nearest-even rounds
-    ``|v|`` to FP16's grid and ``- C`` recovers it exactly.  A result of
-    ``2^16`` or more is scaled past FP32's range and back, which leaves
-    ``inf`` where FP16 overflows; the sign of ``v`` is copied back last
-    (the result so far has a clear sign bit), so ``-0`` and tiny
-    negatives give ``-0``.  NaN and inf propagate.
+    ``|v|`` to FP16's grid and ``- C`` recovers it exactly.  ``|v|``,
+    ``e`` and ``C`` come from the bits: two ANDs, one clip of the
+    exponent field and one integer add.  A result of ``2^16`` or more is
+    scaled past FP32's range and back, which leaves ``inf`` where FP16
+    overflows; ``rescale=None`` does that only when some ``|v|`` is at
+    least 65520 or is not finite, one reduction over ``|v|``.  The sign
+    of ``v`` is ORed back last (the result so far has a clear sign bit),
+    so ``-0`` and tiny negatives give ``-0``.  NaN and inf propagate.
 
-    ``f`` (float32) and ``u`` (uint32) are scratch of ``v``'s shape; ``f``
-    may be ``out`` unless ``out`` is ``v``.
+    ``grid`` holds the bit patterns of the clamp bounds of ``2^e``:
+    ``_EC_LO_GRID`` rounds to FP16's grid scaled by 2^-11 (exact, since
+    every value on it is an FP32 normal).  ``f`` (float32) and ``u``
+    (uint32) are scratch of ``v``'s shape; ``f`` may be ``out`` unless
+    ``out`` is ``v``.  Returns whether the overflow scaling ran.
     """
+    fb = f.view(np.uint32)
+    vb = v.view(np.uint32)
+    np.bitwise_and(vb, _ABS_BITS, out=fb)  # f = |v|
+    if rescale is None:
+        rescale = np.maximum.reduce(fb, axis=None) >= _OVERFLOW_BITS
+    np.bitwise_and(fb, _EXP_BITS, out=u)  # c = 2^e
+    np.clip(u, *grid, out=u)
+    np.add(u, _SHIFT, out=u)
     c = u.view(np.float32)
-    np.bitwise_and(v.view(np.uint32), _EXP_BITS, out=u)  # c = 2^e
-    np.maximum(c, _MIN_NORMAL, out=c)
-    np.minimum(c, _TOP_BINADE, out=c)
-    np.multiply(c, _MAGIC, out=c)
-    np.abs(v, out=f)
     np.add(f, c, out=f)
     np.subtract(f, c, out=f)
-    np.multiply(f, _OVER, out=f)
-    np.multiply(f, _UNDER, out=f)
-    np.copysign(f, v, out=out)
+    if rescale:
+        np.multiply(f, _OVER, out=f)
+        np.multiply(f, _UNDER, out=f)
+    np.bitwise_and(vb, _SIGN_BIT, out=u)
+    np.bitwise_or(fb, u, out=out.view(np.uint32))
+    return rescale
 
 
 def _axis_order(a) -> list:
@@ -266,16 +291,31 @@ def split_fp16_into(
     work goes through ``x`` in chunks of ``_SPLIT_CHUNK`` elements, so
     the per-call scratch (two float32 buffers and one uint32 buffer)
     stays cache-sized; there is no module state, so calls on different
-    threads are safe.  This is what the EC-TCGEMM hot path uses, so the
-    operand splits of every panel iteration write into one set of
-    workspace buffers.
+    threads are safe.
     """
     return _fp16_into(np.asarray(x, dtype=np.float32), hi, lo, scale)
 
 
+def ec_split_into(x, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The EC-TCGEMM operand split: :func:`split_fp16_into` with ``lo``
+    stored descaled, ``lo = fp16((x - hi) * 2^11) * 2^-11``.
+
+    The residual is rounded straight onto FP16's grid scaled by 2^-11,
+    so the split makes no scaling pass, and the EC product's correction
+    GEMMs come out already descaled.  Both are exact: a nonzero stored
+    ``lo`` is at least 2^-35 and its products with FP16 values at least
+    2^-59, so every scaled partial sum stays an FP32 normal and the
+    scaled product is bitwise the unscaled one times 2^-11.  This is
+    what the EC-TCGEMM hot path uses, per launch and in prepared handles.
+    """
+    return _fp16_into(np.asarray(x, dtype=np.float32), hi, lo, None)
+
+
 def _fp16_into(arr, hi, lo, scale=OOTOMO_SCALE) -> tuple:
     """Round float32 ``arr`` into ``hi`` and, unless ``lo`` is None, its
-    scaled residual into ``lo`` (:func:`split_fp16_into`)."""
+    residual into ``lo``: scaled by ``scale`` and rounded to FP16
+    (:func:`split_fp16_into`), or with ``scale=None`` rounded to FP16's
+    grid scaled by 2^-11 (:func:`ec_split_into`)."""
     if arr.size == 0:
         return hi, lo
     # Walk every array in hi's memory order, which the scratch shares.
@@ -293,7 +333,14 @@ def _fp16_into(arr, hi, lo, scale=OOTOMO_SCALE) -> tuple:
     if not all(a.flags.c_contiguous for a in arrays):
         g = np.empty(n, np.float32)
     f = None if g is None and lo is None else np.empty(n, np.float32)
-    scale32 = np.array(scale, np.float32)
+    if scale is None:
+        lo_grid, scale32 = _EC_LO_GRID, None
+    else:
+        lo_grid, scale32 = _FP16_GRID, np.array(scale, np.float32)
+    # A finite residual is at most half of FP16's top ulp, 16: scaled by
+    # at most 2^11 it cannot round past 65504, and a non-finite one stays
+    # non-finite, so lo's rounding needs no overflow scaling.
+    lo_rescale = None if scale is not None and abs(scale) > OOTOMO_SCALE else False
     for xs, hs, *ls in chunks:
         us = u[:xs.size].reshape(xs.shape)
         if g is None:
@@ -309,6 +356,8 @@ def _fp16_into(arr, hi, lo, scale=OOTOMO_SCALE) -> tuple:
             np.copyto(hs, h)
         if ls:
             np.subtract(v, h, out=r)
-            np.multiply(r, scale32, out=r)
-            _round_fp16_chunk(r, ls[0], f[:xs.size].reshape(xs.shape), us)
+            if scale32 is not None:
+                np.multiply(r, scale32, out=r)
+            _round_fp16_chunk(r, ls[0], f[:xs.size].reshape(xs.shape), us,
+                              lo_grid, lo_rescale)
     return hi, lo

@@ -4,15 +4,18 @@ Runs every float32 bit pattern (or every ``--step``-th) through
 :func:`repro.precision.split_fp16_into` and compares ``hi`` with
 ``cast(x)`` and ``lo`` with ``cast((x - hi) * 2^11)`` bit for bit, where
 ``cast`` is NumPy's float16 cast, back to float32 (a NaN matches any
-NaN).  The cast is spelled out rather than taken from ``round_fp16``,
-which uses the same kernel as the split for large arrays.  The pattern space can be cut into
-``--shards`` equal shards, one per process::
+NaN).  It checks the EC-TCGEMM split,
+:func:`repro.precision.rounding.ec_split_into`, the same way, against
+``cast((x - hi) * 2^11) * 2^-11``.  The cast is spelled out rather than
+taken from ``round_fp16``, which uses the same kernel as the split for
+large arrays.  The pattern space can be cut into ``--shards`` equal
+shards, one per process::
 
     PYTHONPATH=src python tests/sweep_split_fp16.py --shard 0 --shards 4
 
 Exits 1 and prints the first mismatching patterns if any differ.  The
-whole space took 740 s (about 12 minutes) in one process on a 2.4 GHz
-Xeon.
+whole space, both splits, took about 1,640 s (27 minutes) in one process
+on a 2.4 GHz Xeon; ``--step 1009`` takes a few seconds.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import time
 
 import numpy as np
 
-from repro.precision.rounding import OOTOMO_SCALE, split_fp16_into
+from repro.precision.rounding import OOTOMO_SCALE, ec_split_into, split_fp16_into
 
 SPACE = 1 << 32
 #: Patterns per NumPy batch (about 40 bytes of arrays each).
@@ -35,10 +38,14 @@ def cast(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float16).astype(np.float32)
 
 
-def mismatches(x: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Indices where ``(hi, lo)`` is not bitwise the NumPy-cast split of ``x``."""
+def mismatches(x: np.ndarray, hi: np.ndarray, lo: np.ndarray, *,
+               descaled: bool = False) -> np.ndarray:
+    """Indices where ``(hi, lo)`` is not bitwise the NumPy-cast split of
+    ``x`` (with ``descaled``, the split whose ``lo`` is stored times 2^-11)."""
     ref_hi = cast(x)
     ref_lo = cast((x - ref_hi) * np.float32(OOTOMO_SCALE))
+    if descaled:
+        ref_lo *= np.float32(1 / OOTOMO_SCALE)
     bad = np.zeros(x.shape, bool)
     for got, ref in ((hi, ref_hi), (lo, ref_lo)):
         same = got.view(np.uint32) == ref.view(np.uint32)
@@ -55,13 +62,14 @@ def sweep(start: int, stop: int, *, step: int = 1) -> int:
         hi_bits = min(lo_bits + CHUNK * step, stop)
         bits = np.arange(lo_bits, hi_bits, step, dtype=np.uint64).astype(np.uint32)
         x = bits.view(np.float32)
-        with np.errstate(all="ignore"):
-            split_fp16_into(x, hi[:x.size], lo[:x.size])
-            bad = mismatches(x, hi[:x.size], lo[:x.size])
-        for i in bad[: max(0, 10 - found)]:
-            print(f"mismatch at 0x{int(bits[i]):08x}: x={x[i]!r} "
-                  f"hi={hi[i]!r} lo={lo[i]!r}", file=sys.stderr)
-        found += bad.size
+        for split, descaled in ((split_fp16_into, False), (ec_split_into, True)):
+            with np.errstate(all="ignore"):
+                split(x, hi[:x.size], lo[:x.size])
+                bad = mismatches(x, hi[:x.size], lo[:x.size], descaled=descaled)
+            for i in bad[: max(0, 10 - found)]:
+                print(f"{split.__name__} mismatch at 0x{int(bits[i]):08x}: "
+                      f"x={x[i]!r} hi={hi[i]!r} lo={lo[i]!r}", file=sys.stderr)
+            found += bad.size
     return found
 
 

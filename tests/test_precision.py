@@ -20,7 +20,10 @@ from repro.precision import (
     split_fp16,
     tcgemm,
 )
-from repro.precision.rounding import split_fp16_into
+from repro.gemm.engine import make_engine
+from repro.perf import Workspace
+from repro.precision.ec_tcgemm import _paired
+from repro.precision.rounding import ec_split_into, split_fp16_into
 from sweep_split_fp16 import mismatches
 
 
@@ -132,11 +135,11 @@ class TestSplitFp16:
     # -- the float32-arithmetic kernel against NumPy's float16 cast --------
 
     @staticmethod
-    def assert_split_is_cast(x, hi, lo):
-        bad = mismatches(np.asarray(x, np.float32), hi, lo)
+    def assert_split_is_cast(x, hi, lo, *, descaled=False):
+        bad = mismatches(np.asarray(x, np.float32), hi, lo, descaled=descaled)
         assert bad.size == 0, np.asarray(x).reshape(-1)[bad[:5]]
 
-    def test_bit_pattern_sweep(self):
+    def sweep(self, split, descaled):
         # Every exponent x every low-13-bit mantissa (the bits FP16 drops,
         # so every rounding case) x top 10 mantissa bits all 0 or all 1
         # (the carry cases) x both signs: 8.4M patterns.
@@ -148,8 +151,32 @@ class TestSplitFp16:
                     x = bits.view(np.float32)
                     hi, lo = np.empty_like(x), np.empty_like(x)
                     with np.errstate(all="ignore"):
-                        split_fp16_into(x, hi, lo)
-                        self.assert_split_is_cast(x, hi, lo)
+                        split(x, hi, lo)
+                        self.assert_split_is_cast(x, hi, lo, descaled=descaled)
+
+    def test_bit_pattern_sweep(self):
+        self.sweep(split_fp16_into, False)
+
+    def test_ec_split_bit_pattern_sweep(self):
+        # The EC split stores lo descaled: cast((x - hi) * 2^11) * 2^-11.
+        self.sweep(ec_split_into, True)
+
+    @pytest.mark.parametrize("layout", ["c", "f", "column_slice", "transposed"])
+    def test_ec_split_layouts(self, rng, layout):
+        full = (rng.standard_normal((300, 64))
+                * np.exp(rng.uniform(-20, 12, (300, 64)))).astype(np.float32)
+        x = {"c": full, "f": np.asfortranarray(full),
+             "column_slice": full[:, 16:48], "transposed": full.T}[layout]
+        hi_buf = np.full((300, 64), 7.0, np.float32)
+        lo_buf = np.full((300, 64), 7.0, np.float32)
+        if layout == "column_slice":
+            hi, lo = hi_buf[:, 16:48], lo_buf[:, 16:48]
+        else:
+            hi, lo = np.empty_like(x), np.empty_like(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert ec_split_into(x, hi, lo) == (hi, lo)
+            self.assert_split_is_cast(x, hi, lo, descaled=True)
+        assert (hi_buf[:, :16] == 7.0).all() and (lo_buf[:, 48:] == 7.0).all()
 
     def test_special_values(self):
         sub = np.float32(2.0**-24)  # FP16's smallest subnormal
@@ -307,6 +334,66 @@ class TestEcTcgemm:
         exact = a.astype(np.float64) @ b.astype(np.float64)
         err = np.abs(ec_tcgemm(a, b) - exact).max() / np.abs(exact).max()
         assert err < 1e-5
+
+
+class TestPairedProduct:
+    """``A_hi @ [B_hi | B_lo]`` in one BLAS call is bitwise the main and
+    ``ΔB`` products made apart, in every form the engine takes it."""
+
+    SHAPES = [(992, 992, 32), (736, 736, 32), (128, 4096, 64)]
+
+    @staticmethod
+    def reference(a, b):
+        # The three products of row-major splits, combined as before the
+        # pairing: main + (corr_a + corr_b) * 2^-11.
+        a_hi, a_lo = split_fp16(np.ascontiguousarray(a))
+        b_hi, b_lo = split_fp16(np.ascontiguousarray(b))
+        return a_hi @ b_hi + (a_lo @ b_hi + a_hi @ b_lo) * np.float32(2.0**-11)
+
+    @staticmethod
+    def operands(rng, m, k, n, order):
+        a = (rng.standard_normal((m, k)) * 0.03).astype(np.float32, order=order)
+        b = (rng.standard_normal((k, n)) * 0.03).astype(np.float32, order=order)
+        return a, b
+
+    @pytest.mark.parametrize("m,k,n", SHAPES)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_paired_gemm_and_prepared(self, rng, m, k, n, order):
+        assert _paired(m, k, n)
+        a, b = self.operands(rng, m, k, n, order)
+        want = self.reference(a, b).tobytes()
+        ws = Workspace()
+        eng = make_engine("fp16_ec_tc", workspace=ws)
+        assert eng.gemm(a, b).tobytes() == want
+        # The pair went to BLAS: no separate lo buffer for B was taken.
+        assert "ec_b_lo" not in ws.stats()["by_tag"]
+        ha = eng.prepare_operand(a, tag="pa")
+        hb = eng.prepare_operand(b, tag="pb")
+        assert eng.gemm(ha, hb).tobytes() == want
+        assert eng.gemm(a, hb).tobytes() == want
+        out = np.full((m, n), 7.0, np.float32)
+        assert eng.gemm(ha, b, out=out) is out and out.tobytes() == want
+
+    @pytest.mark.parametrize("m,k,n", SHAPES[1:])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_paired_batched_is_per_slice(self, rng, m, k, n, order):
+        a, b = self.operands(rng, m, k, n, order)
+        a2, b2 = self.operands(rng, m, k, n, order)
+        eng = make_engine("fp16_ec_tc", workspace=Workspace())
+        got = eng.gemm_batched(np.stack([a, a2]), np.stack([b, b2]))
+        assert got[0].tobytes() == self.reference(a, b).tobytes()
+        assert got[1].tobytes() == self.reference(a2, b2).tobytes()
+
+    def test_unpaired_shapes_keep_three_products(self, rng):
+        # A small A or a wide B is not paired, and gives the same bits.
+        for m, k, n in [(64, 992, 32), (224, 224, 32), (992, 992, 96)]:
+            assert not _paired(m, k, n)
+            a, b = self.operands(rng, m, k, n, "C")
+            ws = Workspace()
+            got = make_engine("fp16_ec_tc", workspace=ws).gemm(a, b)
+            assert got.tobytes() == self.reference(a, b).tobytes()
+            assert "ec_b_lo" in ws.stats()["by_tag"]
+            assert ec_tcgemm(a, b).tobytes() == got.tobytes()
 
 
 class TestPrecisionEnum:

@@ -15,8 +15,16 @@ import pytest
 
 from repro.gemm.engine import make_engine
 from repro.perf import Workspace
-from repro.precision.rounding import _CAST_GATE, round_fp16, round_fp16_into
+from repro.precision.rounding import (
+    _CAST_GATE,
+    _round_fp16_chunk,
+    ec_split_into,
+    round_fp16,
+    round_fp16_into,
+    split_fp16_into,
+)
 from repro.precision.tcgemm import _buffer_like, tcgemm
+from sweep_split_fp16 import mismatches
 
 SUB = 2.0**-24  # FP16's smallest subnormal
 EDGES = [
@@ -141,3 +149,73 @@ def test_arena_rounding_gives_the_same_product(rng, shapes, f_order):
         same_bits(eng.gemm(a, b, out=out), want)
     if a.size >= _CAST_GATE:
         assert "tc_a" in ws.stats()["by_tag"]
+
+
+# The kernel skips its overflow scaling on a chunk whose |v| stays below
+# 65520 and keeps it on any other; both kinds of chunk, and the split's
+# lo after hi overflowed, must still be the cast.
+OVERFLOWING = [65519.99, 65520.0, -65520.0, 1e5, np.inf, -np.inf, np.nan]
+
+
+def fp16_subnormals(size, rng):
+    """Values in FP16's subnormal range, ties and exact grid points included."""
+    x = rng.uniform(-2.0**-14, 2.0**-14, size)
+    x[:4] = [SUB, -SUB, SUB / 2, 1.5 * SUB]
+    return x.astype(np.float32)
+
+
+def run_kernel(x):
+    out, f = np.empty_like(x), np.empty_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = _round_fp16_chunk(x, out, f, np.empty(x.shape, np.uint32))
+    return out, scaled
+
+
+def test_kernel_chunk_mixing_subnormals_and_overflow(rng):
+    x = fp16_subnormals(_CAST_GATE, rng)
+    x[100:100 + len(OVERFLOWING)] = OVERFLOWING
+    out, scaled = run_kernel(x)
+    assert scaled
+    with np.errstate(over="ignore", invalid="ignore"):
+        same_bits_or_nan(out, cast(x))
+        same_bits_or_nan(round_fp16(x), cast(x))
+    assert out[100] == 65504.0 and out[101] == np.inf and out[102] == -np.inf
+    assert out[103] == np.inf and np.isnan(out[106])
+
+
+def test_kernel_all_subnormal_chunk_skips_the_scaling(rng):
+    x = fp16_subnormals(_CAST_GATE, rng)
+    out, scaled = run_kernel(x)
+    assert not scaled
+    same_bits(out, cast(x))
+    x[7] = 65519.99  # the largest |v| that still rounds to a finite value
+    out, scaled = run_kernel(x)
+    assert not scaled and out[7] == 65504.0
+    same_bits(out, cast(x))
+    x[8] = -65520.0  # the smallest |v| that overflows
+    out, scaled = run_kernel(x)
+    assert scaled and out[8] == -np.inf
+    with np.errstate(over="ignore"):
+        same_bits(out, cast(x))
+
+
+@pytest.mark.parametrize("split,descaled", [(split_fp16_into, False),
+                                            (ec_split_into, True)])
+def test_split_lo_after_hi_overflowed(rng, split, descaled):
+    x = fp16_subnormals(_CAST_GATE, rng)
+    x[100:100 + len(OVERFLOWING)] = OVERFLOWING
+    hi, lo = np.empty_like(x), np.empty_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        split(x, hi, lo)
+        assert mismatches(x, hi, lo, descaled=descaled).size == 0
+    # 65520 and 1e5 overflow hi, so their residual is -inf; inf leaves NaN.
+    assert hi[101] == np.inf and lo[101] == -np.inf and lo[102] == np.inf
+    assert lo[103] == -np.inf and np.isnan(lo[104]) and np.isnan(lo[106])
+    assert lo[100] != 0.0  # 65519.99 keeps its residual
+
+
+def same_bits_or_nan(got, want):
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    same_bits(np.where(nan, 0, got).astype(np.float32),
+              np.where(nan, 0, want).astype(np.float32))

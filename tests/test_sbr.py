@@ -272,6 +272,7 @@ class TestCachedSplits:
             for h, buf in ((st.hw, st.w), (st.hy, st.y), (st.hoaw, st.oaw)):
                 assert isinstance(h, PreparedOperand) and h.fmt == "ec"
                 hi, lo = split_fp16(buf[:, : st.k])
+                lo *= np.float32(2.0**-11)  # a handle stores lo descaled
                 np.testing.assert_array_equal(h.hi[:, : st.k], hi)
                 np.testing.assert_array_equal(h.lo[:, : st.k], lo)
                 if h is st.hoaw:

@@ -363,14 +363,20 @@ class TestServiceBasic:
             assert not svc.cancel(victim)  # already terminal
 
     def test_coalesced_batch(self, rng, tmp_path):
-        gate = threading.Event()
+        gate, started = threading.Event(), threading.Event()
+
+        def hold_blocker(job):
+            if job.spec.tag == "blocker":
+                started.set()
+                gate.wait(timeout=30.0)
+
         with _service(tmp_path) as svc:
-            svc.fault_factory = (
-                lambda job: gate.wait(timeout=30.0) and None
-                if job.spec.tag == "blocker" else None
-            )
+            svc.fault_factory = hold_blocker
             blocker = svc.submit(random_symmetric(8, rng), tag="blocker",
                                  checkpointed=True)
+            # The single worker holds the blocker before the coalescible
+            # jobs are queued, so all three wait together for one batch.
+            assert started.wait(timeout=30.0)
             mats = [random_symmetric(16, rng) for _ in range(3)]
             ids = [svc.submit(a, coalescible=True, priority="interactive")
                    for a in mats]
