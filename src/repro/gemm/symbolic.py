@@ -26,7 +26,6 @@ from .trace import GemmRecord, GemmTrace
 __all__ = [
     "ALGORITHM_TAGS",
     "BULGE_WAVEFRONT_TAGS",
-    "BULGE_SVD_TAGS",
     "WAVEFRONT_DELTA",
     "full_update_col_blocks",
     "trace_sbr_zy",
@@ -75,26 +74,9 @@ BULGE_WAVEFRONT_TAGS = frozenset(
     }
 )
 
-#: Tags of the banded-SVD bulge chase's engine-routed block updates
-#: (:mod:`repro.svd.banded`): the out-of-band strip application, the
-#: in-band tile application, and the U/V accumulations.
-BULGE_SVD_TAGS = frozenset(
-    {
-        "bulge.svd.strip",
-        "bulge.svd.tile",
-        "bulge.svd.u",
-        "bulge.svd.v",
-    }
-)
-
-
 def is_algorithm_tag(tag: str) -> bool:
     """Whether ``tag`` belongs to the algorithm-level GEMM stream."""
-    return (
-        tag in ALGORITHM_TAGS
-        or tag in BULGE_WAVEFRONT_TAGS
-        or tag in BULGE_SVD_TAGS
-    )
+    return tag in ALGORITHM_TAGS or tag in BULGE_WAVEFRONT_TAGS
 
 
 def full_update_col_blocks(t: int, b: int, nb: int) -> "list[tuple[int, int]]":

@@ -7,7 +7,7 @@ This package is the substrate beneath the band-reduction algorithms:
 - :mod:`~repro.la.wy` — WY accumulation of reflector products (Bischof &
   Van Loan 1987).
 - :mod:`~repro.la.qr` — unblocked and blocked Householder QR (the panel
-  ablation baselines and the randomized SVD's range basis).
+  ablation baselines).
 - :mod:`~repro.la.tsqr` — communication-avoiding Tall-Skinny QR with
   Householder local factorizations (LAPACK ``geqrf`` + ``orgqr``; paper
   §5.1).
@@ -19,12 +19,11 @@ This package is the substrate beneath the band-reduction algorithms:
 
 from .householder import (
     apply_reflector_left,
-    apply_reflector_right,
     make_reflector,
     reflector_matrix,
 )
 from .wy import build_wy, wy_matrix
-from .qr import blocked_qr, householder_qr, qr_explicit
+from .qr import blocked_qr, householder_qr
 from .recursive_qr import recursive_qr, trace_recursive_qr
 from .tsqr import tsqr
 from .reconstruct import reconstruct_wy
@@ -40,13 +39,11 @@ from .tridiagonal import tridiag_to_dense
 __all__ = [
     "make_reflector",
     "apply_reflector_left",
-    "apply_reflector_right",
     "reflector_matrix",
     "build_wy",
     "wy_matrix",
     "householder_qr",
     "blocked_qr",
-    "qr_explicit",
     "recursive_qr",
     "trace_recursive_qr",
     "tsqr",

@@ -23,7 +23,6 @@ from ..errors import NumericalBreakdownError, ShapeError
 __all__ = [
     "make_reflector",
     "apply_reflector_left",
-    "apply_reflector_right",
     "reflector_matrix",
 ]
 
@@ -109,16 +108,6 @@ def apply_reflector_left(a: np.ndarray, v: np.ndarray, beta: float) -> None:
     w = v @ a  # v^T A
     # A -= beta * outer(v, w), in place to avoid a temporary the size of A.
     a -= np.multiply.outer(v * a.dtype.type(beta), w)
-
-
-def apply_reflector_right(a: np.ndarray, v: np.ndarray, beta: float) -> None:
-    """In-place ``A <- A @ H`` with ``H = I - beta * v v^T`` (A modified)."""
-    if beta == 0.0:
-        return
-    if a.ndim != 2 or a.shape[1] != v.size:
-        raise ShapeError(f"shape mismatch: A {a.shape} vs v ({v.size},)")
-    w = a @ v  # A v
-    a -= np.multiply.outer(w * a.dtype.type(beta), v)
 
 
 def reflector_matrix(v: np.ndarray, beta: float, *, n: int | None = None) -> np.ndarray:

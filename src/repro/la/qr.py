@@ -16,7 +16,7 @@ from ..gemm.engine import GemmEngine, PlainEngine
 from .householder import apply_reflector_left, make_reflector
 from .wy import build_wy
 
-__all__ = ["householder_qr", "blocked_qr", "qr_explicit"]
+__all__ = ["householder_qr", "blocked_qr"]
 
 
 def householder_qr(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -99,24 +99,3 @@ def blocked_qr(
             a[j0:, j1:] = trailing - eng.gemm(y, wt_t, tag=tag)
     return v_cols, betas, np.triu(a[:n, :n]).copy()
 
-
-def qr_explicit(
-    a,
-    *,
-    block: int = 32,
-    engine: GemmEngine | None = None,
-    tag: str = "qr_formq",
-) -> tuple[np.ndarray, np.ndarray]:
-    """QR with an explicit thin Q (``Q`` m×n, ``R`` n×n upper triangular).
-
-    Equivalent to cuSOLVER ``sgeqrf`` + ``sorgqr``.  The thin Q is formed
-    from the full WY pair: ``Q = I_{m×n} - W @ (Y[:n, :])^T``.
-    """
-    v_cols, betas, r = blocked_qr(a, block=block, engine=engine)
-    eng = engine if engine is not None else PlainEngine()
-    w, y = build_wy(v_cols, betas)
-    n = r.shape[0]
-    q = -eng.gemm(w, y[:n, :].T, tag=tag)
-    idx = np.arange(n)
-    q[idx, idx] += q.dtype.type(1)
-    return q, r

@@ -50,11 +50,9 @@ class BenchScenario:
     key for a different configuration.
 
     ``stage`` selects what is timed: ``"evd"`` runs the full two-stage
-    eigensolver, ``"sbr"`` runs only the stage-1 band reduction (the
-    paper's hot loop — large-``n`` scenarios use this, since the
-    pure-Python bulge chase would dwarf the GEMM stream being measured),
-    and ``"svd_banded"`` runs the two-stage banded SVD on an
-    upper-banded slice of the scenario matrix.
+    eigensolver, and ``"sbr"`` runs only the stage-1 band reduction
+    (the paper's hot loop — large-``n`` scenarios use this, since the
+    pure-Python bulge chase would dwarf the GEMM stream being measured).
     ``workspace`` (``"on"``/``"off"``) and ``abft`` are layered knobs
     forwarded to the target driver *only when its signature supports
     them*, so a session recorded on an older tree stays comparable.  ``abft="detect"`` prices the online-ABFT
@@ -115,9 +113,6 @@ SUITES: dict[str, tuple[BenchScenario, ...]] = {
         # Full EVD at the paper's target bandwidth: ``syevd/bulge`` is the
         # stage-2 chase the regression gate protects.
         BenchScenario("wy-fp32-n1024", n=1024, b=32, nb=128),
-        # Two-stage banded SVD (PR 10): band→bidiagonal bulge chasing +
-        # Golub–Kahan on an upper-banded n=512 matrix.
-        BenchScenario("svd-banded-n512", n=512, b=16, stage="svd_banded"),
     ),
 }
 
@@ -186,24 +181,9 @@ def _scenario_runner(sc: BenchScenario, syevd_2stage):
             )
 
         return run
-    if sc.stage == "svd_banded":
-        import numpy as np
-
-        from ...svd.banded import svd_banded
-
-        kwargs = _perf_kwargs(sc, svd_banded)
-
-        def run(a):
-            # Upper-banded slice of the scenario matrix, bandwidth sc.b.
-            banded = np.triu(a) - np.triu(a, sc.b + 1)
-            svd_banded(banded, sc.b, **kwargs)
-
-        return run
     if sc.stage != "sbr":
         raise ValueError(
-            f"unknown bench stage {sc.stage!r}; "
-            "expected 'evd', 'sbr' or 'svd_banded'"
-        )
+            f"unknown bench stage {sc.stage!r}; expected 'evd' or 'sbr'")
 
     from ...gemm.engine import make_engine
     from ...sbr.methods import default_nb, sbr_method

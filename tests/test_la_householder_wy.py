@@ -8,7 +8,6 @@ import pytest
 from repro.errors import ShapeError
 from repro.la import (
     apply_reflector_left,
-    apply_reflector_right,
     build_wy,
     make_reflector,
     reflector_matrix,
@@ -76,15 +75,6 @@ class TestApplyReflector:
         apply_reflector_left(work, v, beta)
         np.testing.assert_allclose(work, expected, atol=1e-13)
 
-    def test_right_matches_dense(self, rng):
-        a = rng.standard_normal((4, 6))
-        v, beta, _ = make_reflector(rng.standard_normal(6))
-        h = reflector_matrix(v, beta)
-        expected = a @ h
-        work = a.copy()
-        apply_reflector_right(work, v, beta)
-        np.testing.assert_allclose(work, expected, atol=1e-13)
-
     def test_zero_beta_noop(self, rng):
         a = rng.standard_normal((5, 3))
         work = a.copy()
@@ -94,10 +84,6 @@ class TestApplyReflector:
     def test_left_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
             apply_reflector_left(rng.standard_normal((4, 3)), np.ones(5), 0.5)
-
-    def test_right_shape_mismatch(self, rng):
-        with pytest.raises(ShapeError):
-            apply_reflector_right(rng.standard_normal((3, 4)), np.ones(5), 0.5)
 
     def test_embedded_reflector_matrix(self, rng):
         v, beta, _ = make_reflector(rng.standard_normal(3))

@@ -12,7 +12,6 @@ from repro.la import (
     blocked_qr,
     build_wy,
     householder_qr,
-    qr_explicit,
     reconstruct_wy,
     tsqr,
     wy_matrix,
@@ -67,23 +66,6 @@ class TestBlockedQR:
     def test_bad_block(self, rng):
         with pytest.raises(ShapeError):
             blocked_qr(rng.standard_normal((8, 4)), block=0)
-
-
-class TestQrExplicit:
-    @pytest.mark.parametrize("m,n", [(12, 12), (30, 8), (64, 16)])
-    def test_factorization(self, rng, m, n):
-        a = rng.standard_normal((m, n))
-        q, r = qr_explicit(a, engine=Fp64Engine())
-        np.testing.assert_allclose(q @ r, a, atol=1e-12)
-        assert_orthonormal_columns(q)
-        assert_upper_triangular(r)
-
-    def test_matches_numpy_up_to_signs(self, rng):
-        a = rng.standard_normal((20, 6))
-        q, r = qr_explicit(a, engine=Fp64Engine())
-        q_np, r_np = np.linalg.qr(a)
-        signs = np.sign(np.diagonal(r)) * np.sign(np.diagonal(r_np))
-        np.testing.assert_allclose(q * signs, q_np, atol=1e-12)
 
 
 class TestTSQR:

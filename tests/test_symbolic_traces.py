@@ -130,9 +130,9 @@ class TestTraceStructure:
 class TestWavefrontTraceFidelity:
     """The modeled stage-2 trace's tags stay registered algorithm tags."""
 
-    def test_bulge_svd_tags_registered(self):
-        from repro.gemm.symbolic import BULGE_SVD_TAGS
+    def test_wavefront_tags_registered(self):
+        from repro.gemm.symbolic import trace_bulge_wavefront
 
-        assert all(is_algorithm_tag(t) for t in BULGE_SVD_TAGS)
-        assert all(is_algorithm_tag(t) for t in
-                   ("bulge.wavefront.left", "bulge.wavefront.syr2k"))
+        tags = {r.tag for r in trace_bulge_wavefront(64, 8).records}
+        assert "bulge.wavefront.left" in tags and "bulge.wavefront.syr2k" in tags
+        assert all(is_algorithm_tag(t) for t in tags)
