@@ -1,5 +1,5 @@
-"""Tests for the eigensolver extensions: QDWH, inverse iteration, and
-the syr2k engine path."""
+"""Tests for the eigensolver extensions: inverse iteration, the syr2k
+engine path, the blocked bulge chase and selected eigenpairs."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ import pytest
 
 from repro.eig import (
     eigvals_bisect,
-    qdwh_eig,
-    qdwh_polar,
     tridiag_inverse_iteration,
 )
 from repro.errors import ConfigurationError, ShapeError
@@ -18,83 +16,6 @@ from repro.gemm.trace import GemmRecord
 from repro.la import extract_band, tridiag_to_dense
 from repro.sbr import sbr_zy
 from tests.conftest import eig_banded_spectrum, random_symmetric
-
-
-class TestQdwhPolar:
-    def test_random_rectangular(self, rng):
-        a = rng.standard_normal((40, 25))
-        u, h, its = qdwh_polar(a)
-        np.testing.assert_allclose(u.T @ u, np.eye(25), atol=1e-13)
-        np.testing.assert_allclose(u @ h, a, atol=1e-12)
-        np.testing.assert_array_equal(h, h.T)
-        assert its <= 8
-
-    def test_ill_conditioned_converges_in_six(self, rng):
-        u0, _ = np.linalg.qr(rng.standard_normal((30, 30)))
-        s = np.geomspace(1.0, 1e-10, 30)
-        a = (u0 * s) @ u0.T
-        u, h, its = qdwh_polar(a)
-        assert its <= 7  # the QDWH hallmark: <= 6-7 for kappa up to 1e16
-        np.testing.assert_allclose(u.T @ u, np.eye(30), atol=1e-12)
-
-    def test_h_positive_semidefinite(self, rng):
-        a = rng.standard_normal((20, 12))
-        _, h, _ = qdwh_polar(a)
-        assert np.linalg.eigvalsh(h).min() > -1e-12
-
-    def test_orthogonal_input_is_fixed_point(self, rng):
-        q0, _ = np.linalg.qr(rng.standard_normal((16, 16)))
-        u, h, _ = qdwh_polar(q0)
-        np.testing.assert_allclose(u, q0, atol=1e-12)
-        np.testing.assert_allclose(h, np.eye(16), atol=1e-12)
-
-    def test_matches_svd_polar(self, rng):
-        a = rng.standard_normal((18, 18))
-        u, h, _ = qdwh_polar(a)
-        uu, s, vt = np.linalg.svd(a)
-        u_ref = uu @ vt
-        np.testing.assert_allclose(u, u_ref, atol=1e-11)
-
-    def test_rejects_wide(self, rng):
-        with pytest.raises(ShapeError):
-            qdwh_polar(rng.standard_normal((4, 8)))
-
-    def test_rejects_rank_deficient(self, rng):
-        a = np.zeros((8, 3))
-        a[:, 0] = 1.0
-        with pytest.raises(ShapeError):
-            qdwh_polar(a)
-
-
-class TestQdwhEig:
-    @pytest.mark.parametrize("n", [10, 40, 90])
-    def test_matches_lapack(self, rng, n):
-        a = random_symmetric(n, rng)
-        lam, v = qdwh_eig(a)
-        np.testing.assert_allclose(lam, np.linalg.eigvalsh(a), atol=1e-11)
-        np.testing.assert_allclose(v.T @ v, np.eye(n), atol=1e-11)
-        np.testing.assert_allclose(a @ v, v * lam, atol=1e-10)
-
-    def test_near_identity(self, rng):
-        a = np.eye(20) * 3.0 + 1e-15 * random_symmetric(20, rng)
-        lam, v = qdwh_eig(a)
-        np.testing.assert_allclose(lam, 3.0, atol=1e-12)
-
-    def test_cross_check_two_stage(self, rng):
-        # Independent eigensolver families agree — a strong mutual check.
-        from repro.eig import syevd_2stage
-
-        a = random_symmetric(64, rng)
-        lam_q, _ = qdwh_eig(a)
-        lam_t = syevd_2stage(a, b=8, nb=16, precision="fp64", want_vectors=False).eigenvalues
-        np.testing.assert_allclose(lam_q, lam_t, atol=1e-10)
-
-    def test_clustered_spectrum(self, rng):
-        from repro.matrices import generate_symmetric
-
-        a, lam_true = generate_symmetric(48, distribution="cluster1", cond=1e5, rng=rng)
-        lam, v = qdwh_eig(a)
-        np.testing.assert_allclose(np.sort(lam), lam_true, atol=1e-10)
 
 
 class TestInverseIteration:
