@@ -179,13 +179,10 @@ class MetricsRegistry:
             self.inc("repro_ckpt_saves_total", step=step)
             self.inc("repro_ckpt_bytes_total", float(nbytes))
 
-    def solver_iteration(self, phase: str, residual: "float | None") -> None:
-        """One iterative-solver iteration (forward progress); ``residual``
-        is the solver's current residual when it reports one."""
+    def solver_iteration(self, phase: str) -> None:
+        """One iteration of a budgeted loop (forward progress)."""
         with self._lock:
             self.inc("repro_solver_iterations_total", phase=phase)
-            if residual is not None:
-                self.set("repro_solver_residual", residual, phase=phase)
             self.mark_progress()
 
     def mark_progress(self) -> None:

@@ -556,11 +556,11 @@ def ckpt_saved(step: str, nbytes: int) -> None:
         sinks.registry.ckpt_saved(step, nbytes)
 
 
-def solver_iteration(phase: str, residual: float | None = None) -> None:
-    """One iteration of an iterative solver in ``phase`` (registry only)."""
+def solver_iteration(phase: str) -> None:
+    """One iteration of a budgeted loop in ``phase`` (registry only)."""
     sinks = _active
     if sinks is not None and sinks.registry is not None:
-        sinks.registry.solver_iteration(phase, residual)
+        sinks.registry.solver_iteration(phase)
 
 
 def mark(name: str | None, /, *series: str, labels: dict | None = None,
