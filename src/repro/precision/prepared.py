@@ -140,10 +140,12 @@ def prepare(a, fmt: str, *, ws=None, name: str = "prep",
     """Transform ``a`` once for repeated use as a ``fmt`` GEMM operand.
 
     With a workspace the buffers live in the arena under
-    ``<fmt>_<name>_*`` tags, distinct from the per-launch split tags, so
-    later unprepared calls through the same arena do not clobber the
-    handle.  A later ``prepare`` with the same ``fmt`` and ``name``
-    reuses (and overwrites) the buffers, invalidating the previous handle.
+    ``prep:<fmt>_<name>_*`` tags.  Only a prepared operand takes a tag
+    that starts with ``prep:``, so whatever ``name`` is, later unprepared
+    calls through the same arena (whose per-launch splits and roundings
+    take ``ec_*``/``tc_*`` tags) do not clobber the handle.  A later
+    ``prepare`` with the same ``fmt`` and ``name`` reuses (and
+    overwrites) the buffers, invalidating the previous handle.
 
     ``cols`` prepares only the leading ``cols`` columns of ``a`` (its
     last axis); the rest of the handle holds arbitrary bytes until a view
@@ -160,7 +162,7 @@ def prepare(a, fmt: str, *, ws=None, name: str = "prep",
 
     def take(part, shape):
         if ws is not None and (row_major or a.flags.c_contiguous):
-            return ws.take(f"{fmt}_{name}_{part}", shape, np.float32)
+            return ws.take(f"prep:{fmt}_{name}_{part}", shape, np.float32)
         if row_major:
             return np.empty(shape, np.float32)
         return np.empty_like(a)  # the source's memory order

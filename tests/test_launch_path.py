@@ -197,7 +197,7 @@ class TestDriverLaunchPath:
         # The engine's prepared and per-launch splits went through the run
         # arena, which it was lent for stage 1 only.
         tags = res.workspace.stats()["by_tag"]
-        assert {"ec_sbr_OA_hi", "ec_sbr_WY_hi_t", "ec_a_hi"} <= set(tags)
+        assert {"prep:ec_sbr_OA_hi", "prep:ec_sbr_WY_hi_t", "ec_a_hi"} <= set(tags)
         assert res.engine.workspace is None
         np.testing.assert_array_equal(res.sbr.band, bare.sbr.band)
         np.testing.assert_array_equal(res.eigenvalues, bare.eigenvalues)

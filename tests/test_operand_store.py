@@ -121,6 +121,30 @@ class TestPreparedIsUnprepared:
             assert res is out and np.array_equal(out, ref)
 
 
+class TestCallerTagsKeepTheirBuffers:
+    """A prepared operand's arena buffers are its own, whatever its tag:
+    an unprepared product through the same arena writes elsewhere."""
+
+    @pytest.mark.parametrize("precision", TC)
+    @pytest.mark.parametrize("tag", ["a", "b"])
+    @pytest.mark.parametrize("m,k,n", [(96, 64, 16), (768, 768, 32)])
+    def test_unprepared_product_leaves_the_handle_intact(self, rng, precision,
+                                                         tag, m, k, n):
+        a, d = (rng.standard_normal((m, k)).astype(np.float32) for _ in "ad")
+        b, c = (rng.standard_normal((k, n)).astype(np.float32) for _ in "bc")
+        want = make_engine(precision).gemm(a, b).tobytes()
+        eng = make_engine(precision, workspace=Workspace())
+        if tag == "a":
+            h = eng.prepare_operand(a, tag=tag)
+            eng.gemm(d, b)  # transforms an unprepared A per launch
+            got = eng.gemm(h, b)
+        else:
+            h = eng.prepare_operand(b, tag=tag)
+            eng.gemm(a, c)  # transforms an unprepared B per launch
+            got = eng.gemm(a, h)
+        assert got.tobytes() == want
+
+
 class TestStackedHandle:
     @pytest.mark.parametrize("workspace", [False, True], ids=["bare", "arena"])
     @pytest.mark.parametrize("precision", TC)
@@ -163,7 +187,7 @@ class TestNoPerLaunchWork:
         # are multiplied only in views that need no copy.
         res = sbr_wy(_sym(288), 16, 64, engine=make_engine("fp16_ec_tc"))
         tags = res.workspace.stats()["by_tag"]
-        assert "ec_sbr_WY_hi_t" in tags
+        assert "prep:ec_sbr_WY_hi_t" in tags
         assert not [t for t in tags if "_copy_" in t]
 
     def test_copy_tags_count_a_copy(self, rng):
