@@ -72,7 +72,7 @@ OOTOMO_SCALE: float = float(2.0**11)
 #: Below this many elements :func:`round_fp16` and :func:`round_fp16_into`
 #: use NumPy's float16 cast: the float32 kernel's ufunc calls cost
 #: more than the cast of a well-scaled operand that small
-#: (docs/performance.md, "Per-launch cost").
+#: (docs/performance.md, "FP16 rounding").
 _CAST_GATE = 2048
 
 

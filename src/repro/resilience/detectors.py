@@ -41,8 +41,7 @@ temporary), and an orthogonality probe is the defect against the
 cached :meth:`DetectorBank.panel_q_tol`.  Only a measurement past its
 bound comes back here to be classified and raised.  A guarded panel
 step makes about 14 NumPy calls in its guards: eight for the probe and
-two per scanned array (docs/performance.md, "Guards" and "Per-launch
-cost").
+two per scanned array (docs/performance.md, "Guards").
 """
 
 from __future__ import annotations
