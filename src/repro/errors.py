@@ -172,15 +172,13 @@ class BudgetExceededError(ConvergenceError):
         The configured limit that was exceeded (seconds for wall-clock
         budgets, iterations for iteration budgets).
     (plus the :class:`ConvergenceError` attributes
-    ``iterations``/``residual``/``phase``)
+    ``iterations``/``phase``; ``residual`` is None)
     """
 
     def __init__(self, message: str = "", *, iterations: int | None = None,
-                 residual: float | None = None, phase: str | None = None,
-                 elapsed: float | None = None,
+                 phase: str | None = None, elapsed: float | None = None,
                  budget: float | None = None) -> None:
-        super().__init__(message, iterations=iterations, residual=residual,
-                         phase=phase)
+        super().__init__(message, iterations=iterations, phase=phase)
         self.elapsed = elapsed
         self.budget = budget
 
