@@ -9,8 +9,8 @@ qualitative structure on the result, so ``pytest benchmarks/
 The whole benchmark session runs under a telemetry collector
 (:mod:`repro.obs`) and writes a phase-resolved run manifest under
 ``runs/`` at session end — each ``run_experiment`` call contributes an
-``experiment.<name>`` root span — so ``BENCH_*.json`` trajectories can
-be joined against per-phase timelines from this point on.  Set
+``experiment.<name>`` root span — so each session's figures come with
+a per-phase timeline.  Set
 ``REPRO_OBS=0`` to disable, or ``REPRO_RUNS_DIR`` to redirect the
 output directory.
 """

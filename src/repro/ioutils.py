@@ -1,7 +1,7 @@
 """Crash-safe file persistence primitives shared across the library.
 
-Every durable artifact the library writes — checkpoints, run manifests,
-bench sessions — goes through the same commit protocol: write the full
+Every durable artifact the library writes — checkpoints and run
+manifests — goes through the same commit protocol: write the full
 payload to a temporary file *in the destination directory*, flush and
 ``fsync`` it, then ``os.replace`` it over the final name.  ``os.replace``
 is atomic on POSIX and Windows, so a reader (or a restarted run) sees

@@ -13,9 +13,8 @@ narrative, made measurable between PRs):
 - :mod:`repro.obs.record` — one-call instrumented ``syevd_2stage``
   runs (used by the CLI and CI smoke test).
 - :mod:`repro.obs.analytics` — the interpretation layer: model-vs-
-  measured attribution against the Table-1 rate model, Chrome-trace and
-  flamegraph exporters, the continuous-benchmark store, and the
-  statistical regression gate.
+  measured attribution against the Table-1 rate model, and Chrome-trace
+  and flamegraph exporters.
 - :mod:`repro.obs.live` — in-flight monitoring: thread-safe metrics
   registry (counters/gauges/quantile sketches), progress + ETA from the
   flop model, background reporter (Prometheus / JSONL / TTY sinks),
@@ -31,8 +30,7 @@ CLI::
     python -m repro.obs live runs/live         # render live metrics dir
     python -m repro.obs attribution runs/X.jsonl   # model-vs-measured
     python -m repro.obs export --chrome runs/X.jsonl -o trace.json
-    python -m repro.obs bench --suite smoke    # pinned suite → BENCH_smoke.json
-    python -m repro.obs regress BASE CAND      # statistical gate (exit 2)
+    python -m repro.obs trace SPOOL_DIR --check    # serve trace continuity
 
 Typical library use::
 
@@ -90,18 +88,11 @@ from .report import compare_phases, render_compare, render_report
 from .record import RecordedRun, evd_accuracy_probes, record_syevd
 from .analytics import (
     AttributionReport,
-    BenchScenario,
     attribute_manifest,
-    compare_sessions,
-    has_regressions,
-    load_session,
     render_attribution,
-    render_regression,
-    run_suite,
     serve_trace_to_chrome,
     to_chrome_trace,
     to_collapsed_stacks,
-    write_session,
 )
 
 __all__ = [
@@ -148,11 +139,4 @@ __all__ = [
     "to_chrome_trace",
     "to_collapsed_stacks",
     "serve_trace_to_chrome",
-    "BenchScenario",
-    "run_suite",
-    "write_session",
-    "load_session",
-    "compare_sessions",
-    "has_regressions",
-    "render_regression",
 ]

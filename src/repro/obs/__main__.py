@@ -11,8 +11,6 @@ Usage::
     python -m repro.obs attribution MANIFEST
     python -m repro.obs export (--chrome | --flame) MANIFEST [-o FILE]
     python -m repro.obs trace SPOOL_DIR [--chrome -o FILE] [--check]
-    python -m repro.obs bench [--suite smoke --repeats 3]
-    python -m repro.obs regress BASELINE CANDIDATE [--tolerance 0.25]
 """
 
 from __future__ import annotations
@@ -25,19 +23,12 @@ import sys
 from ..precision.modes import Precision
 from ..sbr.methods import SBR_METHODS
 from .analytics import (
-    SUITES,
     attribute_manifest,
-    compare_sessions,
-    has_regressions,
     render_attribution,
-    render_regression,
-    run_suite,
+    serve_trace_to_chrome,
     to_chrome_trace,
     to_collapsed_stacks,
-    write_session,
 )
-from .analytics import serve_trace_to_chrome
-from .analytics.regress import DEFAULT_TOLERANCE
 from .manifest import DEFAULT_RUN_DIR, load_manifest
 from .tracing import (
     check_trace_continuity,
@@ -145,32 +136,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 print(f"continuity: {p}", file=sys.stderr)
             return 2
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    session = run_suite(args.suite, repeats=args.repeats)
-    path = write_session(session, args.out, run_dir=args.dir)
-    print(f"bench session written: {path}")
-    for row in session["scenarios"]:
-        import statistics
-
-        med = statistics.median(row["wall"])
-        print(f"  {row['key']}: median {med:.3f} s over {len(row['wall'])} repeats")
-    return 0
-
-
-def _cmd_regress(args: argparse.Namespace) -> int:
-    entries = compare_sessions(
-        args.baseline,
-        args.candidate,
-        tolerance=args.tolerance,
-        confidence=args.confidence,
-    )
-    print(render_regression(
-        args.baseline, args.candidate,
-        tolerance=args.tolerance, confidence=args.confidence, entries=entries,
-    ))
-    return 2 if has_regressions(entries) else 0
 
 
 def _cmd_live(args: argparse.Namespace) -> int:
@@ -317,33 +282,6 @@ def main(argv: list[str] | None = None) -> int:
              "parents, preempted without resume)",
     )
     p_tr.set_defaults(func=_cmd_trace)
-
-    p_bench = sub.add_parser(
-        "bench", help="run a pinned benchmark suite → BENCH_<suite>.json"
-    )
-    p_bench.add_argument("--suite", default="smoke", choices=sorted(SUITES))
-    p_bench.add_argument("--repeats", type=int, default=3,
-                         help="timed repetitions per scenario (default 3)")
-    p_bench.add_argument("--out", default=None, metavar="FILE",
-                         help="session path (default <dir>/BENCH_<suite>.json)")
-    p_bench.add_argument("--dir", default=DEFAULT_RUN_DIR, help="session directory")
-    p_bench.set_defaults(func=_cmd_bench)
-
-    p_reg = sub.add_parser(
-        "regress",
-        help="statistical comparison of two bench sessions (exit 2 on regression)",
-    )
-    p_reg.add_argument("baseline", help="baseline BENCH_*.json")
-    p_reg.add_argument("candidate", help="candidate BENCH_*.json")
-    p_reg.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help="relative median slowdown that gates (default 0.25)",
-    )
-    p_reg.add_argument(
-        "--confidence", type=float, default=0.95,
-        help="bootstrap CI confidence level (default 0.95)",
-    )
-    p_reg.set_defaults(func=_cmd_regress)
 
     args = parser.parse_args(argv)
     try:

@@ -12,12 +12,9 @@ this package says *what it means*:
 - :mod:`~repro.obs.analytics.export` — turn a session into Chrome-trace
   JSON (``chrome://tracing`` / Perfetto) or collapsed-stack flamegraph
   format.
-- :mod:`~repro.obs.analytics.benchstore` — run a pinned suite of
-  (n, b, nb, precision) scenarios and persist them as versioned
-  ``BENCH_<suite>.json`` sessions with environment fingerprints.
-- :mod:`~repro.obs.analytics.regress` — statistical comparison of two
-  bench sessions (median + bootstrap CI over repeats) with configurable
-  tolerance: the regression gate every perf PR is judged by.
+
+Timing comparisons between trees are the repository benchmark's job
+(``bench/run.py`` and ``bench/compare.py``), not this package's.
 
 Like the rest of ``repro.obs``, module scope imports only the standard
 library; the numeric model and solver imports are deferred into the
@@ -29,16 +26,7 @@ from .attribution import (
     attribute_manifest,
     render_attribution,
 )
-from .benchstore import (
-    BENCH_SCHEMA_VERSION,
-    BenchScenario,
-    SUITES,
-    load_session,
-    run_suite,
-    write_session,
-)
 from .export import serve_trace_to_chrome, to_chrome_trace, to_collapsed_stacks
-from .regress import compare_sessions, has_regressions, render_regression
 
 __all__ = [
     "AttributionReport",
@@ -47,13 +35,4 @@ __all__ = [
     "serve_trace_to_chrome",
     "to_chrome_trace",
     "to_collapsed_stacks",
-    "BENCH_SCHEMA_VERSION",
-    "BenchScenario",
-    "SUITES",
-    "run_suite",
-    "write_session",
-    "load_session",
-    "compare_sessions",
-    "has_regressions",
-    "render_regression",
 ]

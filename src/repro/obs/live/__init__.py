@@ -21,7 +21,7 @@ Typical use is through the driver knob::
     w, v, res = syevd_2stage(a, live="runs/live")     # full stack
     print(res.metrics["histograms"])                  # final dump
 
-or registry-only (no reporter thread), e.g. inside the bench store::
+or registry-only (no reporter thread), e.g. around a timed loop::
 
     from repro.obs.live import MetricsRegistry, use_registry
     reg = MetricsRegistry()

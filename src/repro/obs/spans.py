@@ -34,7 +34,7 @@ can import it without cycles.  The finished-span list is lock-guarded,
 so concurrent instrumented threads are safe.
 
 Time comes from the collector's injectable *clock* (the registry's when
-only a registry is installed).  Tests and the benchmark store pass a
+only a registry is installed).  Tests pass a
 deterministic fake clock so duration-dependent logic is testable
 without wall-clock sleeps; the engine hook reads the same clock through
 :func:`now`, keeping span and GEMM-event timestamps on one timeline.

@@ -6,7 +6,7 @@
 row holds the reduction, its symbolic GEMM trace, its flop count and
 whether it takes the big-block size ``nb``; :func:`default_nb` is the
 one default for ``nb``.  The two-stage drivers, the performance model,
-the live progress plan, manifest attribution, the bench store, the
+the live progress plan, manifest attribution, the
 obs/ckpt CLIs and serve admission all look names up here, through
 :func:`sbr_method` or :data:`SBR_METHODS`.
 

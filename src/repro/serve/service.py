@@ -10,8 +10,8 @@ overload shedding).
 Observability is first-class: the service owns a PR-6 metrics registry
 (installed process-wide for its lifetime so driver spans/GEMM telemetry
 flow into it), emits a heartbeat file, appends one manifest JSONL line
-per terminal job, and exports per-class latency rows into the PR-3
-bench store for the regression gate.
+per terminal job, and reads per-class latency rows off the registry's
+latency sketches.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ import numpy as np
 from ..errors import AdmissionError, ConfigurationError, ValidationError
 from ..gemm.engine import make_engine
 from ..ioutils import append_jsonl
-from ..obs.analytics.benchstore import (
-    default_session_path,
-    make_session,
-    write_session,
-)
 from ..obs.live.health import Heartbeat
 from ..obs.live.registry import MetricsRegistry, install, uninstall
 from ..obs.live.sinks import render_prometheus
@@ -134,8 +129,6 @@ class EvdService:
 
         self._jobs: "dict[str, Job]" = {}
         self._jobs_lock = threading.Lock()
-        self._latencies = {cls: [] for cls in PRIORITIES}
-        self._queue_waits = {cls: [] for cls in PRIORITIES}
         self._outcomes: "dict[str, int]" = {}
         self._started = False
         self._shut_down = False
@@ -360,7 +353,7 @@ class EvdService:
         )
 
     def on_terminal(self, job: Job) -> None:
-        """Record one terminal job: manifest line, metrics, latency row."""
+        """Record one terminal job: manifest line and metrics."""
         r = job.result
         if r is None:  # finish() lost the idempotency race; first wins
             return
@@ -370,9 +363,6 @@ class EvdService:
                 return
             job._recorded = True
             self._outcomes[r.outcome] = self._outcomes.get(r.outcome, 0) + 1
-            if r.ok:
-                self._latencies[cls].append(r.wall)
-                self._queue_waits[cls].append(r.queue_wait)
         job.record_event("serve.result", outcome=r.outcome)
         self.slo.record_terminal(job)
         self.reg.inc(
@@ -408,50 +398,22 @@ class EvdService:
         }
 
     def latency_rows(self) -> "list[dict]":
-        """Per-priority-class bench rows (p50/p99 latency + queue wait)."""
+        """Per-priority-class p50/p99 latency and queue wait of every
+        terminal job, read off the registry's sketches (1% relative
+        error), the same samples as the Prometheus series."""
         rows = []
-        with self._jobs_lock:
-            lat = {cls: list(v) for cls, v in self._latencies.items()}
-            qwait = {cls: list(v) for cls, v in self._queue_waits.items()}
         for cls in PRIORITIES:
-            walls = lat.get(cls, [])
-            if not walls:
+            lat = self.reg.histogram("repro_serve_latency_seconds", priority=cls)
+            qwait = self.reg.histogram("repro_serve_queue_wait_seconds", priority=cls)
+            if lat is None or qwait is None:
                 continue
-            arr = np.asarray(walls)
-            row = {
+            rows.append({
                 "key": f"serve-{cls}",
                 "priority": cls,
-                "wall": walls,
-                "jobs": len(walls),
-                "p50": float(np.percentile(arr, 50)),
-                "p99": float(np.percentile(arr, 99)),
-            }
-            waits = qwait.get(cls, [])
-            if waits:
-                warr = np.asarray(waits)
-                row["queue_wait"] = waits
-                row["queue_wait_p50"] = float(np.percentile(warr, 50))
-                row["queue_wait_p99"] = float(np.percentile(warr, 99))
-            rows.append(row)
+                "jobs": lat.count,
+                "p50": lat.quantile(0.5),
+                "p99": lat.quantile(0.99),
+                "queue_wait_p50": qwait.quantile(0.5),
+                "queue_wait_p99": qwait.quantile(0.99),
+            })
         return rows
-
-    def write_bench(
-        self, path: "str | None" = None, *, suite: str = "serve"
-    ) -> "str | None":
-        """Export per-class latency rows as a PR-3 bench session.
-
-        Lands in ``runs/BENCH_serve.json`` by default so the existing
-        ``repro.obs regress`` gate can hold serving latency to a
-        committed baseline.  Returns the written path (None when no job
-        completed — an empty session would gate nothing).
-        """
-        rows = self.latency_rows()
-        if not rows:
-            return None
-        session = make_session(
-            suite, rows,
-            extra={"stats": self.stats()},
-        )
-        if path is None:
-            path = default_session_path(suite)
-        return write_session(session, path)

@@ -23,7 +23,7 @@ terminal job into the live registry:
   quantile sketch (admission + queue latency as the client feels it).
 
 The burn rate is run-scoped (whole-soak window), matching the rest of
-the serving bench accounting; a production deployment would window it.
+the service's accounting; a production deployment would window it.
 """
 
 from __future__ import annotations

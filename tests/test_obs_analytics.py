@@ -1,5 +1,5 @@
 """Tests for the observability analytics layer: attribution, exporters,
-bench store, regression gate, and the satellite telemetry additions."""
+and the satellite telemetry additions."""
 
 from __future__ import annotations
 
@@ -15,18 +15,10 @@ from repro.device.specs import A100Spec
 from repro.gemm import SgemmEngine
 from repro.obs.__main__ import main as obs_main
 from repro.obs.analytics import (
-    SUITES,
-    BenchScenario,
     attribute_manifest,
-    compare_sessions,
-    has_regressions,
-    load_session,
     render_attribution,
-    render_regression,
-    run_suite,
     to_chrome_trace,
     to_collapsed_stacks,
-    write_session,
 )
 from repro.obs.analytics.attribution import UNATTRIBUTED
 from repro.obs.manifest import MIN_SCHEMA_VERSION, SCHEMA_VERSION
@@ -91,17 +83,6 @@ class TestDeterministicClock:
         assert ev.start >= 0.0  # placed on the collector epoch timeline
         sp = session.by_path("p")[0]
         assert sp.start <= ev.start <= sp.start + sp.duration
-
-    def test_run_suite_accepts_fake_clock(self):
-        clk = FakeClock(step=0.001)
-        scenarios = (BenchScenario("tiny", n=16, b=2, nb=4),)
-        session = run_suite("smoke", repeats=2, scenarios=scenarios, clock=clk)
-        row = session["scenarios"][0]
-        assert len(row["wall"]) == 2
-        # Wall times come off the fake clock: strictly positive multiples
-        # of the step, identical logic each repeat.
-        assert all(w > 0 and abs(w / 0.001 - round(w / 0.001)) < 1e-9
-                   for w in row["wall"])
 
 
 class TestAttribution:
@@ -330,132 +311,6 @@ class TestCollapsedStacks:
         assert to_collapsed_stacks(str(path)) == ""
 
 
-class TestBenchStore:
-    SCENARIOS = (
-        BenchScenario("tiny-a", n=24, b=2, nb=4),
-        BenchScenario("tiny-b", n=32, b=4, nb=8),
-    )
-
-    def test_run_suite_shape(self):
-        session = run_suite("smoke", repeats=2, scenarios=self.SCENARIOS)
-        assert session["kind"] == "bench_session"
-        assert session["suite"] == "smoke"
-        assert session["repeats"] == 2
-        assert {"platform", "python", "numpy", "cpu_count"} <= set(session["env"])
-        keys = [row["key"] for row in session["scenarios"]]
-        assert keys == ["tiny-a", "tiny-b"]
-        for row in session["scenarios"]:
-            assert len(row["wall"]) == 2
-            assert all(w > 0 for w in row["wall"])
-            assert row["phases"]  # per-phase breakdowns recorded
-            assert all(len(v) == 2 for v in row["phases"].values())
-
-    def test_write_and_load_roundtrip(self, tmp_path):
-        session = run_suite("smoke", repeats=1, scenarios=self.SCENARIOS[:1])
-        path = write_session(session, run_dir=str(tmp_path))
-        assert path.endswith("BENCH_smoke.json")
-        assert load_session(path) == session
-
-    def test_load_rejects_non_sessions(self, tmp_path):
-        p = tmp_path / "x.json"
-        p.write_text("{}")
-        with pytest.raises(ValueError, match="kind"):
-            load_session(str(p))
-        p.write_text("not json")
-        with pytest.raises(ValueError, match="not a bench session"):
-            load_session(str(p))
-        p.write_text(json.dumps({"kind": "bench_session", "schema": 99,
-                                 "scenarios": []}))
-        with pytest.raises(ValueError, match="schema"):
-            load_session(str(p))
-
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(ValueError, match="unknown suite"):
-            run_suite("nope", repeats=1)
-        with pytest.raises(ValueError, match="repeats"):
-            run_suite("smoke", repeats=0, scenarios=self.SCENARIOS[:1])
-
-    def test_pinned_suites_well_formed(self):
-        assert set(SUITES) >= {"smoke", "standard"}
-        for suite in SUITES.values():
-            keys = [sc.key for sc in suite]
-            assert len(keys) == len(set(keys))  # join identity is unique
-        assert all(sc.n <= 512 for sc in SUITES["smoke"])
-
-
-class TestRegress:
-    def _session(self, walls_by_key, suite="smoke"):
-        return {
-            "kind": "bench_session", "schema": 1, "suite": suite,
-            "created": "2026-01-01T00:00:00", "repeats": len(next(iter(walls_by_key.values()))),
-            "env": {"platform": "x", "python": "3"},
-            "scenarios": [
-                {"key": k, "config": {}, "wall": list(w),
-                 "phases": {"syevd/sbr": [x * 0.5 for x in w]}}
-                for k, w in walls_by_key.items()
-            ],
-        }
-
-    def test_identical_sessions_pass(self):
-        s = self._session({"a": [1.0, 1.1, 0.9], "b": [2.0, 2.1, 1.9]})
-        entries = compare_sessions(s, s)
-        assert all(e["verdict"] == "ok" for e in entries)
-        assert not has_regressions(entries)
-
-    def test_deterministic_2x_slowdown_gates(self):
-        base = self._session({"a": [1.0, 1.0, 1.0]})
-        cand = self._session({"a": [2.0, 2.0, 2.0]})
-        entries = compare_sessions(base, cand)
-        assert entries[0]["verdict"] == "regression"
-        assert entries[0]["delta"] == pytest.approx(1.0)
-        assert has_regressions(entries)
-
-    def test_noisy_slowdown_downgrades_to_suspect(self):
-        # Median is up 50% but the repeats straddle the baseline: the
-        # bootstrap CI reaches below tolerance, so the verdict must not gate.
-        base = self._session({"a": [1.0, 1.0, 1.0, 1.0]})
-        cand = self._session({"a": [0.5, 0.9, 2.1, 2.3]})
-        entries = compare_sessions(base, cand, tolerance=0.25)
-        assert entries[0]["verdict"] in ("suspect", "ok")
-        assert not has_regressions(entries)
-
-    def test_improvement_and_missing(self):
-        base = self._session({"a": [2.0, 2.0], "gone": [1.0, 1.0]})
-        cand = self._session({"a": [1.0, 1.0], "new": [1.0, 1.0]})
-        entries = {e["key"]: e for e in compare_sessions(base, cand)}
-        assert entries["a"]["verdict"] == "improved"
-        assert entries["gone"]["verdict"] == "missing"
-        assert entries["new"]["verdict"] == "missing"
-
-    def test_phase_deltas_attached(self):
-        base = self._session({"a": [1.0, 1.0]})
-        cand = self._session({"a": [2.0, 2.0]})
-        entries = compare_sessions(base, cand)
-        assert entries[0]["phases"]["syevd/sbr"]["delta"] == pytest.approx(1.0)
-
-    def test_render_mentions_env_mismatch(self):
-        base = self._session({"a": [1.0, 1.0]})
-        cand = self._session({"a": [1.0, 1.0]})
-        cand["env"] = {"platform": "y", "python": "3"}
-        text = render_regression(base, cand)
-        assert "environment differs" in text
-
-    def test_render_regression_report(self):
-        base = self._session({"a": [1.0, 1.0]})
-        cand = self._session({"a": [3.0, 3.0]})
-        text = render_regression(base, cand)
-        assert "REGRESSION" in text
-        assert "slowest-moving phases" in text
-        assert "1 regression(s)" in text
-
-    def test_invalid_parameters_rejected(self):
-        s = self._session({"a": [1.0]})
-        with pytest.raises(ValueError, match="tolerance"):
-            compare_sessions(s, s, tolerance=0.0)
-        with pytest.raises(ValueError, match="confidence"):
-            compare_sessions(s, s, confidence=1.5)
-
-
 class TestJoinEdgeCases:
     """Satellite: GEMM-event/span join edge cases."""
 
@@ -574,68 +429,3 @@ class TestAnalyticsCli:
         path = _syevd_manifest(tmp_path)
         with pytest.raises(SystemExit):
             obs_main(["export", path])
-
-    def test_bench_cli_writes_session(self, tmp_path, capsys, monkeypatch):
-        import repro.obs.analytics.benchstore as benchstore
-
-        monkeypatch.setitem(
-            benchstore.SUITES, "smoke",
-            (BenchScenario("tiny", n=24, b=2, nb=4),),
-        )
-        out = str(tmp_path / "BENCH_smoke.json")
-        assert obs_main(["bench", "--suite", "smoke", "--repeats", "1",
-                         "--out", out]) == 0
-        session = load_session(out)
-        assert session["suite"] == "smoke"
-        assert "bench session written" in capsys.readouterr().out
-
-    def test_regress_cli_exit_codes(self, tmp_path, capsys):
-        def write(name, scale):
-            session = {
-                "kind": "bench_session", "schema": 1, "suite": "smoke",
-                "created": "t", "repeats": 3, "env": {},
-                "scenarios": [{"key": "a", "config": {},
-                               "wall": [scale, scale, scale], "phases": {}}],
-            }
-            return write_session(session, str(tmp_path / name))
-
-        base = write("base.json", 1.0)
-        same = write("same.json", 1.0)
-        slow = write("slow.json", 2.0)
-        assert obs_main(["regress", base, same]) == 0
-        assert obs_main(["regress", base, slow]) == 2
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_regress_cli_bad_file(self, tmp_path, capsys):
-        p = tmp_path / "x.json"
-        p.write_text("{}")
-        assert obs_main(["regress", str(p), str(p)]) == 1
-        assert "error:" in capsys.readouterr().err
-
-
-class TestMakeSession:
-    """make_session: external producers (the serving layer) emit rows
-    through the same bench-store schema as solver re-runs."""
-
-    def test_builds_valid_session(self, tmp_path):
-        from repro.obs.analytics.benchstore import (
-            load_session,
-            make_session,
-            write_session,
-        )
-        rows = [{"key": "serve-standard", "wall": [0.1, 0.2], "p50": 0.15}]
-        session = make_session("serve", rows, extra={"note": "soak"})
-        assert session["kind"] == "bench_session"
-        assert session["suite"] == "serve"
-        assert session["note"] == "soak"
-        path = write_session(session, str(tmp_path / "BENCH_serve.json"))
-        loaded = load_session(path)
-        assert loaded["scenarios"][0]["key"] == "serve-standard"
-
-    def test_rejects_rows_missing_key_or_wall(self):
-        from repro.obs.analytics.benchstore import make_session
-        import pytest
-        with pytest.raises(ValueError, match="key"):
-            make_session("serve", [{"wall": [0.1]}])
-        with pytest.raises(ValueError, match="wall"):
-            make_session("serve", [{"key": "x"}])

@@ -1010,21 +1010,6 @@ class TestCli:
         assert "(absent)" in capsys.readouterr().out
 
 
-class TestBenchstoreLatency:
-    def test_scenario_rows_carry_gemm_latency_quantiles(self):
-        from repro.obs.analytics import run_suite
-        from repro.obs.analytics.benchstore import BenchScenario
-
-        session = run_suite(scenarios=(
-            BenchScenario("tiny", n=32, b=4, nb=8),
-        ), repeats=2)
-        row = session["scenarios"][0]
-        assert row["gemm_latency"] is not None
-        assert row["gemm_latency"]["count"] > 0
-        assert set(row["gemm_latency"]["quantiles"]) == {"0.5", "0.9", "0.99"}
-        assert live_registry.active_registry() is None
-
-
 class TestProgressAgeAndStalls:
     """Registry health accessors driving serve-layer admission control."""
 
