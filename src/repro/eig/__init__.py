@@ -6,7 +6,8 @@ LAPACK behind two layer functions:
 
 - :mod:`~repro.eig.bulge` — reduction of a symmetric band matrix to
   tridiagonal form (stage 2 of two-stage tridiagonalization) by LAPACK
-  ``?sbtrd``.
+  ``?sbtrd``, or ``?sytrd`` + ``?orgqr`` when ``Q`` is wanted on a wide
+  enough band.
 - :mod:`~repro.eig.dc` — the symmetric tridiagonal eigenproblem by
   LAPACK ``sterf`` (eigenvalues only) or ``stevd`` (divide & conquer,
   with eigenvectors).

@@ -2,10 +2,19 @@
 
 The paper builds stage 1 only: its EVD case study hands the band matrix
 to MAGMA's host stages for the chase and the tridiagonal solve.
-:func:`bulge_chase` does the same with LAPACK: the band goes to
-``dsbtrd`` (``ssbtrd`` for float32 input), the Givens-rotation chase of
-the Schwarz (1968) family that ``?sbevd`` runs before its tridiagonal
-solver.
+:func:`bulge_chase` does the same with LAPACK, choosing the routine from
+the shape and whether ``Q`` is wanted:
+
+* ``dsbtrd`` (``ssbtrd`` for float32 input), the Givens-rotation chase
+  of the Schwarz (1968) family that ``?sbevd`` runs before its
+  tridiagonal solver.  It costs about n²b without ``Q``, and always runs
+  then; it accumulates ``Q`` one rotation at a time (BLAS-1).
+* ``?sytrd`` + ``?orgqr`` on the band, zero outside it
+  (:func:`repro.eig.tridiag_direct.householder_tridiagonalize`): blocked
+  Householder reflectors and a blocked ``Q``, about (8/3)n³ whatever b.
+  It runs when ``Q`` is wanted and ``n * b >= SYTRD_MIN_N_TIMES_B``,
+  where paired timings on the host put it ahead (docs/performance.md
+  "Stage 2").
 
 scipy ships no f2py wrapper for ``?sbtrd``, so the routine is taken from
 :mod:`scipy.linalg.cython_lapack`'s exported C function table through
@@ -28,8 +37,13 @@ from scipy.linalg import cython_lapack
 
 from ..errors import ConfigurationError, NumericalBreakdownError, ShapeError
 from ..validation import Validated, as_square_matrix, as_symmetric_matrix
+from .tridiag_direct import householder_tridiagonalize
 
-__all__ = ["bulge_chase"]
+__all__ = ["bulge_chase", "SYTRD_MIN_N_TIMES_B"]
+
+#: Smallest ``n * b`` at which a chase with ``Q`` runs ``?sytrd`` +
+#: ``?orgqr`` instead of ``?sbtrd`` (docs/performance.md "Stage 2").
+SYTRD_MIN_N_TIMES_B = 4096
 
 #: C signature of ``?sbtrd(vect, uplo, n, kd, ab, ldab, d, e, q, ldq,
 #: work, info)`` in scipy's capsule table; ``{t}`` is the real type.
@@ -52,7 +66,11 @@ def bulge_chase(
     *,
     want_q: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Reduce a symmetric band matrix to tridiagonal form (LAPACK ``?sbtrd``).
+    """Reduce a symmetric band matrix to tridiagonal form.
+
+    LAPACK ``?sbtrd`` runs unless ``Q`` is wanted and
+    ``n * b >= SYTRD_MIN_N_TIMES_B``, when ``?sytrd`` + ``?orgqr`` run on
+    the band instead (module docstring).
 
     Parameters
     ----------
@@ -79,7 +97,8 @@ def bulge_chase(
     ------
     NumericalBreakdownError
         A non-finite band entry or output (``detector="nonfinite"``), or
-        ``?sbtrd`` reported ``info != 0`` (``detector="lapack"``).
+        ``?sbtrd``, ``?sytrd`` or ``?orgqr`` reported ``info != 0``
+        (``detector="lapack"``).
     ConfigurationError
         scipy's ``?sbtrd`` capsule does not have the expected signature.
     """
@@ -97,6 +116,14 @@ def bulge_chase(
         d = np.diagonal(a).astype(dtype)
         e = np.diagonal(a, offset=-1).astype(dtype)
         q = np.eye(n, dtype=dtype) if want_q else None
+    elif want_q and n * kd >= SYTRD_MIN_N_TIMES_B:
+        # Only the band's diagonals are copied, into the lower triangle
+        # ?sytrd reads: entries outside the band stay ignored.
+        c = np.zeros((n, n), dtype=dtype)
+        flat = c.ravel()
+        for k in range(kd + 1):
+            flat[k * n::n + 1] = np.diagonal(a, offset=-k)
+        d, e, q = householder_tridiagonalize(Validated(c), want_q=True)
     else:
         # Lower band storage ab[i - j, j] = A[i, j], packed fresh on every
         # call: ?sbtrd overwrites it.

@@ -6,16 +6,19 @@ implementation chains its GPU band reduction with MAGMA's CPU stages:
 1. **Stage 1** — successive band reduction (WY-based Algorithm 1 by
    default; ZY-based available) under the chosen precision policy
    (FP16/TF32 Tensor-Core emulation, EC-TCGEMM, FP32, FP64).
-2. **Stage 2** — band to tridiagonal form by LAPACK ``?sbtrd``
-   (:func:`repro.eig.bulge.bulge_chase`), where the paper calls MAGMA.
-   (The paper ships the band matrix over PCIe to the host here; the
-   device performance model charges that transfer, the numerics don't
-   need it.)
+2. **Stage 2** — band to tridiagonal form by LAPACK ``?sbtrd``, or
+   ``?sytrd`` + ``?orgqr`` when ``Q_bulge`` is wanted on a wide enough
+   band (:func:`repro.eig.bulge.bulge_chase`), where the paper calls
+   MAGMA.  (The paper ships the band matrix over PCIe to the host here;
+   the device performance model charges that transfer, the numerics
+   don't need it.)
 3. **Tridiagonal eigensolver** — LAPACK ``sterf`` for eigenvalues only,
    ``stevd`` (divide & conquer) with vectors
    (:func:`repro.eig.dc.tridiag_eig_dc`).
-4. **Back-transformation** — eigenvectors are assembled as
-   ``Q_sbr @ Q_bulge @ V_tri`` when requested.
+4. **Back-transformation** — when eigenvectors are requested,
+   ``Z = Q_bulge @ V_tri``, then stage 1's WY blocks are applied to
+   ``Z`` last block first, ``Z[o:] -= W (Y^T Z[o:])``: stage 1 never
+   forms its n×n ``Q`` (``EvdResult.sbr.q`` is ``None``).
 
 Stages 2–4 run in float64 regardless of the stage-1 policy, mirroring the
 paper's setup where the MAGMA host stages are numerically healthy and all
@@ -65,7 +68,7 @@ from ..resilience.context import ResilienceContext, run_unit
 from ..resilience.faults import FaultInjector
 from ..resilience.policy import EscalationLadder, ResilienceReport
 from ..sbr.methods import default_nb, sbr_method
-from ..sbr.types import SbrResult, pack_wy_blocks, unpack_wy_blocks
+from ..sbr.types import SbrResult, apply_wy_blocks, pack_wy_blocks, unpack_wy_blocks
 # Not called here (stage 1 runs through ``sbr_method``): bench/test_bench.py
 # reads these, and ``tridiag_eig_ql`` below, off this module.
 from ..sbr.wy import sbr_wy  # noqa: F401
@@ -93,6 +96,7 @@ class EvdResult:
         ``None`` when not requested.
     sbr : SbrResult or None
         The stage-1 band reduction result (``None`` for 1-stage driver).
+        Its ``q`` is ``None``: the back-transform applies its ``blocks``.
     tridiagonal : tuple (d, e)
         The tridiagonal matrix the eigensolver consumed.
     engine : GemmEngine or None
@@ -216,7 +220,6 @@ def _sbr_from_checkpoint(ck_band, b: int) -> SbrResult:
     return SbrResult(
         band=ck_band.arrays["band"],
         bandwidth=int(ck_band.scalars.get("bandwidth", b)),
-        q=ck_band.arrays.get("q"),
         blocks=unpack_wy_blocks(
             ck_band.arrays, ck_band.scalars.get("block_offsets", [])
         ),
@@ -285,25 +288,28 @@ def _bulge(ctx, band64, b, want_q):
     return out
 
 
-def _back_transform(ctx, q_sbr, q2, v_tri, record_trace):
+def _back_transform(ctx, blocks, q2, v_tri, record_trace):
     """Assemble ``X = Q_sbr @ Q_bulge @ V_tri`` (float64).
 
-    With online ABFT or fault injection active the two products route
-    through a guarded float64 engine (tag ``"back_transform"``) so the
-    launches are verified/injectable like the stage-1 stream; the plain
-    path stays a bare ``@`` chain — bitwise identical, zero overhead.
-    The guarded products are one retryable unit with no snapshot: the
-    inputs are immutable, so a re-run heals transient corruption
-    without precision changes.
+    ``Q_sbr`` is applied from stage 1's WY blocks
+    (:func:`repro.sbr.types.apply_wy_blocks`), never formed.  With
+    online ABFT or fault injection active the products route through a
+    guarded float64 engine (tag ``"back_transform"``) so the launches
+    are verified/injectable like the stage-1 stream; the plain path
+    stays bare ``@`` products.  The guarded products are one retryable
+    unit with no snapshot: the inputs are immutable and each attempt
+    starts from a fresh ``Q_bulge @ V_tri``, so a re-run heals transient
+    corruption without precision changes.
     """
-    q64 = np.asarray(q_sbr, dtype=np.float64)
     if ctx is None or (ctx.abft is None and ctx.injector is None):
-        return q64 @ (q2 @ v_tri)
+        return apply_wy_blocks(blocks, q2 @ v_tri)
     bt_eng = ctx.wrap_engine(make_engine(Precision.FP64, record=record_trace))
 
+    def gemm(a, b):
+        return bt_eng.gemm(a, b, tag="back_transform")
+
     def step():
-        t = bt_eng.gemm(q2, v_tri, tag="back_transform")
-        x = bt_eng.gemm(q64, t, tag="back_transform")
+        x = apply_wy_blocks(blocks, gemm(q2, v_tri), gemm=gemm)
         ctx.check_array(x, site="back_transform")
         return x
 
@@ -347,7 +353,8 @@ def syevd_2stage(
     precision : Precision or str
         Stage-1 arithmetic policy.
     want_vectors : bool
-        Whether to form eigenvectors (adds the two back-transformations).
+        Whether to form eigenvectors (adds ``Q_bulge`` and the
+        back-transformation; stage 1 never forms its ``Q``).
     record_trace : bool
         Record the stage-1 GEMM stream on the engine (stage 2 and the
         tridiagonal solve are LAPACK calls and launch no GEMMs).
@@ -475,14 +482,12 @@ def syevd_2stage(
                 sbr = _sbr_from_checkpoint(band_ck, b)
             else:
                 sbr = sbr_method(method).reduce(
-                    Validated(a), b, nb, engine=sbr_eng, want_q=want_vectors,
+                    Validated(a), b, nb, engine=sbr_eng, want_q=False,
                     workspace=ws, resilience=ctx, checkpoint=ck,
                 )
             if ck is not None and band_ck is None:
                 arrays, offsets = pack_wy_blocks(sbr.blocks)
                 arrays["band"] = sbr.band
-                if sbr.q is not None:
-                    arrays["q"] = sbr.q
                 ck.save("band", arrays, {
                     "bandwidth": sbr.bandwidth,
                     "block_offsets": offsets,
@@ -524,7 +529,7 @@ def syevd_2stage(
         if want_vectors:
             with obs.span("back_transform"):
                 # X = Q_sbr @ Q_bulge @ V_tri.
-                x = _back_transform(ctx, sbr.q, q2, v_tri, record_trace)
+                x = _back_transform(ctx, sbr.blocks, q2, v_tri, record_trace)
             _stage_check(ctx, "back_transform", x, "eigenvectors")
         if ck is not None:
             ck.save("result", {
@@ -636,7 +641,7 @@ def syevd_selected(
     with obs.span("syevd_selected", n=n, b=b, nb=nb, method=method):
         with obs.span("sbr"):
             sbr = sbr_method(method).reduce(
-                Validated(a), b, nb, engine=sbr_eng, want_q=want_vectors,
+                Validated(a), b, nb, engine=sbr_eng, want_q=False,
                 resilience=ctx,
             )
 
@@ -651,7 +656,7 @@ def syevd_selected(
             with obs.span("inverse_iteration"):
                 v_tri = tridiag_inverse_iteration(d, e, lam)
             with obs.span("back_transform"):
-                x = _back_transform(ctx, sbr.q, q2, v_tri, False)
+                x = _back_transform(ctx, sbr.blocks, q2, v_tri, False)
         elif want_vectors:
             x = np.zeros((n, 0))
     return EvdResult(

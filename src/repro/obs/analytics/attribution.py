@@ -155,12 +155,13 @@ def _analytic_flops(man: RunManifest, measured_flops: int) -> dict | None:
     n, b, nb = matrix.get("n"), config.get("b"), config.get("nb")
     if not (isinstance(n, int) and isinstance(b, int)):
         return None
-    want_q = bool(config.get("want_vectors", False))
     try:
         row = sbr_method(config.get("method"))
         if row.takes_nb and not isinstance(nb, int):
             return None
-        analytic = row.flops(n, b, nb, want_q=want_q)
+        # The eigensolvers never form stage 1's Q (the back-transform
+        # applies its WY blocks), so stage 1's count excludes it.
+        analytic = row.flops(n, b, nb, want_q=False)
     except Exception:
         return None  # out-of-range config; analytic join is best-effort
     return {

@@ -34,16 +34,17 @@ def phase_plan(n: int, b: int = 16, nb: "int | None" = None,
     :mod:`repro.metrics.flops`, summed over each algorithm's actual loop
     structure; the later phases use
     standard operation counts (divide-and-conquer with vectors is
-    ``O(n^3)``-dominated by its back-substitution GEMMs; the explicit
-    back-transform is two dense ``n^3`` products).  Rough weights are
-    fine: the estimator only needs relative phase sizes, and measured
-    throughput does the rest.
+    ``O(n^3)``-dominated by its back-substitution GEMMs; the
+    back-transform is ``Q_bulge @ V`` plus stage 1's WY blocks, about
+    two dense ``n^3`` products; stage 1 never forms its ``Q``).  Rough
+    weights are fine: the estimator only needs relative phase sizes, and
+    measured throughput does the rest.
     """
     from ...metrics import flops as _flops
     from ...sbr.methods import default_nb, sbr_method
 
     nb_eff = nb if nb is not None else default_nb(b)
-    sbr = sbr_method(method).flops(n, b, nb_eff, want_q=want_vectors)
+    sbr = sbr_method(method).flops(n, b, nb_eff, want_q=False)
     plan = {"sbr": float(max(sbr, 1.0))}
     plan["bulge"] = float(max(
         _flops.bulge_wavefront_flops(n, b, want_q=want_vectors), 1.0

@@ -43,7 +43,7 @@ def evd_accuracy_probes(a, result, *, reference=True) -> dict:
     -------
     dict
         ``sbr_backward_error`` / ``sbr_orthogonality`` (stage-1 boundary,
-        when the run kept ``Q``), ``tridiag_backward_error`` (stage-2
+        ``Q`` formed from the WY blocks), ``tridiag_eig_drift`` (stage-2
         boundary), ``eigenvalue_error`` (final, when ``reference``).
     """
     import numpy as np
@@ -53,13 +53,17 @@ def evd_accuracy_probes(a, result, *, reference=True) -> dict:
         eigenvalue_error,
         orthogonality_error,
     )
+    from ..sbr.types import apply_wy_blocks
 
     probes: dict = {}
     a = np.asarray(a, dtype=np.float64)
     sbr = getattr(result, "sbr", None)
-    if sbr is not None and getattr(sbr, "q", None) is not None:
-        probes["sbr_backward_error"] = backward_error(a, sbr.q, sbr.band)
-        probes["sbr_orthogonality"] = orthogonality_error(sbr.q)
+    if sbr is not None:
+        # The drivers keep stage 1's WY blocks, not its Q: form Q from
+        # them in float64 (O(n^3), like the probes themselves).
+        q = apply_wy_blocks(sbr.blocks, np.eye(sbr.n))
+        probes["sbr_backward_error"] = backward_error(a, q, sbr.band)
+        probes["sbr_orthogonality"] = orthogonality_error(q)
         d, e = result.tridiagonal
         t = np.diag(np.asarray(d, dtype=np.float64))
         if len(e):

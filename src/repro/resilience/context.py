@@ -415,10 +415,11 @@ class ResilienceContext:
         self._check(self.detectors.check_symmetry, a, precision=precision,
                     norm=norm)
 
-    def check_residual(self, a: np.ndarray, q: np.ndarray, band: np.ndarray, *,
+    def check_residual(self, a: np.ndarray, blocks: list, band: np.ndarray, *,
                        precision: Precision) -> None:
-        """Driver hook: sampled factorization-residual probe."""
-        self._check(self.detectors.check_residual, a, q, band,
+        """Driver hook: sampled factorization-residual probe from the
+        reduction's WY blocks."""
+        self._check(self.detectors.check_residual, a, blocks, band,
                     precision=precision)
 
     def _check(self, detector, *args, **kwargs):

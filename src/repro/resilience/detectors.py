@@ -153,7 +153,7 @@ def symmetry_defect(a: np.ndarray, *, sample: int | None = 64) -> float:
 
 def residual_probe(
     a: np.ndarray,
-    q: np.ndarray,
+    blocks: list,
     band: np.ndarray,
     *,
     samples: int = 2,
@@ -164,19 +164,22 @@ def residual_probe(
     Probes the factorization ``A ≈ Q B Q^T`` with a few random vectors —
     O(n^2) per sample instead of the O(n^3) dense residual — enough to
     catch a corrupted trailing update that left ``Q``/``B`` inconsistent
-    with ``A``.
+    with ``A``.  ``Q`` is applied in float64 from the reduction's WY
+    ``blocks`` (:func:`repro.sbr.types.apply_wy_blocks`), never formed.
     """
+    from ..sbr.types import apply_wy_blocks  # repro.sbr imports this module
+
     rng = np.random.default_rng(seed)
     n = a.shape[0]
     a64 = np.asarray(a, dtype=np.float64)
-    q64 = np.asarray(q, dtype=np.float64)
     b64 = np.asarray(band, dtype=np.float64)
     norm_a = float(np.linalg.norm(a64, ord=np.inf)) or 1.0
     worst = 0.0
     for _ in range(samples):
         x = rng.standard_normal(n)
         lhs = a64 @ x
-        rhs = q64 @ (b64 @ (q64.T @ x))
+        rhs = apply_wy_blocks(
+            blocks, b64 @ apply_wy_blocks(blocks, x.copy(), transpose=True))
         denom = norm_a * float(np.linalg.norm(x)) or 1.0
         worst = max(worst, float(np.linalg.norm(lhs - rhs)) / denom)
     return worst
@@ -365,7 +368,7 @@ class DetectorBank:
     def check_residual(
         self,
         a: np.ndarray,
-        q: np.ndarray,
+        blocks: list,
         band: np.ndarray,
         *,
         phase: str | None,
@@ -375,7 +378,7 @@ class DetectorBank:
         """Sampled factorization-residual probe at a stage boundary."""
         if not self.config.residual:
             return
-        res = residual_probe(a, q, band)
+        res = residual_probe(a, blocks, band)
         tol = self.config.residual_tol(effective_eps(precision, band))
         if not np.isfinite(res) or res > tol:
             raise NumericalBreakdownError(

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["WYBlock", "SbrResult", "pack_wy_blocks", "unpack_wy_blocks"]
+__all__ = ["WYBlock", "SbrResult", "apply_wy_blocks", "pack_wy_blocks",
+           "unpack_wy_blocks"]
 
 
 @dataclass
@@ -48,10 +49,11 @@ class SbrResult:
     bandwidth : int
         The target bandwidth ``b``.
     q : numpy.ndarray or None
-        Accumulated orthogonal transform (``None`` when not requested).
+        Accumulated orthogonal transform (``None`` when not requested,
+        as on the eigensolvers' vectors path, which applies ``blocks``).
     blocks : list of WYBlock
-        The per-block WY factors, enough to (re)build ``Q`` lazily via
-        :func:`repro.sbr.formw.form_q_from_blocks`.
+        The per-block WY factors: :func:`apply_wy_blocks` applies ``Q``
+        from them, :func:`repro.sbr.formw.form_q_from_blocks` forms it.
     workspace : repro.perf.Workspace or None
         The scratch arena the reduction ran with (when the driver is
         arena-aware); its ``stats()`` feed the run manifest's ``alloc``
@@ -68,6 +70,26 @@ class SbrResult:
     def n(self) -> int:
         """Matrix size."""
         return self.band.shape[0]
+
+
+def apply_wy_blocks(blocks: "list[WYBlock]", x: np.ndarray, *,
+                    transpose: bool = False, gemm=np.matmul) -> np.ndarray:
+    """Overwrite ``x`` with ``Q x`` (``Q^T x`` with ``transpose``).
+
+    ``Q`` is the product of ``blocks`` in application order, as in
+    :class:`WYBlock`, so ``Q x`` applies the last block first, each as
+    ``x[o:] -= W (Y^T x[o:])``; ``Q^T x`` applies the first block first,
+    as ``x[o:] -= Y (W^T x[o:])``.  The products run in ``x``'s dtype
+    through ``gemm(a, b)``.  Returns ``x``.
+    """
+    for blk in (blocks if transpose else reversed(blocks)):
+        w = blk.w.astype(x.dtype, copy=False)
+        y = blk.y.astype(x.dtype, copy=False)
+        if transpose:
+            w, y = y, w
+        xo = x[blk.offset:]
+        xo -= gemm(w, gemm(y.T, xo))
+    return x
 
 
 def pack_wy_blocks(blocks: "list[WYBlock]") -> tuple[dict, list[int]]:

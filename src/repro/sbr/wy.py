@@ -258,7 +258,7 @@ def _reduce(a, b, nb, eng, ws, *, want_q, q_method, ctx, ck) -> SbrResult:
         # it, and keep a copy only for the residual probe at the end.
         A = as_symmetric_matrix(a, dtype=dtype)
         check_blocksizes(A.shape[0], b, nb)
-        a = A.copy() if want_q and ctx is not None else None
+        a = A.copy() if ctx is not None and ctx.detectors.config.residual else None
     n = A.shape[0]
     blocks: list[WYBlock] = []
     # max|A| as check_array scans it: no n x n |A| temporary.
@@ -378,9 +378,9 @@ def _reduce(a, b, nb, eng, ws, *, want_q, q_method, ctx, ck) -> SbrResult:
             q = run_unit(ctx, "sbr.form_q", form_q, engine=eng)
     if ctx is not None:
         ctx.note_precision("sbr", eng.precision)
-        if q is not None:
+        if ctx.detectors.config.residual:
             with ctx.unit("sbr"):
-                ctx.check_residual(np.asarray(a, dtype=dtype), q, A,
+                ctx.check_residual(np.asarray(a, dtype=dtype), blocks, A,
                                    precision=eng.precision)
     return SbrResult(band=A, bandwidth=b, q=q, blocks=blocks, workspace=ws)
 

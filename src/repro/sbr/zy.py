@@ -180,9 +180,9 @@ def _reduce(a, b, eng, ws, *, want_q, use_syr2k, ctx, ck) -> SbrResult:
     A = (A + A.T) * dtype.type(0.5)
     if ctx is not None:
         ctx.note_precision("sbr", eng.precision)
-        if q is not None:
+        if ctx.detectors.config.residual:
             with ctx.unit("sbr"):
-                ctx.check_residual(a, q, A, precision=eng.precision)
+                ctx.check_residual(a, blocks, A, precision=eng.precision)
     return SbrResult(band=A, bandwidth=b, q=q, blocks=blocks, workspace=ws)
 
 

@@ -131,8 +131,8 @@ def _sdc_chaos(svc: EvdService, args) -> "list[str]":
     GEMM sites (``wy_right``, the SBR partial trailing update;
     ``wy_full_right``, the full trailing update; ``back_transform``);
     each must finish with eigenpairs bitwise-identical to an uninjected
-    run of the same config.  Stage 2 is LAPACK ``?sbtrd`` and launches
-    no engine GEMMs, so it has no site here.  One detect-mode job takes a
+    run of the same config.  Stage 2 is a LAPACK call and launches no
+    engine GEMMs, so it has no site here.  One detect-mode job takes a
     persistent flip that exhausts the in-driver escalation ladder; the
     propagated :class:`~repro.errors.SdcError` must surface as the
     worker's distinct ``sdc`` retry class and the job must still finish.

@@ -166,6 +166,9 @@ class Job:
         self.run_dir: "str | None" = None
         self.token = None  # PreemptionToken while running
         self.result: "JobResult | None" = None
+        #: Set by the service once the terminal job is recorded
+        #: (:meth:`repro.serve.service.EvdService.finish`), not by
+        #: :meth:`finish`: a waiter woken by it sees the job counted.
         self.done = threading.Event()
         self._lock = threading.Lock()
         # The SLO deadline mapped onto the existing wall-clock budget
@@ -249,7 +252,11 @@ class Job:
         error: "Exception | str | None" = None,
         batched: bool = False,
     ) -> "JobResult | None":
-        """Move to a terminal state (idempotent; first finish wins)."""
+        """Move to a terminal state (idempotent; first finish wins).
+
+        Does not set :attr:`done`: the service does, once it has recorded
+        the job (:meth:`repro.serve.service.EvdService.finish`).
+        """
         if outcome not in TERMINAL_STATES:
             raise ValueError(f"not a terminal state: {outcome!r}")
         with self._lock:
@@ -278,7 +285,6 @@ class Job:
                 precision_used=self.precision,
                 batched=batched,
             )
-        self.done.set()
         return self.result
 
     def manifest_record(self) -> dict:

@@ -113,8 +113,7 @@ class Scheduler(threading.Thread):
                 svc.reg.inc("repro_serve_overload_transitions_total")
             for cls in svc.degrade.shed_order():
                 for job in svc.queue.drain_class(cls):
-                    job.finish("shed", error=f"overload shed (class={cls})")
-                    svc.on_terminal(job)
+                    svc.finish(job, "shed", error=f"overload shed (class={cls})")
         elif svc.overloaded and full < svc.degrade.overload_threshold / 2.0:
             # Hysteresis: leave overload mode only once pressure clearly
             # cleared, so the mode doesn't flap at the threshold.

@@ -194,8 +194,7 @@ class EvdService:
         with self._jobs_lock:
             stragglers = [j for j in self._jobs.values() if not j.terminal]
         for job in stragglers:
-            job.finish("cancelled", error="service shutdown")
-            self.on_terminal(job)
+            self.finish(job, "cancelled", error="service shutdown")
         if self.heartbeat is not None:
             self.heartbeat.beat(self.reg)
         # Final Prometheus snapshot: the SLO burn-rate gauges and latency
@@ -311,12 +310,9 @@ class EvdService:
             # unavailable), so fall through to immediate finish only for
             # queued jobs.
             return False
-        finished = job.finish(
-            "cancelled",
-            error=f"cancelled while queued ({reason})",
+        finished = self.finish(
+            job, "cancelled", error=f"cancelled while queued ({reason})",
         )
-        if finished is not None:
-            self.on_terminal(job)
         return finished is not None
 
     def job(self, job_id: str) -> Job:
@@ -345,39 +341,54 @@ class EvdService:
             self.queue.requeue(job)
         except AdmissionError:
             # Queue already closed: terminate rather than lose the job.
-            job.finish("cancelled", error="service shutdown during requeue")
-            self.on_terminal(job)
+            self.finish(job, "cancelled", error="service shutdown during requeue")
             return
         self.reg.inc(
             "repro_serve_requeues_total", priority=job.spec.priority,
         )
 
-    def on_terminal(self, job: Job) -> None:
-        """Record one terminal job: manifest line and metrics."""
+    def finish(self, job: Job, outcome: str, **result) -> "JobResult | None":
+        """Move ``job`` to a terminal state, record it, then wake its waiters.
+
+        Every terminal transition in the service goes through here, so
+        :meth:`result` returns only after :meth:`stats`,
+        :meth:`latency_rows` and the registry count the job.  Returns what
+        :meth:`Job.finish` returns (None when an earlier finish won).
+        """
+        finished = job.finish(outcome, **result)
+        self._record_terminal(job)
+        return finished
+
+    def _record_terminal(self, job: Job) -> None:
+        """Record one terminal job (manifest line and metrics) once, then
+        set its ``done``."""
         r = job.result
-        if r is None:  # finish() lost the idempotency race; first wins
+        if r is None:  # not terminal: nothing to record or wake
             return
         cls = job.spec.priority
         with self._jobs_lock:
             if getattr(job, "_recorded", False):
-                return
+                return  # the recorder sets done when it has finished
             job._recorded = True
             self._outcomes[r.outcome] = self._outcomes.get(r.outcome, 0) + 1
-        job.record_event("serve.result", outcome=r.outcome)
-        self.slo.record_terminal(job)
-        self.reg.inc(
-            "repro_serve_jobs_total", priority=cls, outcome=r.outcome,
-        )
-        self.reg.observe(
-            "repro_serve_latency_seconds", r.wall, priority=cls,
-        )
-        self.reg.observe(
-            "repro_serve_queue_wait_seconds", r.queue_wait, priority=cls,
-        )
         try:
-            append_jsonl(self.manifest_path, job.manifest_record())
-        except OSError:
-            self.reg.inc("repro_serve_manifest_errors_total")
+            job.record_event("serve.result", outcome=r.outcome)
+            self.slo.record_terminal(job)
+            self.reg.inc(
+                "repro_serve_jobs_total", priority=cls, outcome=r.outcome,
+            )
+            self.reg.observe(
+                "repro_serve_latency_seconds", r.wall, priority=cls,
+            )
+            self.reg.observe(
+                "repro_serve_queue_wait_seconds", r.queue_wait, priority=cls,
+            )
+            try:
+                append_jsonl(self.manifest_path, job.manifest_record())
+            except OSError:
+                self.reg.inc("repro_serve_manifest_errors_total")
+        finally:
+            job.done.set()
 
     # -- introspection / export -------------------------------------------
     def stats(self) -> dict:

@@ -116,8 +116,7 @@ class Worker(threading.Thread):
                 self._process(job)
             except Exception as exc:  # never let a worker die silently
                 svc.breaker.record_failure()
-                job.finish("failed", error=exc)
-                svc.on_terminal(job)
+                svc.finish(job, "failed", error=exc)
             finally:
                 self.current_job = None
 
@@ -147,13 +146,11 @@ class Worker(threading.Thread):
             # its SLO runs degraded or is shed, per policy.
             if job.past_deadline and not job.deadline_missed:
                 if not svc.degrade.apply_deadline_miss(job):
-                    job.finish("shed", error="deadline passed while queued")
-                    svc.on_terminal(job)
+                    svc.finish(job, "shed", error="deadline passed while queued")
                     return
             if svc.overloaded and not job.degradations:
                 if not svc.degrade.apply_overload(job):
-                    job.finish("shed", error="overload shed")
-                    svc.on_terminal(job)
+                    svc.finish(job, "shed", error="overload shed")
                     return
 
             # Batching: pack same-shape coalescible companions into one
@@ -215,12 +212,10 @@ class Worker(threading.Thread):
                     reason=exc.reason,
                 )
                 if exc.reason == "cancel":
-                    job.finish("cancelled", error=exc)
-                    svc.on_terminal(job)
+                    svc.finish(job, "cancelled", error=exc)
                 elif exc.reason == "deadline":
                     if job.spec.priority in svc.degrade.shed_classes:
-                        job.finish("shed", error=exc)
-                        svc.on_terminal(job)
+                        svc.finish(job, "shed", error=exc)
                     else:
                         job.deadline_missed = True
                         job.resume_pending = job.spec.checkpointed
@@ -240,8 +235,7 @@ class Worker(threading.Thread):
                 job.deadline_missed = True
                 self._record_attempt(job, t0, k, "deadline")
                 if not svc.degrade.apply_deadline_miss(job):
-                    job.finish("shed", error=exc)
-                    svc.on_terminal(job)
+                    svc.finish(job, "shed", error=exc)
                     return
                 # Degraded re-run still honors the retry budget; fresh
                 # run dir since want_vectors changed the run config.
@@ -268,8 +262,7 @@ class Worker(threading.Thread):
                 self._record_attempt(job, t0, k, "numerical")
                 safer = Precision.from_name(job.precision).next_safer
                 if safer is None:
-                    job.finish("failed", error=exc)
-                    svc.on_terminal(job)
+                    svc.finish(job, "failed", error=exc)
                     return
                 job.add_degradation(
                     "escalate_precision", "numerical_breakdown",
@@ -281,8 +274,7 @@ class Worker(threading.Thread):
                     return
             except (ValidationError, ConfigurationError) as exc:
                 self._record_attempt(job, t0, k, "failed")
-                job.finish("failed", error=exc)
-                svc.on_terminal(job)
+                svc.finish(job, "failed", error=exc)
                 return
             else:
                 job.token = None
@@ -290,12 +282,11 @@ class Worker(threading.Thread):
                 if job.past_deadline:
                     job.deadline_missed = True
                 self._record_attempt(job, t0, k, "done")
-                job.finish(
-                    "done",
+                svc.finish(
+                    job, "done",
                     eigenvalues=res.eigenvalues,
                     eigenvectors=res.eigenvectors,
                 )
-                svc.on_terminal(job)
                 return
 
     def _retry(self, job: Job, policy, exc, *, kind: str) -> bool:
@@ -303,8 +294,7 @@ class Worker(threading.Thread):
         svc = self.service
         job.token = None
         if job.attempts >= policy.max_attempts:
-            job.finish("failed", error=exc)
-            svc.on_terminal(job)
+            svc.finish(job, "failed", error=exc)
             return False
         svc.reg.inc("repro_serve_retries_total", kind=kind)
         delay = backoff(
@@ -414,5 +404,4 @@ class Worker(threading.Thread):
                 job.deadline_missed = True
             self._record_attempt(job, t0, job.attempts, "done")
             job.timeline[-1]["batched"] = True
-            job.finish("done", eigenvalues=lam, eigenvectors=x, batched=True)
-            svc.on_terminal(job)
+            svc.finish(job, "done", eigenvalues=lam, eigenvectors=x, batched=True)

@@ -318,9 +318,12 @@ def reference_digest(a, **kw):
 
 class TestCrashResume:
     @pytest.mark.parametrize("site,index", CRASH_SITES, ids=[s for s, _ in CRASH_SITES])
-    def test_resume_is_bitwise_identical_fp64(self, tmp_path, site, index):
-        a = small_problem(48)
-        kw = dict(b=4, nb=8, precision="fp64", want_vectors=True)
+    # Stage 2 runs ?sbtrd at n=48, b=4 and ?sytrd + ?orgqr at n=128, b=32.
+    @pytest.mark.parametrize("n,b,nb", [(48, 4, 8), (128, 32, 64)],
+                             ids=["n48b4", "n128b32"])
+    def test_resume_is_bitwise_identical_fp64(self, tmp_path, n, b, nb, site, index):
+        a = small_problem(n)
+        kw = dict(b=b, nb=nb, precision="fp64", want_vectors=True)
         expected = reference_digest(a, **kw)
         crash = CrashInjector(CrashFaultSpec(site=site, call_index=index))
         cfg = CheckpointConfig(run_dir=str(tmp_path / "run"), crash=crash)
@@ -329,6 +332,17 @@ class TestCrashResume:
         res = resume(str(tmp_path / "run"))
         assert res.checkpoint_report.resumed_from is not None
         assert result_digest(res) == expected
+
+    def test_band_checkpoint_keeps_the_blocks_not_q(self, tmp_path):
+        a = small_problem(48)
+        run_dir = str(tmp_path / "run")
+        res = syevd_2stage(a, b=4, nb=8, checkpoint=run_dir)
+        assert res.sbr.q is None
+        band = CheckpointManager(CheckpointConfig(run_dir=run_dir)).phase("band")
+        assert "q" not in band.arrays
+        assert len(band.scalars["block_offsets"]) == len(res.sbr.blocks) > 0
+        again = resume(run_dir)
+        assert again.sbr.q is None and len(again.sbr.blocks) == len(res.sbr.blocks)
 
     def test_resume_mid_sbr_fp32(self, tmp_path):
         a = small_problem(48, dtype=np.float64)

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import cython_lapack
 
 import repro.eig.bulge as bulge_mod
+import repro.eig.tridiag_direct as tridiag_mod
 from repro.errors import ConfigurationError, NumericalBreakdownError, ShapeError
 from repro.eig import bulge_chase, householder_tridiagonalize, tridiag_eig_dc
 from repro.la import bandwidth_of, extract_band, tridiag_to_dense
@@ -140,6 +141,81 @@ class TestStage2Differential:
             t = tridiag_to_dense(d, e).astype(np.float64) / scale
             assert np.abs(q64.T @ q64 - np.eye(n)).max() <= orth, n
             assert np.abs(q64 @ t @ q64.T - unit).max() <= sim, n
+
+
+#: (n, b) on both sides of the routine choice: ``?sbtrd`` below
+#: ``n * b = SYTRD_MIN_N_TIMES_B``, ``?sytrd`` + ``?orgqr`` from it.
+ROUTE_SHAPES = [(96, 32), (255, 16), (64, 63), (128, 32), (256, 16), (160, 32)]
+
+
+def _routes_run(monkeypatch):
+    """Count the stage-2 routines ``bulge_chase`` calls."""
+    ran = {"sbtrd": 0, "sytrd": 0}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            ran[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(bulge_mod, "_sbtrd", spy("sbtrd", bulge_mod._sbtrd))
+    monkeypatch.setattr(bulge_mod, "householder_tridiagonalize",
+                        spy("sytrd", bulge_mod.householder_tridiagonalize))
+    return ran
+
+
+class TestStage2Routes:
+    """Both stage-2 routines with ``Q``, either side of the rule."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n,b", ROUTE_SHAPES)
+    def test_similarity_orthogonality_and_spectrum(self, monkeypatch, n, b, dtype):
+        ran = _routes_run(monkeypatch)
+        tol, orth, sim = BOUNDS[dtype]
+        unit = extract_band(random_symmetric(n, np.random.default_rng(n + b)), b)
+        # Entries outside the band are ignored by either routine.
+        outside = np.triu(np.ones((n, n)), b + 1)
+        ab = (unit + outside + outside.T).astype(dtype)
+        d, e, q = bulge_chase(ab, b, want_q=True)
+        wide = n * min(b, n - 1) >= bulge_mod.SYTRD_MIN_N_TIMES_B
+        route = "sytrd" if wide else "sbtrd"
+        assert ran == {"sbtrd": route == "sbtrd", "sytrd": route == "sytrd"}
+        assert d.dtype == q.dtype == dtype
+        q64, t = q.astype(np.float64), tridiag_to_dense(d, e).astype(np.float64)
+        band = unit.astype(dtype).astype(np.float64)
+        assert np.abs(q64.T @ q64 - np.eye(n)).max() <= orth
+        assert np.abs(q64 @ t @ q64.T - band).max() <= sim
+        lam, _ = tridiag_eig_dc(d, e, want_vectors=False)
+        assert np.abs(lam - eig_banded_spectrum(band, b)).max() <= tol
+
+    @pytest.mark.parametrize("n,b", ROUTE_SHAPES)
+    def test_values_only_stays_on_sbtrd(self, monkeypatch, n, b):
+        ran = _routes_run(monkeypatch)
+        ab = extract_band(random_symmetric(n, np.random.default_rng(n)), b)
+        d, e, q = bulge_chase(ab, b, want_q=False)
+        assert q is None and ran == {"sbtrd": 1, "sytrd": 0}
+        d_q, e_q, _ = bulge_chase(ab, b, want_q=True)
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(tridiag_to_dense(d_q, e_q)),
+            np.linalg.eigvalsh(tridiag_to_dense(d, e)), atol=1e-12)
+
+    @pytest.mark.parametrize("routine", ["sytrd", "orgqr"])
+    def test_lapack_info_raises_breakdown(self, rng, monkeypatch, routine):
+        real = tridiag_mod.get_lapack_funcs
+
+        def failing(names, arrays):
+            funcs = list(real(names, arrays))
+            i = names.index(routine)
+            good = funcs[i]
+            funcs[i] = lambda *a, **k: (*good(*a, **k)[:-1], -7)
+            return funcs
+
+        monkeypatch.setattr(tridiag_mod, "get_lapack_funcs", failing)
+        ab = extract_band(random_symmetric(128, rng), 32)
+        with pytest.raises(NumericalBreakdownError, match=routine) as ei:
+            bulge_chase(ab, 32, want_q=True)
+        assert ei.value.detector == "lapack"
+        assert ei.value.site == "householder_tridiagonalize"
 
 
 class TestHouseholderTridiagonalize:

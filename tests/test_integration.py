@@ -126,13 +126,16 @@ class TestAllMatrixClasses:
     # stage 1's.  Hoffman–Wielandt bounds the paper's eigenvalue error E_s
     # (and a Weyl-paired subset of it) by that backward error, so the
     # stage-1 envelopes of repro.metrics.bounds cover every solver output.
+    # n=64, b=8 runs stage 2 on ?sbtrd, n=256, b=16 on ?sytrd + ?orgqr.
     @pytest.mark.parametrize("precision", [p.value for p in Precision])
     @pytest.mark.parametrize("method", ["wy", "zy"])
     @pytest.mark.parametrize("spec", TABLE_MATRIX_SPECS, ids=lambda s: s.label)
-    def test_evd_within_stage1_envelope(self, rng, spec, method, precision):
-        n, b = 64, 8
+    @pytest.mark.parametrize("n,b,nb", [(64, 8, 16), (256, 16, 64)],
+                             ids=["n64b8", "n256b16"])
+    def test_evd_within_stage1_envelope(self, rng, n, b, nb, spec, method,
+                                        precision):
         a, lam = generate_from_spec(spec, n, rng=rng)
-        res = syevd_2stage(a, b=b, nb=16, method=method, precision=precision)
+        res = syevd_2stage(a, b=b, nb=nb, method=method, precision=precision)
         x = res.eigenvectors
         bound = sbr_backward_error_bound(n, b, precision=precision)
         assert eigenvalue_error(lam, res.eigenvalues) <= bound

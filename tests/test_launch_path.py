@@ -182,9 +182,10 @@ class TestDriverLaunchPath:
                            faults=inj, check_input=False)
         base = _stream(clean.engine.trace)
         got = _stream(res.engine.trace)
-        assert len(base) == 49 and {r[0] for r in base} == {"tc"}
-        assert len(got) == 56
-        assert [r[0] for r in got] == ["tc"] * 12 + ["ectc"] * 44
+        # Stage 1 launches no form_q: the back-transform applies its blocks.
+        assert len(base) == 46 and {r[0] for r in base} == {"tc"}
+        assert len(got) == 53
+        assert [r[0] for r in got] == ["tc"] * 12 + ["ectc"] * 41
         assert got == base[:12] + [("ectc",) + r[1:] for r in base[5:]]
         assert got[9] == ("tc", "gemm", 56, 8, 16, "wy_right")
         assert [r[5] for r in got[10:12]] == ["wy_left", "wy_left"]

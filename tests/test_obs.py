@@ -430,3 +430,17 @@ class TestEndToEnd:
         text = obs.render_report(path)
         assert "syevd/sbr" in text and "syevd/bulge" in text
         assert "gemm stream" in text
+
+
+class TestAccuracyProbes:
+    def test_vectors_run_carries_the_stage1_probes(self, tmp_path):
+        from repro.metrics import sbr_backward_error_bound, sbr_orthogonality_bound
+
+        run = obs.record_syevd(n=96, b=8, nb=32, precision="fp32", seed=3,
+                               path=str(tmp_path / "run.jsonl"))
+        assert run.result.sbr.q is None  # Q is formed from the WY blocks
+        acc = obs.load_manifest(run.path).accuracy
+        assert 0 < acc["sbr_backward_error"] <= sbr_backward_error_bound(
+            96, 8, precision="fp32")
+        assert 0 < acc["sbr_orthogonality"] <= sbr_orthogonality_bound(
+            96, 8, precision="fp32")

@@ -144,8 +144,28 @@ class TestMeasurements:
 
         a = random_symmetric(48, rng)
         res = sbr_wy(a, 4, 16, engine=make_engine("fp64"))
-        assert residual_probe(a, res.q, res.band) < 1e-12
-        assert residual_probe(a, res.q, 2.0 * res.band) > 1e-2
+        assert residual_probe(a, res.blocks, res.band) < 1e-12
+        assert residual_probe(a, res.blocks, 2.0 * res.band) > 1e-2
+
+    @pytest.mark.parametrize("method", ["wy", "zy"])
+    def test_residual_detector_runs_without_q(self, rng, method):
+        # The eigensolvers' stage 1 forms no Q; the opt-in probe applies
+        # the blocks, so it still runs and trips on a tolerance no
+        # rounding error meets.
+        from repro.sbr.methods import sbr_method
+
+        a = random_symmetric(48, rng)
+
+        def reduce(factor):
+            ctx = ResilienceContext(on_breakdown="raise", detectors=DetectorConfig(
+                residual=True, residual_eps_factor=factor))
+            return sbr_method(method).reduce(a, 4, 16, engine=make_engine("fp32"),
+                                             want_q=False, resilience=ctx)
+
+        assert reduce(1e4).q is None
+        with pytest.raises(NumericalBreakdownError) as ei:
+            reduce(1e-6)
+        assert ei.value.detector == "residual"
 
     def test_effective_eps_floors_at_storage(self):
         arr32 = np.zeros(2, dtype=np.float32)

@@ -293,6 +293,16 @@ class TestServiceBasic:
         assert len(lines) == 3
         assert {l["state"] for l in lines} == {"done"}
 
+    def test_result_returns_after_the_job_is_counted(self, rng, tmp_path):
+        # The worker records a job before result() wakes, so the counts
+        # read right after it always include the job.
+        with _service(tmp_path, workers=2) as svc:
+            for i in range(1, 31):
+                jid = svc.submit(random_symmetric(8, rng))
+                assert svc.result(jid, timeout=60.0).ok
+                assert svc.stats()["outcomes"] == {"done": i}
+                assert sum(r["jobs"] for r in svc.latency_rows()) == i
+
     def test_submit_validates_once(self, rng, tmp_path):
         from repro.errors import ValidationError
         with _service(tmp_path) as svc:

@@ -322,9 +322,8 @@ class TestServeTracing:
         with _service(tmp_path) as svc:
             jid = svc.submit(random_symmetric(12, rng))
             assert svc.result(jid, timeout=60.0).ok
-        # result() returns when the job is terminal, before the worker
-        # records it; after shutdown every worker has.
-        rows = svc.latency_rows()
+            # result() returns once the job is recorded.
+            rows = svc.latency_rows()
         assert rows
         row = rows[0]
         assert "queue_wait_p50" in row and "queue_wait_p99" in row
